@@ -71,7 +71,6 @@ func main() {
 		unweighted = flag.Bool("unweighted", false, "use the paper's unweighted constants (must match the backends)")
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default; must match the backends)")
 		batch      = flag.Int("batch", 256, "max submissions coalesced into one routed batch")
-		flush      = flag.Duration("flush", 500*time.Microsecond, "max wait before flushing a non-full batch")
 		queue      = flag.Int("queue", 8192, "queued-item bound (backpressure)")
 		wireOK     = flag.Bool("wire", true, "accept binary wire-protocol submissions from clients")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -123,10 +122,9 @@ func main() {
 	cancelReady()
 
 	srv, err := server.New(server.Config{
-		BatchSize:     *batch,
-		FlushInterval: *flush,
-		QueueLen:      *queue,
-		JSONOnly:      !*wireOK,
+		BatchSize: *batch,
+		QueueLen:  *queue,
+		JSONOnly:  !*wireOK,
 	}, server.RouterAdmission(router))
 	if err != nil {
 		fail(err)
@@ -135,8 +133,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "acrouter: routing /v1/admission on %s: batch %d, flush %v, resync %v\n",
-			*addr, *batch, *flush, *resync)
+		fmt.Fprintf(os.Stderr, "acrouter: routing /v1/admission on %s: batch %d, resync %v\n",
+			*addr, *batch, *resync)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}

@@ -9,7 +9,7 @@
 // -edges/-cap pair:
 //
 //	acserve -addr :8080 -workload grid -cap 8 -shards 4
-//	acserve -addr :8080 -edges 64 -cap 16 -shards 8 -batch 512 -flush 1ms
+//	acserve -addr :8080 -edges 64 -cap 16 -shards 8 -batch 512
 //
 // With -cover the server additionally serves online set cover with
 // repetitions (§§4–5, DESIGN.md §9) over a named set-cover workload's
@@ -23,8 +23,8 @@
 // tier (internal/lca, DESIGN.md §13): stateless "what would the decision
 // at position r be?" queries over a seeded arrival order that server and
 // client both derive from the -query-workload/-query-seed pair — the
-// sequence itself is never transmitted. Queries fan out across
-// -query-workers independent replays:
+// sequence itself is never transmitted. Exact queries share one decided
+// prefix, extended on demand; -query-workers bounds concurrent queries:
 //
 //	acserve -addr :8080 -query -query-workload random -query-seed 7 -query-n 4096
 //
@@ -124,7 +124,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "algorithm seed")
 		unweighted = flag.Bool("unweighted", false, "use the paper's unweighted constants (requires cost-1 requests)")
 		batch      = flag.Int("batch", 256, "max submissions coalesced into one engine batch")
-		flush      = flag.Duration("flush", 500*time.Microsecond, "max wait before flushing a non-full batch")
 		queue      = flag.Int("queue", 8192, "queued-item bound per workload (backpressure)")
 		wireOK     = flag.Bool("wire", true, "accept binary wire-protocol submissions (Content-Type application/x-acwire); -wire=false answers them 415 and serves JSON only")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -138,7 +137,7 @@ func main() {
 		queryCap     = flag.Int("query-cap", 8, "per-edge capacity of the query arrival order")
 		queryN       = flag.Int("query-n", 4096, "query arrival-order length (queryable positions)")
 		querySeed    = flag.Uint64("query-seed", 1, "query arrival-order seed (must match the client's)")
-		queryWorkers = flag.Int("query-workers", 0, "concurrent query simulations (0 = GOMAXPROCS)")
+		queryWorkers = flag.Int("query-workers", 0, "concurrent query computations (0 = GOMAXPROCS)")
 
 		cover     = flag.Bool("cover", false, "also serve online set cover (/v1/cover)")
 		coverWl   = flag.String("cover-workload", "cover-random", "named set-cover workload supplying the set system")
@@ -168,7 +167,7 @@ func main() {
 		}
 		serveClusterBackend(caps, engine.Config{Shards: *shards, Algorithm: acfg}, clusterFlags{
 			size: *clusterSize, index: *clusterIndex, vnodes: *clusterVn,
-			addr: *addr, batch: *batch, flush: *flush, queue: *queue,
+			addr: *addr, batch: *batch, queue: *queue,
 			wire: *wireOK, drainT: *drainT, walDir: *walDir, snapEvery: *snapEvery,
 			adminToken: *adminToken,
 		})
@@ -247,11 +246,10 @@ func main() {
 		regs = append(regs, server.Query(qeng))
 	}
 	srv, err := server.New(server.Config{
-		BatchSize:     *batch,
-		FlushInterval: *flush,
-		QueueLen:      *queue,
-		JSONOnly:      !*wireOK,
-		AdminToken:    *adminToken,
+		BatchSize:  *batch,
+		QueueLen:   *queue,
+		JSONOnly:   !*wireOK,
+		AdminToken: *adminToken,
 	}, regs...)
 	if err != nil {
 		fail(err)
@@ -260,8 +258,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "acserve: serving workloads [%s] on %s: m=%d edges (max capacity %d), %d shards, batch %d, flush %v\n",
-			strings.Join(srv.Workloads(), " "), *addr, len(caps), maxOf(caps), eng.Shards(), *batch, *flush)
+		fmt.Fprintf(os.Stderr, "acserve: serving workloads [%s] on %s: m=%d edges (max capacity %d), %d shards, batch %d\n",
+			strings.Join(srv.Workloads(), " "), *addr, len(caps), maxOf(caps), eng.Shards(), *batch)
 		if cov != nil {
 			fmt.Fprintf(os.Stderr, "acserve: cover: %s (%s), n=%d elements, m=%d sets, %d shards\n",
 				*coverWl, cov.Mode(), cov.NumElements(), cov.NumSets(), cov.Shards())
@@ -325,7 +323,7 @@ type clusterFlags struct {
 	size, index, vnodes int
 	addr                string
 	batch, queue        int
-	flush, drainT       time.Duration
+	drainT              time.Duration
 	wire                bool
 	walDir              string
 	snapEvery           int64
@@ -372,11 +370,10 @@ func serveClusterBackend(caps []int, ecfg engine.Config, f clusterFlags) {
 			server.DurableOptions{SnapshotEvery: f.snapEvery, Replay: info})
 	}
 	srv, err := server.New(server.Config{
-		BatchSize:     f.batch,
-		FlushInterval: f.flush,
-		QueueLen:      f.queue,
-		JSONOnly:      !f.wire,
-		AdminToken:    f.adminToken,
+		BatchSize:  f.batch,
+		QueueLen:   f.queue,
+		JSONOnly:   !f.wire,
+		AdminToken: f.adminToken,
 	}, reg)
 	if err != nil {
 		fail(err)

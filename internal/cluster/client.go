@@ -11,16 +11,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"admission/internal/wire"
 )
-
-// frameScanners pools the buffered frame readers behind exchange's decision
-// decoding: a fresh 64 KiB reader per exchange would be the client's
-// dominant allocation on the router's hot path.
-var frameScanners = sync.Pool{New: func() any { return wire.NewFrameScanner(nil) }}
 
 // Workload is the route name backends serve the cluster protocol under
 // (POST /v1/cluster); the server glue registers it by this name.
@@ -263,12 +257,8 @@ func (c *Client) exchange(ctx context.Context, body []byte, count int) ([]wire.A
 	defer stop()
 
 	out := make([]wire.AdmissionDecision, 0, count)
-	sc := frameScanners.Get().(*wire.FrameScanner)
-	sc.Reset(resp.Body)
-	defer func() {
-		sc.Reset(nil)
-		frameScanners.Put(sc)
-	}()
+	sc := wire.GetFrameScanner(resp.Body)
+	defer wire.PutFrameScanner(sc)
 	for len(out) < count {
 		payload, err := sc.Next()
 		if err != nil {

@@ -85,11 +85,6 @@ const (
 	e19MinThruItems = 4096
 )
 
-// e19Flush is the pipeline flush interval of every cluster-internal
-// server: the router batches upstream, so sub-batch coalescing delay is
-// pure overhead on each RPC wave.
-const e19Flush = 20 * time.Microsecond
-
 // e19ThruConns is the connection count of the throughput leg, identical
 // on both sides. Concurrent batches keep a CPU-bound single node busy and
 // let the cluster overlap its two-phase RPC waves — at conns=1 the
@@ -184,7 +179,7 @@ func RunE19Child() {
 	if err != nil {
 		die(err)
 	}
-	srv, err := server.New(server.Config{FlushInterval: e19Flush},
+	srv, err := server.New(server.Config{},
 		server.ClusterBackendDurable(be, log, server.DurableOptions{SnapshotEvery: snapEvery, Replay: info}))
 	if err != nil {
 		die(err)
@@ -311,10 +306,7 @@ func (c *e19Cluster) close() {
 func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error) {
 	tc := &e19Cluster{}
 	serve := func(reg server.Registration) (string, error) {
-		// Cluster-internal hops must not linger: the router already
-		// coalesces, so a backend waiting DefaultFlushInterval for more
-		// items just adds dead time to every two-phase wave.
-		srv, err := server.New(server.Config{FlushInterval: e19Flush}, reg)
+		srv, err := server.New(server.Config{}, reg)
 		if err != nil {
 			return "", err
 		}
@@ -552,7 +544,7 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 			return res, berr
 		}
 		closers = append(closers, func() { be.Close() })
-		srv, serr := server.New(server.Config{FlushInterval: e19Flush}, server.ClusterBackend(be))
+		srv, serr := server.New(server.Config{}, server.ClusterBackend(be))
 		if serr != nil {
 			return res, serr
 		}

@@ -12,6 +12,7 @@ import (
 	"admission/internal/core"
 	"admission/internal/engine"
 	"admission/internal/lca"
+	"admission/internal/rng"
 	"admission/internal/server"
 	"admission/internal/stats"
 	"admission/internal/workload"
@@ -23,19 +24,20 @@ import (
 // seeded arrival order is decided four ways — streamed sequentially
 // through a 1-shard engine (the reference), answered position by position
 // by the lca engine at exact fidelity, and served through /v1/query with
-// one connection over both codecs. All four decision streams must be
-// line-identical (position/ID, accepted, preempted) at every position: a
-// stateless prefix replay must not be able to disagree with the stateful
-// streaming run it reconstructs. The worker sweep then measures the
-// tier's horizontal scaling — queries are independent simulations, so
-// queries/s must grow with the worker bound, which a shared-ledger design
-// structurally cannot do. Acceptance (see EXPERIMENTS.md §E18): zero
-// line divergences in every repetition, and workers=8 throughput ≥ 2x
-// workers=1.
+// one connection over both codecs, each served leg on a fresh engine so
+// the served path extends the shared frontier rather than looking it up.
+// All four decision streams must be line-identical (position/ID, accepted,
+// preempted) at every position: the shared decided prefix must not be able
+// to disagree with the stateful streaming run it reconstructs. The worker
+// sweep then has fresh engines answer every position in a seeded order
+// and counts the arrivals they simulate. Acceptance (see EXPERIMENTS.md
+// §E18): zero line divergences in every repetition, and every sweep engine
+// simulates exactly n arrivals for n positions, where independent prefix
+// replays simulated n(n+1)/2. Throughput is reported for information.
 
 func init() {
 	registry = append(registry,
-		Experiment{"E18", "Local-computation query tier: consistency with the streaming engine and worker scaling (§3 over DESIGN.md §13)", runE18},
+		Experiment{"E18", "Local-computation query tier: consistency with the streaming engine and shared-frontier cost (§3 over DESIGN.md §13)", runE18},
 	)
 }
 
@@ -44,8 +46,9 @@ func runE18(cfg Config) ([]*Table, error) {
 	workerSweep := []int{1, 2, 4, 8}
 
 	type e18Point struct {
-		ok    bool
-		thrus []float64 // queries/s per workerSweep entry
+		ok        bool
+		thrus     []float64 // queries/s per workerSweep entry
+		simulated []int64   // arrivals simulated per workerSweep entry
 	}
 	points := make([]e18Point, cfg.reps())
 	var mu sync.Mutex
@@ -59,7 +62,10 @@ func runE18(cfg Config) ([]*Table, error) {
 			N:        n,
 			Seed:     cfg.Seed ^ (uint64(rep+1) * 7477),
 		}
-		qeng, err := lca.New(lca.Config{Source: src, Algorithm: alg, Workers: 4})
+		newEngine := func(workers int) (*lca.Engine, error) {
+			return lca.New(lca.Config{Source: src, Algorithm: alg, Workers: workers})
+		}
+		qeng, err := newEngine(4)
 		if err != nil {
 			return err
 		}
@@ -107,13 +113,14 @@ func runE18(cfg Config) ([]*Table, error) {
 			}
 		}
 
-		// Identity gate 2: the served conns=1 streams over both codecs.
+		// Identity gate 2: the served conns=1 streams over both codecs, each
+		// on a fresh engine.
 		for _, wireCodec := range []bool{false, true} {
 			codec := "json"
 			if wireCodec {
 				codec = "wire"
 			}
-			got, err := queryStreamConns1(qeng, qs, wireCodec)
+			got, err := queryStreamConns1(newEngine, qs, wireCodec)
 			if err != nil {
 				return fmt.Errorf("E18: %s conns=1 rep %d: %w", codec, rep, err)
 			}
@@ -132,24 +139,30 @@ func runE18(cfg Config) ([]*Table, error) {
 			}
 		}
 
-		// Worker sweep: fresh engines with growing worker bounds answer the
-		// same query set; throughput is batch wall clock.
+		// Worker sweep: fresh engines with growing worker bounds answer every
+		// position in a seeded order; throughput is batch wall clock.
+		shuffled := make([]lca.Query, len(qs))
+		for i, p := range rng.New(src.Seed).Perm(len(qs)) {
+			shuffled[i] = lca.Query{Pos: p}
+		}
 		thrus := make([]float64, len(workerSweep))
+		simulated := make([]int64, len(workerSweep))
 		for wi, workers := range workerSweep {
-			weng, err := lca.New(lca.Config{Source: src, Algorithm: alg, Workers: workers})
+			weng, err := newEngine(workers)
 			if err != nil {
 				return err
 			}
 			start := time.Now()
-			if _, err := weng.SubmitBatch(context.Background(), qs); err != nil {
+			if _, err := weng.SubmitBatch(context.Background(), shuffled); err != nil {
 				weng.Close()
 				return err
 			}
-			thrus[wi] = float64(len(qs)) / time.Since(start).Seconds()
+			thrus[wi] = float64(len(shuffled)) / time.Since(start).Seconds()
+			simulated[wi] = weng.Simulated()
 			weng.Close()
 		}
 		mu.Lock()
-		points[rep] = e18Point{ok: true, thrus: thrus}
+		points[rep] = e18Point{ok: true, thrus: thrus, simulated: simulated}
 		mu.Unlock()
 		return nil
 	})
@@ -157,50 +170,47 @@ func runE18(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 
-	sums := make([]*stats.Summary, len(workerSweep))
-	for wi := range workerSweep {
-		sums[wi] = &stats.Summary{}
-		for rep := 0; rep < cfg.reps(); rep++ {
-			if points[rep].ok {
-				sums[wi].Add(points[rep].thrus[wi])
-			}
-		}
-	}
-
 	t := &Table{
 		ID:      "E18",
-		Title:   "Local-computation query tier: streaming consistency and worker scaling (DESIGN.md §13)",
-		Columns: []string{"workers", "throughput (queries/s)", "speedup vs workers=1"},
-	}
-	base := sums[0].Mean()
-	var speedup8 float64
-	for wi, workers := range workerSweep {
-		rel := 0.0
-		if base > 0 {
-			rel = sums[wi].Mean() / base
-		}
-		if workers == 8 {
-			speedup8 = rel
-		}
-		t.AddRow(fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%.0f", sums[wi].Mean()),
-			fmt.Sprintf("%.2fx", rel))
+		Title:   "Local-computation query tier: streaming consistency and shared-frontier cost (DESIGN.md §13)",
+		Columns: []string{"workers", "throughput (queries/s)", "simulated arrivals", "independent replays"},
 	}
 	verdict := "PASS"
-	if speedup8 < 2 {
-		verdict = "FAIL"
+	for wi, workers := range workerSweep {
+		thru := &stats.Summary{}
+		maxSim := int64(0)
+		for rep := 0; rep < cfg.reps(); rep++ {
+			if !points[rep].ok {
+				continue
+			}
+			thru.Add(points[rep].thrus[wi])
+			sim := points[rep].simulated[wi]
+			maxSim = max(maxSim, sim)
+			if sim != int64(n) {
+				verdict = "FAIL"
+			}
+		}
+		t.AddRow(fmt.Sprintf("%d", workers),
+			fmt.Sprintf("%.0f", thru.Mean()),
+			fmt.Sprintf("%d", maxSim),
+			fmt.Sprintf("%d", n*(n+1)/2))
 	}
-	t.AddNote("identity: exact answers at all %d positions line-identical to the 1-shard streaming engine, locally and served over json+wire conns=1, in every repetition", n)
-	t.AddNote("acceptance: workers=8 ≥ 2x workers=1 on the same query set — observed %.2fx on a GOMAXPROCS=%d host: %s", speedup8, runtime.GOMAXPROCS(0), verdict)
-	t.AddNote("queries are independent prefix replays (no shared ledger), so the sweep measures the tier's horizontal-scaling claim directly")
+	t.AddNote("identity: exact answers at all %d positions line-identical to the 1-shard streaming engine, locally and served over json+wire conns=1 on fresh engines, in every repetition", n)
+	t.AddNote("acceptance: a fresh engine answering all %d positions in seeded order simulates exactly %d arrivals (the shared frontier), where independent prefix replays simulated %d: %s", n, n, n*(n+1)/2, verdict)
+	t.AddNote("throughput is informational: exact queries serialize on the frontier, so the worker bound does not scale them (host GOMAXPROCS=%d)", runtime.GOMAXPROCS(0))
 	return []*Table{t}, nil
 }
 
 // queryStreamConns1 serves the query sequence over a one-connection
 // loopback in 64-item batches using the JSON or binary client and returns
-// the full decision-line stream. The engine stays open (it is stateless
-// across queries, so reuse across scenarios is sound).
-func queryStreamConns1(qeng *lca.Engine, qs []lca.Query, wireCodec bool) ([]server.QueryDecisionJSON, error) {
+// the full decision-line stream. It serves a fresh engine from newEngine,
+// so the served path extends the frontier from position 0 itself.
+func queryStreamConns1(newEngine func(workers int) (*lca.Engine, error), qs []lca.Query, wireCodec bool) ([]server.QueryDecisionJSON, error) {
+	qeng, err := newEngine(4)
+	if err != nil {
+		return nil, err
+	}
+	defer qeng.Close()
 	srv, err := server.New(server.Config{}, server.Query(qeng))
 	if err != nil {
 		return nil, err

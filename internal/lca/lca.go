@@ -10,19 +10,21 @@
 // position's outcome. Following the local-computation-algorithms framing
 // of the paper's setting ("Converting Online Algorithms to Local
 // Computation Algorithms", Mansour et al.; space-efficient LCAs per Alon,
-// Rubinfeld, Vardi & Xie), every query is answered by an independent
-// bounded simulation with no shared mutable ledger — queries fan out
-// across workers with near-linear scaling, which is the whole point of
-// this read path.
+// Rubinfeld, Vardi & Xie), an exact answer needs the online run's prefix —
+// but nothing requires that prefix to be recomputed per query.
 //
 // Two fidelity layers trade replay work against global exactness:
 //
-//   - FidelityExact (the default) replays the full prefix [0, r] through a
-//     fresh §3 instance seeded with the engine's algorithm seed. Because
-//     the single-shard streaming engine is bit-identical to the unsharded
-//     algorithm under the same seed, an exact answer is line-identical to
-//     the decision the streaming engine emits at position r — the
-//     guarantee experiment E18 and this package's property suite assert.
+//   - FidelityExact (the default) answers from the engine's shared
+//     frontier: one §3 instance, seeded with the engine's algorithm seed,
+//     that has decided positions [0, k) and recorded each outcome. A query
+//     at r < k is a table lookup; a query at r ≥ k extends the frontier to
+//     r+1 first, so an engine asked about all N positions simulates N
+//     arrivals in total, not N(N+1)/2. Because the single-shard streaming
+//     engine is bit-identical to the unsharded algorithm under the same
+//     seed, an exact answer is line-identical to the decision the
+//     streaming engine emits at position r — the guarantee experiment E18
+//     and this package's property suite assert.
 //   - FidelityNeighborhood replays only r's conflict component: the
 //     prefix requests connected to r through chains of shared edges.
 //     Requests outside the component cannot contend for r's capacity, so
@@ -34,9 +36,10 @@
 //     workload).
 //
 // Concurrency contract: an Engine is safe for concurrent use by any
-// number of goroutines; every query simulation runs on private state, and
-// a semaphore bounds concurrent simulations at Config.Workers. Statistics
-// are atomically aggregated and exact after Close.
+// number of goroutines. Exact queries serialize on the frontier's mutex;
+// neighborhood queries run on private state. A semaphore bounds concurrent
+// query computations at Config.Workers. Statistics are atomically
+// aggregated and exact after Close.
 package lca
 
 import (
@@ -44,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,8 +64,9 @@ var ErrClosed = errors.New("lca: engine closed")
 type Fidelity uint8
 
 const (
-	// FidelityExact replays the full prefix [0, r]; the answer is
-	// line-identical to the streaming engine's decision at position r.
+	// FidelityExact answers from the shared decided prefix [0, r]; the
+	// answer is line-identical to the streaming engine's decision at
+	// position r.
 	FidelityExact Fidelity = iota
 	// FidelityNeighborhood replays only r's edge-conflict component of the
 	// prefix: deterministic and self-consistent, but an approximation of
@@ -142,11 +147,11 @@ type Source struct {
 type Config struct {
 	// Source is the seeded arrival order (required).
 	Source Source
-	// Algorithm configures the §2/§3 instance each query replays; its Seed
+	// Algorithm configures the §2/§3 instances queries replay; its Seed
 	// must match the streaming engine's for exact answers to be
 	// line-identical to it.
 	Algorithm core.Config
-	// Workers bounds concurrent query simulations (default GOMAXPROCS).
+	// Workers bounds concurrent query computations (default GOMAXPROCS).
 	Workers int
 	// StreamDepth sizes Stream's pipeline buffers (default 256).
 	StreamDepth int
@@ -170,8 +175,10 @@ type Answer struct {
 	// Preempted lists the global positions of previously accepted arrivals
 	// this decision evicts.
 	Preempted []int
-	// Replayed counts the arrivals simulated to produce the answer (the
-	// query's local computation cost).
+	// Replayed is the length of the arrival prefix the answer reflects:
+	// Pos+1 for exact answers, whether computed or looked up, and the
+	// conflict component's size for neighborhood answers. The arrivals
+	// actually simulated are counted by Engine.Simulated.
 	Replayed int
 	// Fidelity echoes the replay layer that produced the answer.
 	Fidelity Fidelity
@@ -195,21 +202,35 @@ type Engine struct {
 	depth   int
 	sema    chan struct{}
 
+	front frontier
+
 	closed   atomic.Bool
 	inflight atomic.Int64
 
-	requests atomic.Int64
-	accepted atomic.Int64
-	errs     atomic.Int64
-	replayed atomic.Int64
+	requests  atomic.Int64
+	accepted  atomic.Int64
+	errs      atomic.Int64
+	replayed  atomic.Int64
+	simulated atomic.Int64
+}
+
+// frontier is the shared exact-fidelity prefix: one §3 instance that has
+// decided positions [0, len(out)) and recorded each outcome. A replay
+// failure at position len(out) is sticky: every query at or past it
+// reports err, as an independent replay of its prefix would.
+type frontier struct {
+	mu  sync.Mutex
+	alg *core.Randomized
+	out []problem.Outcome
+	err error
 }
 
 var _ service.Service[Query, Answer] = (*Engine)(nil)
 var _ service.Batcher[Query, Answer] = (*Engine)(nil)
 
 // New builds a query engine: it generates the source sequence once (held
-// immutable thereafter) and validates that the algorithm configuration can
-// replay it.
+// immutable thereafter), validates that the algorithm configuration can
+// replay it, and keeps the validating §3 instance as the exact frontier.
 func New(cfg Config) (*Engine, error) {
 	ins, err := workload.BuildNamed(cfg.Source.Workload, cfg.Source.Model,
 		cfg.Source.Capacity, cfg.Source.N, cfg.Source.Seed)
@@ -229,7 +250,8 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	if _, err := core.NewRandomized(ins.Capacities, cfg.Algorithm); err != nil {
+	alg, err := core.NewRandomized(ins.Capacities, cfg.Algorithm)
+	if err != nil {
 		return nil, err
 	}
 	workers := cfg.Workers
@@ -246,6 +268,7 @@ func New(cfg Config) (*Engine, error) {
 		workers: workers,
 		depth:   depth,
 		sema:    make(chan struct{}, workers),
+		front:   frontier{alg: alg},
 	}, nil
 }
 
@@ -255,7 +278,7 @@ func (e *Engine) Source() Source { return e.cfg.Source }
 // Algorithm returns the per-query replay configuration.
 func (e *Engine) Algorithm() core.Config { return e.cfg.Algorithm }
 
-// Workers returns the concurrent-simulation bound.
+// Workers returns the concurrent-computation bound.
 func (e *Engine) Workers() int { return e.workers }
 
 // Positions returns the number of queryable arrival positions (the source
@@ -304,8 +327,7 @@ func (e *Engine) account(a *Answer) {
 	}
 }
 
-// compute runs one query simulation under the worker semaphore and
-// accounts it.
+// compute answers one query under the worker semaphore and accounts it.
 func (e *Engine) compute(q Query) Answer {
 	e.sema <- struct{}{}
 	a := e.answer(q)
@@ -432,9 +454,8 @@ func (e *Engine) dispatch(ctx context.Context, q Query) (service.Await[Answer], 
 	}, nil
 }
 
-// Stats returns the uniform statistics snapshot. Objective is the
-// cumulative number of replayed arrivals — the tier's local-computation
-// cost; Shards reports the worker bound.
+// Stats returns the uniform statistics snapshot. Objective is the sum of
+// the answers' Replayed prefix lengths; Shards reports the worker bound.
 func (e *Engine) Stats() service.Stats {
 	return service.Stats{
 		Requests:  e.requests.Load(),
@@ -444,6 +465,11 @@ func (e *Engine) Stats() service.Stats {
 		Shards:    e.workers,
 	}
 }
+
+// Simulated returns the number of arrivals the engine has actually
+// offered to a §3 instance: frontier extensions plus neighborhood replays.
+// An engine answering every position exactly simulates each arrival once.
+func (e *Engine) Simulated() int64 { return e.simulated.Load() }
 
 // Drain blocks until no queries are in flight or ctx is done.
 func (e *Engine) Drain(ctx context.Context) error {
@@ -463,46 +489,69 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// answer reconstructs the decision for one validated query on private
-// state.
+// answer reconstructs the decision for one validated query.
 func (e *Engine) answer(q Query) Answer {
 	a := Answer{Pos: q.Pos, Fidelity: q.Fidelity}
 	switch q.Fidelity {
 	case FidelityExact:
-		e.replay(q.Pos+1, func(i int) int { return i }, &a)
+		e.exact(q.Pos, &a)
 	case FidelityNeighborhood:
-		ps := e.component(q.Pos)
-		e.replay(len(ps), func(i int) int { return ps[i] }, &a)
+		e.replay(e.component(q.Pos), &a)
 	default:
 		a.Err = fmt.Errorf("lca: unknown fidelity %d", q.Fidelity)
 	}
 	return a
 }
 
-// replay offers k prefix arrivals — global position posAt(i) as local id i,
-// ascending — to a fresh §3 instance and records the final offer's outcome
-// in a, with preempted local ids mapped back to global positions.
-func (e *Engine) replay(k int, posAt func(int) int, a *Answer) {
+// exact answers position pos from the shared frontier, first extending it
+// to pos+1 when pos is not yet decided.
+func (e *Engine) exact(pos int, a *Answer) {
+	f := &e.front
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.out) <= pos && f.err == nil {
+		i := len(f.out)
+		out, err := f.alg.Offer(i, e.ins.Requests[i])
+		e.simulated.Add(1)
+		if err != nil {
+			f.err = fmt.Errorf("lca: replay failed at position %d: %w", i, err)
+			break
+		}
+		f.out = append(f.out, out)
+	}
+	if pos >= len(f.out) {
+		a.Err = f.err
+		return
+	}
+	a.Accepted = f.out[pos].Accepted
+	a.Preempted = slices.Clone(f.out[pos].Preempted)
+	a.Replayed = pos + 1
+}
+
+// replay offers the arrivals at the ascending global positions ps — as
+// local ids 0, 1, … — to a fresh §3 instance and records the final offer's
+// outcome in a, with preempted local ids mapped back to global positions.
+func (e *Engine) replay(ps []int, a *Answer) {
 	alg, err := core.NewRandomized(e.ins.Capacities, e.cfg.Algorithm)
 	if err != nil {
 		a.Err = err
 		return
 	}
-	for i := 0; i < k; i++ {
-		pos := posAt(i)
+	for i, pos := range ps {
 		out, err := alg.Offer(i, e.ins.Requests[pos])
+		e.simulated.Add(1)
 		if err != nil {
 			a.Err = fmt.Errorf("lca: replay failed at position %d: %w", pos, err)
 			return
 		}
-		if i == k-1 {
+		if i == len(ps)-1 {
 			a.Accepted = out.Accepted
 			for _, local := range out.Preempted {
-				a.Preempted = append(a.Preempted, posAt(local))
+				a.Preempted = append(a.Preempted, ps[local])
 			}
 		}
 	}
-	a.Replayed = k
+	a.Replayed = len(ps)
 }
 
 // component returns the ascending positions of the prefix [0, pos] whose

@@ -220,7 +220,8 @@ func (c *Client[Req, Dec]) submitWire(ctx context.Context, items []Req) ([]Dec, 
 	defer stop()
 
 	out := make([]Dec, 0, len(items))
-	sc := wire.NewFrameScanner(resp.Body)
+	sc := wire.GetFrameScanner(resp.Body)
+	defer wire.PutFrameScanner(sc)
 	for len(out) < len(items) {
 		payload, err := sc.Next()
 		if err != nil {

@@ -171,8 +171,9 @@ func (p *pipe[Req, Dec]) await(ctx context.Context) error {
 }
 
 // flushLoop coalesces queued submissions into engine batches: a batch
-// flushes when it reaches BatchSize items or when FlushInterval has
-// elapsed since its first item. Submissions larger than BatchSize are
+// closes when it reaches BatchSize items or when the queue is found empty.
+// Under load the queue is never empty, so batches fill; when idle no
+// submission waits for company. Submissions larger than BatchSize are
 // chunked across flushes; each chunk's decisions are delivered as soon as
 // its flush completes, so large submissions stream early decisions. Exits
 // when the queue is closed and fully served.
@@ -182,11 +183,8 @@ func (p *pipe[Req, Dec]) flushLoop() {
 		defer close(p.ackCh) // the acker drains in-flight batches and exits
 	}
 	size := p.srv.cfg.batchSize()
-	interval := p.srv.cfg.flushInterval()
 	reqs := make([]Req, 0, size)
 	spans := make([]flushSpan[Req, Dec], 0, 16)
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
 
 	var cur *submission[Req, Dec] // partially consumed submission
 	off := 0
@@ -208,14 +206,6 @@ func (p *pipe[Req, Dec]) flushLoop() {
 				continue
 			}
 		}
-		// A fresh batch starts now; arm its flush deadline.
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(interval)
 		reqs = reqs[:0]
 		spans = spans[:0]
 	fill:
@@ -232,8 +222,8 @@ func (p *pipe[Req, Dec]) flushLoop() {
 					}
 					cur = next
 					off = 0
-				case <-timer.C:
-					break fill
+				default:
+					break fill // queue empty: flush what we have
 				}
 				continue
 			}

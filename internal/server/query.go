@@ -15,9 +15,10 @@ const WorkloadQuery = "query"
 // {"pos":17} (optionally {"pos":17,"fidelity":"neighborhood"}) or an array
 // of them and streams one NDJSON reconstructed-decision line per query;
 // GET /v1/query/stats reports query engine statistics. The caller retains
-// ownership of the engine. Unlike the streaming workloads the engine is
-// stateless across queries, so the pipeline's batches fan out across the
-// engine's worker pool instead of feeding one sequential ledger.
+// ownership of the engine. Unlike the streaming workloads the engine
+// answers positions in any order: exact answers come from its shared
+// decided prefix, extended on demand, so a query never changes another
+// query's answer.
 func Query(eng *lca.Engine) Registration {
 	return Register(WorkloadQuery, eng, queryCodec(eng))
 }
@@ -119,7 +120,7 @@ type QueryDecisionJSON struct {
 	Accepted bool `json:"accepted"`
 	// Preempted lists global positions evicted by this decision.
 	Preempted []int `json:"preempted,omitempty"`
-	// Replayed counts the arrivals simulated to answer the query.
+	// Replayed is the length of the arrival prefix the answer reflects.
 	Replayed int `json:"replayed,omitempty"`
 	// Fidelity names a non-default replay layer ("" means exact).
 	Fidelity string `json:"fidelity,omitempty"`
@@ -140,7 +141,7 @@ type QueryStatsJSON struct {
 	Capacity  int    `json:"capacity"`
 	Positions int    `json:"positions"`
 	Seed      uint64 `json:"seed"`
-	// Workers is the engine's concurrent-simulation bound.
+	// Workers is the engine's concurrent-query bound.
 	Workers int `json:"workers"`
 	// Queries .. ReplayedArrivals mirror the engine's service.Stats.
 	Queries          int64 `json:"queries"`

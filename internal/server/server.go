@@ -41,7 +41,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"admission/internal/engine"
 	"admission/internal/metrics"
@@ -54,8 +53,6 @@ import (
 const (
 	// DefaultBatchSize is the default maximum engine batch.
 	DefaultBatchSize = 256
-	// DefaultFlushInterval is the default wait bound of a non-full batch.
-	DefaultFlushInterval = 500 * time.Microsecond
 	// DefaultQueueLen is the default per-workload bound on queued items.
 	DefaultQueueLen = 8192
 	// DefaultMaxSubmit is the default per-request item cap.
@@ -69,12 +66,6 @@ type Config struct {
 	// BatchSize is the maximum number of queued items coalesced into one
 	// engine batch (0 means DefaultBatchSize).
 	BatchSize int
-	// FlushInterval bounds how long a non-full batch waits for more
-	// submissions before flushing (0 means DefaultFlushInterval). Larger
-	// values trade latency for throughput under light load; under
-	// saturation batches fill before the timer fires and the interval is
-	// irrelevant.
-	FlushInterval time.Duration
 	// QueueLen bounds each workload's queued work, counted in items
 	// (requests/arrivals) across all queued HTTP submissions; enqueueing
 	// blocks when the bound is reached, back-pressuring clients (0 means
@@ -107,13 +98,10 @@ type Config struct {
 }
 
 // validate rejects negative fields with a descriptive error; zero always
-// means the documented default (a Config is never "timer-less").
+// means the documented default.
 func (c Config) validate() error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("server: BatchSize %d is negative; use 0 for the default %d", c.BatchSize, DefaultBatchSize)
-	}
-	if c.FlushInterval < 0 {
-		return fmt.Errorf("server: FlushInterval %v is negative; use 0 for the default %v", c.FlushInterval, DefaultFlushInterval)
 	}
 	if c.QueueLen < 0 {
 		return fmt.Errorf("server: QueueLen %d is negative; use 0 for the default %d", c.QueueLen, DefaultQueueLen)
@@ -139,13 +127,6 @@ func (c Config) batchSize() int {
 		return DefaultBatchSize
 	}
 	return c.BatchSize
-}
-
-func (c Config) flushInterval() time.Duration {
-	if c.FlushInterval == 0 {
-		return DefaultFlushInterval
-	}
-	return c.FlushInterval
 }
 
 func (c Config) queueLen() int {

@@ -75,12 +75,9 @@ func metricValue(t *testing.T, text, name string) float64 {
 }
 
 // TestConfigValidation pins the Config contract: zero fields mean the
-// documented defaults (never "no timer"), negative fields are rejected at
-// construction with a descriptive error.
+// documented defaults, negative fields are rejected at construction with a
+// descriptive error.
 func TestConfigValidation(t *testing.T) {
-	if got := (Config{}).flushInterval(); got != DefaultFlushInterval {
-		t.Fatalf("zero FlushInterval resolves to %v, want the default %v", got, DefaultFlushInterval)
-	}
 	if got := (Config{}).batchSize(); got != DefaultBatchSize {
 		t.Fatalf("zero BatchSize resolves to %d, want the default %d", got, DefaultBatchSize)
 	}
@@ -94,7 +91,6 @@ func TestConfigValidation(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"negative flush", Config{FlushInterval: -time.Millisecond}, "FlushInterval"},
 		{"negative batch", Config{BatchSize: -1}, "BatchSize"},
 		{"negative queue", Config{QueueLen: -1}, "QueueLen"},
 		{"negative max submit", Config{MaxSubmit: -1}, "MaxSubmit"},
@@ -410,7 +406,7 @@ func TestMalformedSubmissions(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	ins := testInstance(t, 9, 2000)
 	eng, s, ts := newTestServer(t, ins.Capacities, 2,
-		Config{BatchSize: 32, FlushInterval: 5 * time.Millisecond})
+		Config{BatchSize: 32})
 	client := NewAdmissionClient(ts.URL, 8)
 	ctx := context.Background()
 
@@ -430,7 +426,7 @@ func TestGracefulDrain(t *testing.T) {
 		go func(lo int) {
 			defer wg.Done()
 			for at := lo; at < lo+per; at += 100 {
-				ds, err := client.Submit(ctx, ins.Requests[at:at+100])
+				ds, err := client.Submit(ctx, ins.Requests[at:min(at+100, lo+per)])
 				mu.Lock()
 				if err != nil {
 					subErrs = append(subErrs, err)

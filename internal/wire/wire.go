@@ -591,3 +591,26 @@ func PutBuffer(b *Buffer) {
 	}
 	bufPool.Put(b)
 }
+
+// scannerPool recycles FrameScanners: each carries a 64 KiB read buffer,
+// which would otherwise be a client's dominant allocation per exchange.
+var scannerPool = sync.Pool{New: func() any { return NewFrameScanner(nil) }}
+
+// GetFrameScanner takes a scanner from the pool and points it at r. The
+// payloads it returns die with PutFrameScanner, so decoders must copy
+// whatever they keep (every Decode* in this package does).
+func GetFrameScanner(r io.Reader) *FrameScanner {
+	s := scannerPool.Get().(*FrameScanner)
+	s.Reset(r)
+	return s
+}
+
+// PutFrameScanner returns a scanner to the pool, releasing its stream.
+// An oversized payload buffer (past 4 MiB) is dropped first.
+func PutFrameScanner(s *FrameScanner) {
+	s.Reset(nil)
+	if cap(s.buf) > 4<<20 {
+		s.buf = nil
+	}
+	scannerPool.Put(s)
+}

@@ -357,6 +357,55 @@ func TestFrameScannerStream(t *testing.T) {
 	}
 }
 
+// TestPooledFrameScanner reads two streams through pooled scanners: a
+// returned scanner carries nothing of its previous stream into the next,
+// and decoded decisions survive the scanner's return to the pool.
+func TestPooledFrameScanner(t *testing.T) {
+	streams := make([][]byte, 2)
+	for s := range streams {
+		for i := 0; i < 10; i++ {
+			d := AdmissionDecision{ID: 100*s + i, Preempted: []int{s, i}}
+			streams[s] = AppendAdmissionDecision(streams[s], &d)
+		}
+	}
+	var kept []AdmissionDecision
+	for s, stream := range streams {
+		// Leave the first stream half read: the pool must not hand its
+		// remaining frames to the next reader.
+		frames := 10
+		if s == 0 {
+			frames = 5
+		}
+		sc := GetFrameScanner(bytes.NewReader(stream))
+		for i := 0; i < frames; i++ {
+			payload, err := sc.Next()
+			if err != nil {
+				t.Fatalf("stream %d frame %d: %v", s, i, err)
+			}
+			var d AdmissionDecision
+			if err := DecodeAdmissionDecision(payload, &d); err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, d)
+		}
+		if s == 1 {
+			if _, err := sc.Next(); err != io.EOF {
+				t.Fatalf("after the last frame: %v, want io.EOF", err)
+			}
+		}
+		PutFrameScanner(sc)
+	}
+	for k, d := range kept {
+		s, i := k/5, k%5
+		if k >= 5 {
+			s, i = 1, k-5
+		}
+		if d.ID != 100*s+i || len(d.Preempted) != 2 || d.Preempted[0] != s || d.Preempted[1] != i {
+			t.Fatalf("decision %d = %+v after its scanner was pooled, want ID %d preempted [%d %d]", k, d, 100*s+i, s, i)
+		}
+	}
+}
+
 // --- allocation regression ----------------------------------------------
 
 // TestSteadyStateEncodeDecodeZeroAllocs is the allocation gate of ISSUE 6:
