@@ -130,7 +130,7 @@ func main() {
 		fail(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(*addr)
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "acrouter: routing /v1/admission on %s: batch %d, resync %v\n",

@@ -255,7 +255,7 @@ func main() {
 		fail(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(*addr)
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "acserve: serving workloads [%s] on %s: m=%d edges (max capacity %d), %d shards, batch %d\n",
@@ -379,7 +379,7 @@ func serveClusterBackend(caps []int, ecfg engine.Config, f clusterFlags) {
 		fail(err)
 	}
 
-	httpSrv := &http.Server{Addr: f.addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(f.addr)
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr,

@@ -98,6 +98,10 @@ type Fractional struct {
 	cmax int // original maximum capacity (fixes g = 2mc and initial weights)
 	g    float64
 
+	// Derived from g and cmax, which are pinned at construction.
+	initW  float64 // initial weight 1/(g·c) of a request's first augmentation
+	log2GC float64 // log₂(2gc), the phase budget's log factor
+
 	reqs  []fracReq
 	edges [][]int // per edge: request IDs that use it (alive and not; pruned lazily)
 
@@ -192,6 +196,8 @@ func NewFractional(capacities []int, cfg Config) (*Fractional, error) {
 			f.alpha = cfg.Alpha
 		}
 	}
+	f.initW = 1 / (f.g * float64(cmax))
+	f.log2GC = math.Log2(2 * f.g * float64(cmax))
 	return f, nil
 }
 
@@ -564,7 +570,9 @@ func (f *Fractional) refreshEdge(e int) {
 // last refresh is O(1) (exact alive count, clean cached sum). Only edges
 // actually disturbed — by an augmentation, a full rejection, or a phase
 // reset — pay a re-summation, so an Offer's cost is proportional to the
-// requests it touches rather than to the total history of the run.
+// requests it touches rather than to the total history of the run. An
+// under-covered edge is augmented in runs (augmentRun), so work that no
+// step of a run can change is paid once per run, not once per step.
 func (f *Fractional) augmentEdges(edgeList []int, cs *Changeset) (reset bool, err error) {
 	f.resetSnapshots()
 
@@ -598,65 +606,17 @@ func (f *Fractional) augmentEdges(edgeList []int, cs *Changeset) (reset bool, er
 						e, ne)
 				}
 				satisfied = false
-				// One weight augmentation (§2 steps a–c).
-				f.augmentations++
-				if f.needsAlpha() {
-					f.initAlpha(alive)
-					// α initialization changes the normalization of every
-					// alive request.
-					reset = true
-					f.resetSnapshots()
-				}
-				initW := 1 / (f.g * float64(f.cmax))
-				for _, id := range alive {
-					f.snapshot(id)
-					r := &f.reqs[id]
-					if r.f == 0 {
-						r.f = initW
-					}
-				}
-				// Multiply pass, fused with the next iteration's fresh sum:
-				// survivors are compacted in place and their new weights
-				// accumulated in list order, which is bit-identical to
-				// re-summing the compacted list afterwards.
-				w := 0
-				sum := 0.0
-				for _, id := range alive {
-					r := &f.reqs[id]
-					r.f *= 1 + 1/(float64(ne)*r.norm)
-					f.pay(id)
-					for _, e2 := range f.edgesOf(r) {
-						if e2 != e {
-							f.edgeDirty[e2] = true
-						}
-					}
-					if r.f >= 1 {
-						r.status = statusFullyRejected
-						f.dropAlive(id)
-						cs.FullyRejected = append(cs.FullyRejected, id)
-					} else {
-						alive[w] = id
-						w++
-						sum += r.f
-					}
-				}
-				f.edges[e] = alive[:w]
-				// dropAlive marked e dirty for each death, but the fused sum
-				// already reflects the survivors exactly.
-				f.edgeSum[e] = sum
-				f.edgeDirty[e] = false
-				if f.overBudget() {
-					f.doublePhase()
-					reset = true
-					f.resetSnapshots()
-					// The reset zeroed every alive weight, so the covering
-					// invariant may now be violated on edges far from this
-					// arrival; widen the fixpoint to the whole edge set.
-					// (Every other invariant-breaking event — a new alive
+				alphaSet, doubled := f.augmentRun(e, ne, alive, cs)
+				// α initialization changes the normalization of every alive
+				// request; a doubling also zeroes every alive weight.
+				reset = reset || alphaSet || doubled
+				if doubled {
+					// The covering invariant may now be violated on edges far
+					// from this arrival; widen the fixpoint to the whole edge
+					// set. (Every other invariant-breaking event — a new alive
 					// request, a permanent accept, a shrink — is local to
 					// edges already in the list.)
 					edgeList = f.allEdgeList()
-					satisfied = false
 				}
 			}
 		}
@@ -673,6 +633,79 @@ func (f *Fractional) augmentEdges(edgeList []int, cs *Changeset) (reset bool, er
 		}
 	}
 	return reset, nil
+}
+
+// augmentRun performs consecutive weight augmentations (§2 steps a–c) on
+// edge e, whose excess is ne and whose compacted list alive holds only alive
+// requests. It returns after the first step in which a member was fully
+// rejected (n_e changed), Σ f ≥ n_e came to hold, or the phase budget was
+// exceeded; the last ends in doublePhase. It reports whether α was
+// initialized and whether the run ended in an α doubling.
+//
+// Every step performs the float operations of a lone augmentation in the
+// same order. What no step of the run can change is done once, up front: α
+// initialization (α is then fixed until the run ends), snapshots (epoch-
+// stamped, so repeats are no-ops), the zero-weight start (no weight is 0
+// after one step), dirtying the members' other edges (no edge but e is
+// refreshed during a run), and the phase budget K·α·log₂(2gc).
+func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet, doubled bool) {
+	if f.needsAlpha() {
+		f.initAlpha(alive)
+		f.resetSnapshots()
+		alphaSet = true
+	}
+	for _, id := range alive {
+		f.snapshot(id)
+		r := &f.reqs[id]
+		if r.f == 0 {
+			r.f = f.initW
+		}
+		for _, e2 := range f.edgesOf(r) {
+			if e2 != e {
+				f.edgeDirty[e2] = true
+			}
+		}
+	}
+	budget := math.Inf(1)
+	if !f.cfg.Unweighted && f.cfg.AlphaMode == AlphaDoubling && f.alpha != 0 {
+		budget = f.cfg.DoublingBudgetFactor * f.alpha * f.log2GC
+	}
+	for {
+		f.augmentations++
+		// Multiply pass, fused with the next step's fresh sum: survivors are
+		// compacted in place and their new weights accumulated in list
+		// order, which is bit-identical to re-summing the compacted list
+		// afterwards. A death does not cut the pass short.
+		w := 0
+		sum := 0.0
+		for _, id := range alive {
+			r := &f.reqs[id]
+			r.f *= 1 + 1/(float64(ne)*r.norm)
+			f.pay(id)
+			if r.f >= 1 {
+				r.status = statusFullyRejected
+				f.dropAlive(id)
+				cs.FullyRejected = append(cs.FullyRejected, id)
+			} else {
+				alive[w] = id
+				w++
+				sum += r.f
+			}
+		}
+		f.edges[e] = alive[:w]
+		// dropAlive marked e dirty for each death, but the fused sum already
+		// reflects the survivors exactly.
+		f.edgeSum[e] = sum
+		f.edgeDirty[e] = false
+		if f.phasePaid > budget {
+			f.doublePhase()
+			f.resetSnapshots()
+			return alphaSet, true
+		}
+		if w < len(alive) || sum >= float64(ne) {
+			return alphaSet, false
+		}
+	}
 }
 
 // allEdgeList returns the cached full-edge worklist [0, m).
@@ -710,16 +743,6 @@ func (f *Fractional) initAlpha(alive []int) {
 	for _, id := range f.aliveIDs {
 		f.normalize(id)
 	}
-}
-
-// overBudget reports whether the current phase has spent beyond the
-// doubling budget K·α·log₂(2gc).
-func (f *Fractional) overBudget() bool {
-	if f.cfg.Unweighted || f.cfg.AlphaMode != AlphaDoubling || f.alpha == 0 {
-		return false
-	}
-	budget := f.cfg.DoublingBudgetFactor * f.alpha * math.Log2(2*f.g*float64(f.cmax))
-	return f.phasePaid > budget
 }
 
 // doublePhase advances the guess-and-double scheme: α doubles, the phase

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"admission/internal/problem"
+	"admission/internal/rng"
 	"admission/internal/trace"
 )
 
@@ -48,6 +49,28 @@ func FuzzRandomizedFeasibility(f *testing.F) {
 		if _, err := trace.Replay(ins, res.Events); err != nil {
 			t.Fatalf("recorded log does not replay: %v", err)
 		}
+	})
+}
+
+// FuzzAugmentRunsMatchStepwise decodes an arbitrary byte string into an
+// instance and requires the run-structured §2 augmentation to match the
+// per-step reference of stepwise_test.go bit for bit, in the mode the mode
+// byte selects (weighted doubling, oracle α, unweighted), with shrinks and
+// ForceRejects drawn from opSeed interleaved. Run with
+//
+//	go test -fuzz FuzzAugmentRunsMatchStepwise ./internal/core
+func FuzzAugmentRunsMatchStepwise(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 0, 1, 0, 1, 0}, uint8(0), uint64(1))
+	f.Add([]byte{2, 3, 1, 0, 1, 1, 5, 0, 1, 90, 0, 1, 40}, uint8(1), uint64(7))
+	f.Add([]byte{4, 1, 1, 1, 1, 0, 1, 2, 3, 3, 0, 1, 2, 3}, uint8(2), uint64(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, opSeed uint64) {
+		cfg := twinModes[int(mode)%len(twinModes)].cfg(opSeed)
+		ins := decodeInstance(data, cfg.Unweighted)
+		if ins == nil {
+			return
+		}
+		driveTwins(t, ins.Capacities, cfg, ins.Requests, rng.New(opSeed), 0.1, 0.05)
 	})
 }
 

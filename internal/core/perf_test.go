@@ -69,29 +69,50 @@ func TestOfferIntoReuseEquivalent(t *testing.T) {
 		if err := b.OfferInto(r, &reused); err != nil {
 			t.Fatal(err)
 		}
-		if want.NewID != reused.NewID || want.PrunedRejected != reused.PrunedRejected ||
-			want.PermAccepted != reused.PermAccepted || want.PhaseReset != reused.PhaseReset {
-			t.Fatalf("arrival %d: flags differ: %+v vs %+v", i, want, reused)
-		}
-		if len(want.Changes) != len(reused.Changes) {
-			t.Fatalf("arrival %d: %d changes vs %d", i, len(want.Changes), len(reused.Changes))
-		}
-		for j := range want.Changes {
-			if want.Changes[j] != reused.Changes[j] {
-				t.Fatalf("arrival %d change %d: %+v vs %+v", i, j, want.Changes[j], reused.Changes[j])
-			}
-		}
-		if len(want.FullyRejected) != len(reused.FullyRejected) {
-			t.Fatalf("arrival %d: fully rejected %v vs %v", i, want.FullyRejected, reused.FullyRejected)
-		}
-		for j := range want.FullyRejected {
-			if want.FullyRejected[j] != reused.FullyRejected[j] {
-				t.Fatalf("arrival %d: fully rejected %v vs %v", i, want.FullyRejected, reused.FullyRejected)
-			}
+		if err := changesetsIdentical(&reused, &want); err != nil {
+			t.Fatalf("arrival %d: %v", i, err)
 		}
 	}
 	if a.Cost() != b.Cost() {
 		t.Fatalf("costs diverged: %v vs %v", a.Cost(), b.Cost())
+	}
+}
+
+// TestSteadyStateOfferZeroAllocs pins DESIGN §6's claim that a steady-state
+// Offer allocates nothing: after a warm-up on the long-run shape, cycling
+// Offers must average zero heap allocations, both weighted (many
+// augmentations per Offer) and unweighted. Request pruning is disabled so
+// the 4mc² safeguard cannot turn the weighted stream into reject-all.
+func TestSteadyStateOfferZeroAllocs(t *testing.T) {
+	for _, unweighted := range []bool{false, true} {
+		caps, reqs := longRunShape(11, 2000, unweighted)
+		cfg := DefaultConfig()
+		if unweighted {
+			cfg = UnweightedConfig()
+		}
+		cfg.Seed = 1
+		cfg.DisableReqPruning = true
+		a, err := NewRandomized(caps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := 0
+		offer := func() {
+			if _, err := a.Offer(id, reqs[id%len(reqs)]); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		for range reqs {
+			offer()
+		}
+		before, start := a.Augmentations(), id
+		allocs := testing.AllocsPerRun(1000, offer)
+		t.Logf("unweighted=%v: %.1f augmentations per Offer", unweighted,
+			float64(a.Augmentations()-before)/float64(id-start))
+		if allocs != 0 {
+			t.Errorf("unweighted=%v: steady-state Offer allocates %v times per call, want 0", unweighted, allocs)
+		}
 	}
 }
 

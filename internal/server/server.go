@@ -41,6 +41,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"admission/internal/engine"
 	"admission/internal/metrics"
@@ -471,6 +472,29 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // token-authenticated /admin/v1/* control-plane group is mounted too and
 // the stats/metrics routes require the same token (see mountAdmin).
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Connection limits of the http.Server built by HTTPServer. There is
+// deliberately no read or write timeout: a long streaming submission may
+// take longer than any fixed bound to upload or to answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// HTTPServer returns an http.Server serving Handler on addr, with a 10 s
+// ReadHeaderTimeout, a 2 min IdleTimeout and 64 KiB MaxHeaderBytes, so a
+// client that stalls mid-header or idles forever cannot pin a connection and
+// its goroutine.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
 
 // errorJSON is the body of a non-200 response and of per-item error lines
 // emitted when a whole engine batch fails.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -630,5 +632,58 @@ func TestDeterministicLoopback(t *testing.T) {
 	}
 	if report.Decided != int64(len(ins.Requests)) {
 		t.Fatalf("decided %d, want %d", report.Decided, len(ins.Requests))
+	}
+}
+
+// TestHTTPServerDropsStalledClient checks the connection limits HTTPServer
+// sets: all are non-zero and no read/write timeout can cut a long streaming
+// submission. With the header timeout shortened, a raw client that sends
+// half a request header must be disconnected, while a wire submission on
+// another connection is decided normally.
+func TestHTTPServerDropsStalledClient(t *testing.T) {
+	ins := testInstance(t, 21, 200)
+	eng, s, _ := newTestServer(t, ins.Capacities, 2, Config{})
+	hs := s.HTTPServer("127.0.0.1:0")
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.MaxHeaderBytes <= 0 {
+		t.Fatalf("HTTPServer left a limit unset: ReadHeaderTimeout %v, IdleTimeout %v, MaxHeaderBytes %d",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.MaxHeaderBytes)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("HTTPServer set ReadTimeout %v / WriteTimeout %v, which would cut long streaming submissions",
+			hs.ReadTimeout, hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = hs.Serve(ln) }()
+	t.Cleanup(func() { _ = hs.Close() })
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /v1/admission HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, err := NewAdmissionWireClient("http://"+ln.Addr().String(), 1).Submit(context.Background(), ins.Requests)
+	if err != nil {
+		t.Fatalf("wire submission beside a stalled client: %v", err)
+	}
+	if len(ds) != len(ins.Requests) || eng.Snapshot().Requests != int64(len(ins.Requests)) {
+		t.Fatalf("decided %d of %d requests (engine saw %d)", len(ds), len(ins.Requests), eng.Snapshot().Requests)
+	}
+
+	start := time.Now()
+	if err := stalled.SetReadDeadline(start.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(stalled)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
 	}
 }
