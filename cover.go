@@ -19,10 +19,10 @@ import (
 // it implements the generic Service contract, as Service[int,
 // CoverDecision].
 type (
-	// CoverEngine is the sharded concurrent set cover server. Submit,
-	// SubmitBatch and Stream are safe for concurrent use by any number of
-	// goroutines; Close drains in-flight arrivals and leaves exact
-	// statistics readable.
+	// CoverEngine is the sharded concurrent set cover server. Submit and
+	// SubmitBatch are safe for concurrent use by any number of goroutines;
+	// Close drains in-flight arrivals and leaves exact statistics
+	// readable.
 	CoverEngine = coverengine.Engine
 	// CoverDecision reports the engine's reaction to one element arrival:
 	// the arrival's sequence number, its per-element repetition count, and
@@ -77,8 +77,6 @@ func NewCoverEngine(sys *SetSystem, opts ...Option) (*CoverEngine, error) {
 	cfg := coverengine.Config{
 		Shards:    o.shards,
 		Partition: o.partition,
-		BatchSize: o.batch,
-		QueueLen:  o.queue,
 	}
 	if o.mode != nil {
 		cfg.Mode = *o.mode

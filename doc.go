@@ -31,9 +31,9 @@
 //     the §5 bicriteria algorithm) inside each shard, with a global
 //     chosen-set ledger — see DESIGN.md §9,
 //   - one generic serving contract (Service[Req, Dec], DESIGN.md §10) both
-//     engines implement: context-aware Submit and SubmitBatch, an ordered
-//     pipelined Stream, uniform ServiceStats, Drain and Close — the shape
-//     the whole serving stack is written against,
+//     engines implement: context-aware Submit and SubmitBatch, uniform
+//     ServiceStats, Drain and Close — the shape the whole serving stack is
+//     written against,
 //   - a network-facing HTTP workload registry (cmd/acserve) serving both
 //     engines through one generic handler under /v1/{workload}, with
 //     batched submission, streaming decisions, Prometheus metrics and

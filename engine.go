@@ -12,14 +12,13 @@ import (
 // single-shard requests take a lock-free fast path through the owning
 // shard, cross-shard requests a two-phase reserve/commit path. The Engine
 // implements the generic Service contract — context-aware Submit and
-// SubmitBatch, an ordered pipelined Stream, uniform ServiceStats, Drain
-// and Close — which is what the network-facing service (cmd/acserve,
-// DESIGN.md §7) serves it through.
+// SubmitBatch, uniform ServiceStats, Drain and Close — which is what the
+// network-facing service (cmd/acserve, DESIGN.md §7) serves it through.
 type (
-	// Engine is the sharded concurrent admission server. Submit,
-	// SubmitBatch and Stream are safe for concurrent use by any number of
-	// goroutines; Close drains in-flight submissions and leaves exact
-	// statistics readable.
+	// Engine is the sharded concurrent admission server. Submit and
+	// SubmitBatch are safe for concurrent use by any number of goroutines;
+	// Close drains in-flight submissions and leaves exact statistics
+	// readable.
 	Engine = engine.Engine
 	// Decision reports the engine's reaction to one submitted request:
 	// the assigned global ID, acceptance, whether the request crossed
@@ -41,8 +40,8 @@ type (
 // Service[int, CoverDecision].
 type (
 	// Service is the uniform query→decision serving contract: Submit,
-	// SubmitBatch and Stream submission shapes, plus Validate, Stats,
-	// Drain and Close.
+	// SubmitBatch and SubmitBatchPrevalidated, plus Validate, Stats, Drain
+	// and Close.
 	Service[Req any, Dec service.Decision] = service.Service[Req, Dec]
 	// ServiceDecision is the constraint served decision types satisfy: a
 	// decision can carry a per-item failure.
@@ -50,10 +49,6 @@ type (
 	// ServiceStats is the uniform statistics snapshot every Service
 	// exposes.
 	ServiceStats = service.Stats
-	// Stream is an ordered, pipelined submission stream over a Service:
-	// Send dispatches without waiting for earlier decisions, Recv yields
-	// decisions in send order.
-	Stream[Req any, Dec any] = service.Stream[Req, Dec]
 )
 
 // The engines implement the generic contract.
@@ -90,8 +85,6 @@ func NewEngine(capacities []int, opts ...Option) (*Engine, error) {
 		Shards:    o.shards,
 		Partition: o.partition,
 		Algorithm: o.admissionAlgorithm(),
-		BatchSize: o.batch,
-		QueueLen:  o.queue,
 	})
 }
 

@@ -20,8 +20,6 @@ type BackendConfig struct {
 	// explicit partition, algorithm constants, seed). Every backend of a
 	// cluster and the router must agree on it.
 	Engine engine.Config
-	// StreamDepth sizes Stream's pipeline buffers (default 256).
-	StreamDepth int
 }
 
 // Backend serves one partition's operations through the backend's own
@@ -37,8 +35,7 @@ type BackendConfig struct {
 // maps to the engine's empty-edge no-op. Replaying a backend's WAL through
 // Submit therefore rebuilds both the engine state and the table exactly.
 type Backend struct {
-	eng   *engine.Engine
-	depth int
+	eng *engine.Engine
 
 	mu     sync.Mutex
 	txs    map[uint64][]int
@@ -46,7 +43,6 @@ type Backend struct {
 }
 
 var _ service.Service[Op, engine.Decision] = (*Backend)(nil)
-var _ service.Batcher[Op, engine.Decision] = (*Backend)(nil)
 
 // NewBackend builds a backend over its partition's capacity vector (see
 // Ring.Caps). Edges in submitted operations index into caps.
@@ -55,11 +51,7 @@ func NewBackend(caps []int, cfg BackendConfig) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.StreamDepth
-	if depth <= 0 {
-		depth = 256
-	}
-	return &Backend{eng: eng, depth: depth, txs: map[uint64][]int{}}, nil
+	return &Backend{eng: eng, txs: map[uint64][]int{}}, nil
 }
 
 // Engine exposes the backend's engine for recovery and experiments.
@@ -213,26 +205,6 @@ func (b *Backend) SubmitBatchPrevalidated(ctx context.Context, ops []Op) ([]engi
 		i = j
 	}
 	return out, nil
-}
-
-// Stream opens an ordered, pipelined operation stream. Operations decide
-// inline during Send (the transaction table forces serialization), like
-// the engine's cross-shard path; only the wait shape matches the generic
-// contract.
-func (b *Backend) Stream(ctx context.Context) (*service.Stream[Op, engine.Decision], error) {
-	b.mu.Lock()
-	closed := b.closed
-	b.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	return service.NewStream(ctx, b.depth, func(ctx context.Context, op Op) (service.Await[engine.Decision], error) {
-		d, err := b.Submit(ctx, op)
-		if err != nil {
-			return nil, err
-		}
-		return service.Ready(d, nil), nil
-	}), nil
 }
 
 // Stats returns the uniform statistics snapshot. Requests counts every

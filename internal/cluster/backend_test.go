@@ -199,42 +199,42 @@ func TestBackendClosed(t *testing.T) {
 	if _, err := b.Submit(ctx, Op{Kind: OpOffer, Edges: []int{0}, Cost: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
-	if _, err := b.Stream(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("stream after close: %v, want ErrClosed", err)
+	if _, err := b.SubmitBatch(ctx, []Op{{Kind: OpOffer, Edges: []int{0}, Cost: 1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch after close: %v, want ErrClosed", err)
 	}
 }
 
-// TestBackendStream pushes a mixed operation stream through the pipelined
-// path and checks IDs stay contiguous.
+// TestBackendStream pushes a mixed operation stream through the batch
+// path — offers pipelined through the engine in runs, reserves and settles
+// decided inline — and checks IDs stay contiguous and the settles find the
+// transaction table the history implies.
 func TestBackendStream(t *testing.T) {
 	ctx := context.Background()
 	b := newTestBackend(t, []int{2, 2})
-	st, err := b.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ops := []Op{
 		{Kind: OpOffer, Edges: []int{0}, Cost: 1},
 		{Kind: OpReserve, Tx: 1, Edges: []int{1}},
 		{Kind: OpCommit, Tx: 1},
 		{Kind: OpAbort, Tx: 2}, // unknown: no-op
 		{Kind: OpOffer, Edges: []int{0, 1}, Cost: 1},
+		{Kind: OpOffer, Edges: []int{1}, Cost: 1},
 	}
-	for _, op := range ops {
-		if err := st.Send(op); err != nil {
-			t.Fatalf("send: %v", err)
-		}
+	ds, err := b.SubmitBatch(ctx, ops)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range ops {
-		d, err := st.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
+	if len(ds) != len(ops) {
+		t.Fatalf("%d decisions for %d ops", len(ds), len(ops))
+	}
+	for i, d := range ds {
 		if d.ID != i {
 			t.Fatalf("decision %d carries ID %d", i, d.ID)
 		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if !ds[1].Accepted || !ds[2].Accepted || ds[3].Accepted {
+		t.Fatalf("reserve/commit/unknown abort = %v/%v/%v, want true/true/false", ds[1].Accepted, ds[2].Accepted, ds[3].Accepted)
+	}
+	if n := b.OpenTxs(); n != 0 {
+		t.Fatalf("%d transactions left open", n)
 	}
 }

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -18,8 +17,8 @@ import (
 )
 
 // TestRouterServiceFacade exercises the service.Service surface the
-// serving stack does not reach directly — batch validation, the ordered
-// Stream, the uniform Stats snapshot, Drain — plus the ring and backend
+// serving stack does not reach directly — batch validation, Submit, the
+// uniform Stats snapshot, Drain — plus the ring and backend
 // accessors the binaries print at startup.
 func TestRouterServiceFacade(t *testing.T) {
 	ctx := context.Background()
@@ -57,37 +56,19 @@ func TestRouterServiceFacade(t *testing.T) {
 		t.Fatal("batch with an out-of-range edge was accepted")
 	}
 
-	st, err := tc.router.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const streamed = 10
-	go func() {
-		for i := 0; i < streamed; i++ {
-			_ = st.Send(problem.Request{Edges: []int{ring.Owned(i % 2)[0]}, Cost: 1})
-		}
-		st.Close()
-	}()
-	var got int
-	for {
-		d, err := st.Recv()
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	const submitted = 10
+	for i := 0; i < submitted; i++ {
+		d, err := tc.router.Submit(ctx, problem.Request{Edges: []int{ring.Owned(i % 2)[0]}, Cost: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Err != nil {
-			t.Fatalf("stream decision %d failed: %v", got, d.Err)
+			t.Fatalf("submitted decision %d failed: %v", i, d.Err)
 		}
-		got++
-	}
-	if got != streamed {
-		t.Fatalf("stream yielded %d decisions, want %d", got, streamed)
 	}
 
 	stats := tc.router.Stats()
-	if want := int64(len(reqs) + streamed); stats.Requests != want {
+	if want := int64(len(reqs) + submitted); stats.Requests != want {
 		t.Fatalf("stats count %d requests, want %d", stats.Requests, want)
 	}
 	if stats.Shards != 2 {

@@ -26,8 +26,6 @@ type RouterConfig struct {
 	// ResyncEvery bounds how often the router re-probes a shed backend from
 	// the serving path (0 means 1s). Resync can also be forced with Resync.
 	ResyncEvery time.Duration
-	// StreamDepth sizes Stream's pipeline buffers (default 256).
-	StreamDepth int
 }
 
 func (c RouterConfig) resyncEvery() time.Duration {
@@ -154,10 +152,9 @@ type Ledger struct {
 // whose requests were refused, re-sending owed settles), and re-admits the
 // partition.
 type Router struct {
-	caps  []int
-	ring  *Ring
-	cfg   RouterConfig
-	depth int
+	caps []int
+	ring *Ring
+	cfg  RouterConfig
 
 	mu       sync.Mutex
 	closed   bool
@@ -194,7 +191,6 @@ type plan struct {
 }
 
 var _ service.Service[problem.Request, engine.Decision] = (*Router)(nil)
-var _ service.Batcher[problem.Request, engine.Decision] = (*Router)(nil)
 
 // NewRouter builds a router over the global capacity vector and one client
 // per backend. The partition (and with it each backend's expected engine
@@ -209,11 +205,7 @@ func NewRouter(caps []int, clients []*Client, cfg RouterConfig) (*Router, error)
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.StreamDepth
-	if depth <= 0 {
-		depth = 256
-	}
-	r := &Router{caps: caps, ring: ring, cfg: cfg, depth: depth}
+	r := &Router{caps: caps, ring: ring, cfg: cfg}
 	for b, client := range clients {
 		bcaps, err := ring.Caps(caps, b)
 		if err != nil {
@@ -713,28 +705,6 @@ func (r *Router) resyncLocked(ctx context.Context, b int) error {
 	s.down = nil
 	s.resyncs++
 	return nil
-}
-
-// Stream opens an ordered, pipelined request stream. Requests decide
-// inline during Send (the wave protocol serializes), like the engines'
-// cross-shard path.
-func (r *Router) Stream(ctx context.Context) (*service.Stream[problem.Request, engine.Decision], error) {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	return service.NewStream(ctx, r.depth, func(ctx context.Context, req problem.Request) (service.Await[engine.Decision], error) {
-		if err := r.Validate(req); err != nil {
-			return nil, err
-		}
-		ds, err := r.SubmitBatchPrevalidated(ctx, []problem.Request{req})
-		if err != nil {
-			return nil, err
-		}
-		return service.Ready(ds[0], ds[0].Err), nil
-	}), nil
 }
 
 // Stats returns the uniform statistics snapshot. Objective is the rejected

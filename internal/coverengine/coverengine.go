@@ -21,11 +21,12 @@
 // optimum (Theorem 4 via the §4 reduction, or Theorem 7 for Bicriteria
 // mode).
 //
-// Concurrency model mirrors internal/engine: each shard is a single
-// goroutine owning all of its algorithm state, fed over a channel and
-// drained in batches; submitters block on pooled per-operation reply
-// channels. The global chosen ledger is the only cross-shard state and is
-// guarded by a mutex touched once per bought set — not per arrival.
+// Concurrency model: the shard runtime both engines run on
+// (internal/shard). Each shard is a single goroutine owning all of its
+// algorithm state; a batch's arrivals for one shard travel to it as one
+// run, with one reply. The global chosen ledger is the only cross-shard
+// state and is guarded by a mutex touched once per bought set — not per
+// arrival.
 //
 // Determinism: with one shard and one submitter the engine is
 // decision-for-decision identical to the sequential §4 reduction
@@ -38,25 +39,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"admission/internal/core"
-	"admission/internal/graph"
 	"admission/internal/service"
 	"admission/internal/setcover"
+	"admission/internal/shard"
 )
 
 // The Engine implements the repository-wide generic serving contract
 // (DESIGN.md §10) with element ids as requests, so the HTTP layer, client
 // and load generator serve it through the same generic code path as the
 // admission engine.
-var (
-	_ service.Service[int, Decision] = (*Engine)(nil)
-	_ service.Batcher[int, Decision] = (*Engine)(nil)
-)
+var _ service.Service[int, Decision] = (*Engine)(nil)
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("coverengine: closed")
@@ -110,11 +107,6 @@ type Config struct {
 	// the global element ids owned by shard s, each element exactly once.
 	// When nil a contiguous balanced partition over [0, N) is used.
 	Partition [][]int
-	// BatchSize bounds how many queued arrivals a shard drains per loop
-	// iteration (default 64).
-	BatchSize int
-	// QueueLen is each shard's operation queue capacity (default 256).
-	QueueLen int
 }
 
 func (c Config) eps() float64 {
@@ -122,20 +114,6 @@ func (c Config) eps() float64 {
 		return 0.25
 	}
 	return c.Eps
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize <= 0 {
-		return 64
-	}
-	return c.BatchSize
-}
-
-func (c Config) queueLen() int {
-	if c.QueueLen <= 0 {
-		return 256
-	}
-	return c.QueueLen
 }
 
 // Decision reports the engine's reaction to one submitted element arrival.
@@ -188,15 +166,14 @@ type Stats struct {
 // Engine is the sharded concurrent set cover server. Submit and
 // SubmitBatch are safe for concurrent use by any number of goroutines.
 type Engine struct {
-	ins         *setcover.Instance
-	mode        Mode
-	seed        uint64       // Config.Seed, kept for Fingerprint
-	eps         float64      // resolved bicriteria slack, kept for Fingerprint
-	coreCfg     *core.Config // Config.Core, kept for Fingerprint
-	streamDepth int          // Stream window, from Config.QueueLen
-	elemShard   []int32      // global element -> owning shard
-	elemLocal   []int32      // global element -> index within the shard
-	shards      []*shard
+	ins       *setcover.Instance
+	mode      Mode
+	seed      uint64       // Config.Seed, kept for Fingerprint
+	eps       float64      // resolved bicriteria slack, kept for Fingerprint
+	coreCfg   *core.Config // Config.Core, kept for Fingerprint
+	elemShard []int32      // global element -> owning shard
+	elemLocal []int32      // global element -> index within the shard
+	rt        *shard.Runtime[item, struct{}, shardSnapshot]
 
 	// The global chosen ledger: which sets have been bought, their count
 	// and total cost. Guarded by mu; touched only when a shard reports a
@@ -209,15 +186,13 @@ type Engine struct {
 	seq      atomic.Int64
 	arrivals atomic.Int64
 	errs     atomic.Int64
-
-	closed   atomic.Bool
-	inflight atomic.Int64
-	// drainers tracks the background goroutines resolving the accounting
-	// of cancellation-abandoned arrivals; Drain and Close wait for them so
-	// the ledger and counters stay exact.
-	drainers service.DrainTracker
-	loops    sync.WaitGroup
 }
+
+// batch is one batch submission's working memory, recycled through
+// batchPool.
+type batch = shard.Batch[item, struct{}, shardSnapshot]
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // New creates a cover engine over the validated set system. Construction
 // runs every shard's setup phase (phase 1 of the §4 reduction in
@@ -233,37 +208,23 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 	if cfg.Eps != 0 && (cfg.Eps <= 0 || cfg.Eps >= 1) {
 		return nil, fmt.Errorf("coverengine: Eps = %v outside (0,1)", cfg.Eps)
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		if k > ins.N {
-			k = ins.N
-		}
-		var err error
-		parts, err = graph.PartitionRange(ins.N, k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := checkPartition(parts, ins.N); err != nil {
-		return nil, err
+	parts, err := shard.Partition(ins.N, cfg.Shards, cfg.Partition, "element")
+	if err != nil {
+		return nil, fmt.Errorf("coverengine: %w", err)
 	}
 
 	e := &Engine{
-		ins:         ins,
-		mode:        cfg.Mode,
-		seed:        cfg.Seed,
-		eps:         cfg.eps(),
-		coreCfg:     cfg.Core,
-		streamDepth: cfg.queueLen(),
-		elemShard:   make([]int32, ins.N),
-		elemLocal:   make([]int32, ins.N),
-		chosen:      make([]bool, ins.M()),
+		ins:       ins,
+		mode:      cfg.Mode,
+		seed:      cfg.Seed,
+		eps:       cfg.eps(),
+		coreCfg:   cfg.Core,
+		elemShard: make([]int32, ins.N),
+		elemLocal: make([]int32, ins.N),
+		chosen:    make([]bool, ins.M()),
 	}
 	byElem := ins.SetsOf()
+	handlers := make([]shard.Handler[item, struct{}, shardSnapshot], len(parts))
 	for si, part := range parts {
 		for li, ge := range part {
 			e.elemShard[ge] = int32(si)
@@ -275,76 +236,14 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 		}
 		// Phase-1 rejections are bought before any arrival.
 		e.claim(s.initialChosen)
-		e.shards = append(e.shards, s)
-		e.loops.Add(1)
-		go func() {
-			defer e.loops.Done()
-			s.loop()
-		}()
+		handlers[si] = s
 	}
+	e.rt = shard.Start(handlers, struct{}{})
 	return e, nil
 }
 
-// checkPartition verifies parts is an exact, non-empty cover of [0, n).
-func checkPartition(parts [][]int, n int) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("coverengine: empty partition")
-	}
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for si, part := range parts {
-		if len(part) == 0 {
-			return fmt.Errorf("coverengine: partition shard %d is empty", si)
-		}
-		for _, ge := range part {
-			if ge < 0 || ge >= n {
-				return fmt.Errorf("coverengine: partition shard %d references element %d, have %d elements", si, ge, n)
-			}
-			if owner[ge] != -1 {
-				return fmt.Errorf("coverengine: element %d in both shard %d and shard %d", ge, owner[ge], si)
-			}
-			owner[ge] = si
-		}
-	}
-	for ge, s := range owner {
-		if s == -1 {
-			return fmt.Errorf("coverengine: element %d missing from partition", ge)
-		}
-	}
-	return nil
-}
-
-// shardSeed derives shard i's RNG seed; shard 0 keeps the base seed so a
-// one-shard engine matches the sequential reduction bit for bit.
-func shardSeed(base uint64, i int) uint64 {
-	return base ^ (uint64(i) * 0x9e3779b97f4a7c15)
-}
-
-// enter registers a caller on the serving path; see the admission engine's
-// identical counter-then-flag pattern.
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
-// drainInflight blocks until no callers remain on the serving path.
-func (e *Engine) drainInflight() {
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
 // Shards returns the number of shards.
-func (e *Engine) Shards() int { return len(e.shards) }
+func (e *Engine) Shards() int { return e.rt.Shards() }
 
 // Mode returns the per-shard algorithm mode.
 func (e *Engine) Mode() Mode { return e.mode }
@@ -388,72 +287,46 @@ func (e *Engine) claim(ids []int) (fresh []int, added float64) {
 	return fresh, added
 }
 
-// Submit serves one element arrival and blocks until it is decided or ctx
-// is done. Safe for concurrent use; each call is assigned a fresh global
-// sequence number. Cancellation is honoured while enqueueing into a full
-// shard queue and while waiting; an arrival already enqueued is still
-// served and accounted (a background drainer keeps the ledger exact), the
-// caller just stops waiting for it.
+// Submit serves one element arrival and blocks until it is decided:
+// Validate plus a batch of one. Safe for concurrent use; each call is
+// assigned a fresh global sequence number. Cancellation is honoured while
+// enqueueing into a full shard queue; once enqueued the arrival is served
+// and accounted. A per-arrival failure (a saturated element) is carried
+// on Decision.Err, not returned as the error.
 func (e *Engine) Submit(ctx context.Context, element int) (Decision, error) {
-	if !e.enter() {
-		return Decision{}, ErrClosed
-	}
-	defer e.exit()
 	if err := e.Validate(element); err != nil {
 		return Decision{}, err
 	}
-	seq := int(e.seq.Add(1) - 1)
-	si := int(e.elemShard[element])
-	ch, err := e.shards[si].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[element])})
+	ds, err := e.SubmitBatchPrevalidated(ctx, []int{element})
 	if err != nil {
 		return Decision{}, err
 	}
-	return e.await(ctx, seq, element, ch)
+	return ds[0], nil
 }
 
-// await waits for a shard reply, folding it into the engine's accounting;
-// on ctx cancellation the pending reply is handed to a background drainer
-// so the ledger and counters stay exact.
-func (e *Engine) await(ctx context.Context, seq, element int, ch chan reply) (Decision, error) {
-	select {
-	case rep := <-ch:
-		replyPool.Put(ch)
-		return e.finish(seq, element, rep), nil
-	case <-ctx.Done():
-		e.drainers.Go(func() {
-			rep := <-ch
-			replyPool.Put(ch)
-			e.finish(seq, element, rep)
-		})
-		return Decision{}, ctx.Err()
-	}
-}
-
-// finish folds a shard reply into engine accounting and the Decision.
-func (e *Engine) finish(seq, element int, rep reply) Decision {
-	d := Decision{Seq: seq, Element: element}
-	if rep.err != nil {
+// finish folds a decided arrival into the engine's accounting, claiming
+// its newly bought sets in the global ledger.
+func (e *Engine) finish(d *Decision) {
+	if d.Err != nil {
 		e.errs.Add(1)
-		d.Err = rep.err
-		return d
+		return
 	}
 	e.arrivals.Add(1)
-	d.Arrival = rep.arrival
-	d.NewSets, d.AddedCost = e.claim(rep.newSets)
-	return d
+	d.NewSets, d.AddedCost = e.claim(d.NewSets)
 }
 
 // SubmitBatch serves a sequence of element arrivals in slice order and
 // returns one Decision per arrival, in the same order. Like the admission
-// engine's SubmitBatch it is pipelined: every arrival is dispatched to its
-// owning shard before any reply is awaited, so the per-arrival channel
-// round-trip is paid once per batch. Per-shard arrival order — and hence
-// the decision stream — is identical to a sequential Submit loop.
-// Validation is atomic: any out-of-range element fails the whole batch
-// before anything is dispatched. Per-arrival failures (saturated elements)
-// arrive as Decision.Err instead; a ctx cancelled mid-dispatch fails the
-// whole batch (already-dispatched arrivals are still served and accounted
-// in the background).
+// engine's SubmitBatch it is pipelined: each shard receives the batch's
+// arrivals for it as one run, with one reply. Per-shard arrival order —
+// and hence the decision stream — is identical to a sequential Submit
+// loop, and the ledger claims newly bought sets in batch order, so each
+// set is credited to the same decision. Validation is atomic: any
+// out-of-range element fails the whole batch before anything is
+// dispatched. Per-arrival failures (saturated elements) arrive as
+// Decision.Err instead; a ctx cancelled mid-dispatch fails the whole batch
+// (runs already enqueued are still served and accounted in the
+// background).
 func (e *Engine) SubmitBatch(ctx context.Context, elements []int) ([]Decision, error) {
 	for i, j := range elements {
 		if err := e.Validate(j); err != nil {
@@ -471,71 +344,40 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 	if len(elements) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
 	out := make([]Decision, len(elements))
-	replies := make([]chan reply, len(elements))
+	base := int(e.seq.Add(int64(len(elements)))) - len(elements)
+	b := batchPool.Get().(*batch)
+	b.Layout(e.rt, len(elements), func(i int) int { return int(e.elemShard[elements[i]]) })
 	for i, j := range elements {
-		seq := int(e.seq.Add(1) - 1)
-		out[i].Seq = seq
-		out[i].Element = j
-		ch, err := e.shards[e.elemShard[j]].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[j])})
-		if err != nil {
-			// Cancelled mid-dispatch: resolve the already-fired arrivals in
-			// the background so the ledger stays exact, then fail the batch.
-			fired := replies[:i]
-			pending := make([]Decision, i)
-			copy(pending, out[:i])
-			e.drainers.Go(func() {
-				for k, ch := range fired {
-					e.finish(pending[k].Seq, pending[k].Element, recvReply(ch))
-				}
-			})
-			return nil, err
-		}
-		replies[i] = ch
+		out[i] = Decision{Seq: base + i, Element: j}
+		*b.Add(b.Owner(i)) = item{d: &out[i], elem: int(e.elemLocal[j])}
 	}
-	for i := range replies {
-		out[i] = e.finish(out[i].Seq, out[i].Element, recvReply(replies[i]))
+	if _, err := b.Flush(ctx); err != nil {
+		// Cancelled mid-dispatch: account the enqueued runs in the
+		// background, in batch order; an arrival whose run was never sent
+		// carries neither an arrival count nor an error.
+		e.rt.Go(func() {
+			b.Wait()
+			batchPool.Put(b)
+			for i := range out {
+				if out[i].Arrival > 0 || out[i].Err != nil {
+					e.finish(&out[i])
+				}
+			}
+		})
+		return nil, err
+	}
+	b.Wait()
+	batchPool.Put(b)
+	for i := range out {
+		e.finish(&out[i])
 	}
 	return out, nil
-}
-
-// Stream opens an ordered, pipelined arrival stream over the engine (the
-// generic service contract's third submission shape): Send dispatches an
-// element to its owning shard without waiting for earlier decisions, Recv
-// yields decisions in send order. The stream's buffers are sized by the
-// engine's configured queue length (window ≈ 2× that).
-func (e *Engine) Stream(ctx context.Context) (*service.Stream[int, Decision], error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	return service.NewStream(ctx, e.streamDepth, e.dispatch), nil
-}
-
-// dispatch fires one arrival for the stream path and returns an Await for
-// its decision; it performs exactly Submit's validation and dispatch, only
-// the wait is deferred.
-func (e *Engine) dispatch(ctx context.Context, element int) (service.Await[Decision], error) {
-	if !e.enter() {
-		return nil, ErrClosed
-	}
-	defer e.exit()
-	if err := e.Validate(element); err != nil {
-		return nil, err
-	}
-	seq := int(e.seq.Add(1) - 1)
-	si := int(e.elemShard[element])
-	ch, err := e.shards[si].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[element])})
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context) (Decision, error) {
-		return e.await(ctx, seq, element, ch)
-	}, nil
 }
 
 // Chosen returns the global ids of all bought sets, ascending.
@@ -579,7 +421,7 @@ func (e *Engine) Stats() service.Stats {
 		Requests: arrivals + errs,
 		Accepted: arrivals,
 		Errors:   errs,
-		Shards:   len(e.shards),
+		Shards:   e.rt.Shards(),
 	}
 	e.mu.Lock()
 	st.Objective = e.cost
@@ -604,61 +446,22 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard (live while open, final
-// after Close); same protocol as the admission engine.
-func (e *Engine) snapshots() []shardSnapshot {
-	out := make([]shardSnapshot, len(e.shards))
-	if !e.enter() {
-		e.loops.Wait()
-		for i, s := range e.shards {
-			out[i] = s.final
-		}
-		return out
-	}
-	replies := make([]chan reply, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = s.sendNow(op{kind: opStats})
-	}
-	e.exit()
-	for i := range replies {
-		out[i] = recvReply(replies[i]).stats
-	}
-	return out
-}
+// snapshots collects one state snapshot per shard: live while the engine
+// is open, the final snapshots after Close.
+func (e *Engine) snapshots() []shardSnapshot { return e.rt.Snapshots() }
 
 // Drain blocks until no submissions are in flight — including the
 // background accounting of cancellation-abandoned arrivals — or ctx is
 // done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes). The
-// wait parks between polls instead of spinning.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool {
-		return e.inflight.Load() == 0 && e.drainers.Idle()
-	})
-}
+// (the serving layer refuses new work, then drains, then closes).
+func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
 // in-flight submissions finish, and every shard loop exits after recording
 // its final snapshot. Chosen, Cost, Snapshot and Stats remain usable (and
-// exact) afterwards; for arrivals abandoned through a Stream whose context
-// died, exactness additionally requires the stream to have been closed and
-// fully resolved (Recv to io.EOF) first. Close is idempotent and always
-// returns nil (the error is part of the generic service contract).
+// exact) afterwards. Close is idempotent and always returns nil (the error
+// is part of the generic service contract).
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		e.loops.Wait()
-		e.drainers.Wait()
-		return nil
-	}
-	e.drainInflight()
-	e.drainers.Wait()
-	for _, s := range e.shards {
-		close(s.ops)
-	}
-	e.loops.Wait()
-	// Late drainers (spawned by stream awaits resolved during shutdown)
-	// only consume already-buffered replies; wait them out so the ledger
-	// and counters are exact.
-	e.drainers.Wait()
+	e.rt.Close()
 	return nil
 }

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"admission/internal/rng"
 	"admission/internal/setcover"
@@ -79,44 +83,118 @@ func TestOneShardMatchesSequentialReduction(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit checks the pipelined batch path produces the
-// identical decision stream to a sequential Submit loop at one shard.
+// TestSubmitBatchMatchesSubmit checks the pipelined batch path produces
+// the identical decision stream and final state to a sequential Submit
+// loop, at one shard and at four, for batch sizes from one arrival to the
+// whole stream: each shard gets one run per batch, and the ledger claims
+// newly bought sets in batch order, so every set is credited to the same
+// decision.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
-	ins, arr := genInstance(t, 7, 16, 28, false, 40)
-	one, err := New(ins, Config{Shards: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seq []Decision
-	for _, j := range arr {
-		d, err := one.Submit(context.Background(), j)
+	ins, arr := genInstance(t, 7, 24, 40, true, 240)
+	for _, shards := range []int{1, 4} {
+		one, err := New(ins, Config{Shards: shards, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq = append(seq, d)
-	}
-	one.Close()
+		var seq []Decision
+		for _, j := range arr {
+			d, err := one.Submit(context.Background(), j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq = append(seq, d)
+		}
+		one.Close()
 
-	two, err := New(ins, Config{Shards: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := two.SubmitBatch(context.Background(), arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two.Close()
-	if len(batch) != len(seq) {
-		t.Fatalf("%d batch decisions for %d sequential", len(batch), len(seq))
-	}
-	for i := range seq {
-		if fmt.Sprint(seq[i].NewSets) != fmt.Sprint(batch[i].NewSets) ||
-			seq[i].Arrival != batch[i].Arrival || seq[i].Element != batch[i].Element {
-			t.Fatalf("decision %d: batch %+v, sequential %+v", i, batch[i], seq[i])
+		for _, size := range []int{1, 97, len(arr)} {
+			two, err := New(ins, Config{Shards: shards, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []Decision
+			for lo := 0; lo < len(arr); lo += size {
+				ds, err := two.SubmitBatch(context.Background(), arr[lo:min(lo+size, len(arr))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch = append(batch, ds...)
+			}
+			two.Close()
+			assertSameDecisions(t, fmt.Sprintf("shards=%d batch=%d", shards, size), batch, seq)
+			if a, b := one.StateDigest(), two.StateDigest(); a != b {
+				t.Fatalf("shards=%d batch=%d: state digest %#x, sequential %#x", shards, size, b, a)
+			}
 		}
 	}
-	if one.Cost() != two.Cost() {
-		t.Fatalf("batch cost %v, sequential %v", two.Cost(), one.Cost())
+}
+
+// assertSameDecisions fails unless got and want agree decision for
+// decision: sequence number, element, arrival count, newly bought sets,
+// their cost, and whether the arrival failed.
+func assertSameDecisions(t *testing.T, what string, got, want []Decision) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d decisions, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Seq != w.Seq || g.Element != w.Element || g.Arrival != w.Arrival ||
+			!slices.Equal(g.NewSets, w.NewSets) || g.AddedCost != w.AddedCost ||
+			(g.Err == nil) != (w.Err == nil) {
+			t.Fatalf("%s: decision %d = %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// TestCoverStreamMatchesSubmit feeds one arrival stream to a four-shard
+// engine through interleaved Submit calls and SubmitBatch calls of varying
+// sizes, and the same stream to a twin through Submit alone: Submit is a
+// batch of one on the same dispatch path, so the decisions, the ledger's
+// credits and the final state must be identical.
+func TestCoverStreamMatchesSubmit(t *testing.T) {
+	ins, arr := genInstance(t, 19, 24, 48, false, 200)
+	ctx := context.Background()
+	ref, err := New(ins, Config{Shards: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var want []Decision
+	for _, j := range arr {
+		d, err := ref.Submit(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, d)
+	}
+
+	eng, err := New(ins, Config{Shards: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var got []Decision
+	for lo, k := 0, 0; lo < len(arr); k++ {
+		if k%4 == 3 {
+			d, err := eng.Submit(ctx, arr[lo])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, d)
+			lo++
+			continue
+		}
+		hi := min(lo+k%13+1, len(arr))
+		ds, err := eng.SubmitBatch(ctx, arr[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ds...)
+		lo = hi
+	}
+	assertSameDecisions(t, "mixed", got, want)
+	if a, b := ref.StateDigest(), eng.StateDigest(); a != b {
+		t.Fatalf("state digest %#x, submit-only %#x", b, a)
 	}
 }
 
@@ -355,4 +433,116 @@ func sortedCopy(ids []int) []int {
 		}
 	}
 	return out
+}
+
+// TestCoverStreamCancellation cancels batches mid-flight: many goroutines
+// submit arrivals in batches under contexts that are cancelled while they
+// run (or before), enough of them to fill the shard queues so the
+// cancellation boundary is reached (run under -race). After Drain the
+// counters reconcile exactly with what the shards served, and the ledger
+// with the sets it holds.
+func TestCoverStreamCancellation(t *testing.T) {
+	ins, arr := genInstance(t, 29, 40, 60, true, 400)
+	eng, err := New(ins, Config{Shards: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 300
+	var cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if w%3 == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(time.Duration(w%7)*50*time.Microsecond, cancel)
+			}
+			for round := 0; round < 4; round++ {
+				lo := (w*7 + round*31) % len(arr)
+				_, err := eng.SubmitBatch(ctx, arr[lo:min(lo+16, len(arr))])
+				if errors.Is(err, context.Canceled) {
+					cancelled.Add(1)
+					return
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d writers saw a cancellation", cancelled.Load(), writers)
+	assertReconciled(t, eng)
+	eng.Close()
+	assertReconciled(t, eng)
+}
+
+// assertReconciled checks, at a quiescent point, that the engine's arrival
+// counter equals the arrivals its shards served, and that the ledger's
+// count and cost match the sets it holds.
+func assertReconciled(t *testing.T, eng *Engine) {
+	t.Helper()
+	st := eng.Snapshot()
+	served := 0
+	for _, snap := range eng.snapshots() {
+		served += snap.arrivals
+	}
+	if st.Arrivals != int64(served) {
+		t.Fatalf("engine counted %d arrivals, shards served %d", st.Arrivals, served)
+	}
+	chosen := eng.Chosen()
+	cost := 0.0
+	for _, id := range chosen {
+		cost += eng.ins.Cost(id)
+	}
+	if st.ChosenSets != len(chosen) || st.Cost != cost {
+		t.Fatalf("ledger reports %d sets costing %v, holds %d costing %v", st.ChosenSets, st.Cost, len(chosen), cost)
+	}
+}
+
+// TestCoverStreamAfterClose races a stream of submissions against Close:
+// every call either is served or fails with ErrClosed, and the statistics
+// after Close count exactly the served calls.
+func TestCoverStreamAfterClose(t *testing.T) {
+	ins, arr := genInstance(t, 23, 16, 24, false, 120)
+	eng, err := New(ins, Config{Shards: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; ; i = (i + 4) % len(arr) {
+				ds, err := eng.SubmitBatch(context.Background(), arr[i:i+1])
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				served.Add(int64(len(ds)))
+			}
+		}()
+	}
+	for served.Load() < 50 {
+		runtime.Gosched()
+	}
+	eng.Close()
+	wg.Wait()
+	if st := eng.Stats(); st.Requests != served.Load() {
+		t.Fatalf("closed engine counted %d requests, callers were served %d", st.Requests, served.Load())
+	}
+	assertReconciled(t, eng)
 }

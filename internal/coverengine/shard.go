@@ -1,41 +1,21 @@
 package coverengine
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"admission/internal/core"
 	"admission/internal/problem"
-	"admission/internal/service"
 	"admission/internal/setcover"
+	"admission/internal/shard"
 )
 
-// opKind enumerates shard operations.
-type opKind uint8
-
-const (
-	// opArrive serves one element arrival on the shard's local algorithm.
-	opArrive opKind = iota
-	// opStats asks for a state snapshot.
-	opStats
-)
-
-// op is one message into a shard's queue. elem is a local element index.
-type op struct {
-	kind  opKind
-	seq   int
-	elem  int
-	reply chan reply
-}
-
-// reply is a shard's answer, sent on the op's buffered reply channel.
-type reply struct {
-	arrival     int   // k: the element's arrival count after this op
-	newSets     []int // global set ids newly bought locally, purchase order
-	preemptions int   // preemption events fired by this arrival (reduction)
-	err         error
-	stats       shardSnapshot
+// item is one element arrival of a batch, served inside its shard's run.
+// The shard writes the outcome into *d: the arrival count, or Err, and
+// the global ids of the sets bought locally, which the engine then claims
+// in the global ledger.
+type item struct {
+	d    *Decision
+	elem int // local element index
 }
 
 // shardSnapshot is a consistent view of one shard's accounting.
@@ -48,24 +28,12 @@ type shardSnapshot struct {
 	countDigest uint64
 }
 
-// replyPool recycles the per-operation reply channels (one send and one
-// receive per use, same discipline as the admission engine's pool).
-var replyPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
-
-// recvReply receives an op's reply and returns its channel to the pool.
-func recvReply(ch chan reply) reply {
-	r := <-ch
-	replyPool.Put(ch)
-	return r
-}
-
-// shard owns one element partition and a full local instance of the online
-// algorithm over the set system restricted to its elements. All fields are
-// touched only by the shard's own goroutine after construction.
-type shard struct {
-	idx       int
-	ops       chan op
-	batchSize int
+// shardState owns one element partition and a full local instance of the
+// online algorithm over the set system restricted to its elements. After
+// construction its fields are touched only by the shard's event loop
+// (shard.Runtime).
+type shardState struct {
+	idx int
 
 	// setGlobal maps local set ids (portions) to global set ids.
 	setGlobal []int
@@ -88,24 +56,16 @@ type shard struct {
 	// rejections of the §4 reduction). Read once by New before the loop
 	// starts.
 	initialChosen []int
-
-	// final is the snapshot taken at loop exit; readable by other
-	// goroutines after Engine.loops.Wait().
-	final shardSnapshot
-
-	batch []op // scratch
 }
 
 // newShard builds the shard's restricted sub-instance and runs its setup
 // phase. part lists the shard's global element ids; byElem is the global
 // element→sets index.
-func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Config) (*shard, error) {
-	s := &shard{
-		idx:       si,
-		ops:       make(chan op, cfg.queueLen()),
-		batchSize: cfg.batchSize(),
-		deg:       make([]int, len(part)),
-		count:     make([]int, len(part)),
+func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Config) (*shardState, error) {
+	s := &shardState{
+		idx:   si,
+		deg:   make([]int, len(part)),
+		count: make([]int, len(part)),
 	}
 	// Portions: for each global set, the local indices of its elements
 	// owned by this shard.
@@ -130,7 +90,7 @@ func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Co
 		// it is what keeps the one-shard engine decision-identical to
 		// ReductionRunner if the defaults ever change.
 		ccfg := setcover.CoreConfigFor(ins, setcover.ReductionConfig{Core: cfg.Core, Seed: cfg.Seed})
-		ccfg.Seed = shardSeed(ccfg.Seed, si)
+		ccfg.Seed = shard.Seed(ccfg.Seed, si)
 		caps := make([]int, len(part))
 		for li, d := range s.deg {
 			caps[li] = d
@@ -186,111 +146,67 @@ func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Co
 	return s, nil
 }
 
-// send enqueues an op and returns its reply channel without waiting.
-// Enqueueing honours ctx (service.TrySend), the same cancellation
-// boundary as the admission engine's shards.
-func (s *shard) send(ctx context.Context, o op) (chan reply, error) {
-	o.reply = replyPool.Get().(chan reply)
-	if err := service.TrySend(ctx, s.ops, o); err != nil {
-		replyPool.Put(o.reply)
-		return nil, err
-	}
-	return o.reply, nil
-}
-
-// sendNow enqueues an op without a cancellation boundary and returns its
-// reply channel; for ops that must always run (stats snapshots).
-func (s *shard) sendNow(o op) chan reply {
-	o.reply = replyPool.Get().(chan reply)
-	s.ops <- o
-	return o.reply
-}
-
-// loop is the shard's event loop: drain a batch of queued operations,
-// decide each in arrival order, answer on the per-op reply channels. Exits
-// when the ops channel is closed, leaving the final snapshot behind.
-func (s *shard) loop() {
-	for o := range s.ops {
-		s.batch = append(s.batch[:0], o)
-	drain:
-		for len(s.batch) < s.batchSize {
-			select {
-			case next, open := <-s.ops:
-				if !open {
-					break drain
-				}
-				s.batch = append(s.batch, next)
-			default:
-				break drain
-			}
-		}
-		for _, o := range s.batch {
-			o.reply <- s.handle(o)
-		}
-	}
-	s.final = s.snapshot()
-}
-
-// handle decides one operation.
-func (s *shard) handle(o op) reply {
-	switch o.kind {
-	case opArrive:
-		return s.arrive(o)
-	case opStats:
-		return reply{stats: s.snapshot()}
-	default:
-		return reply{err: fmt.Errorf("coverengine: shard %d: unknown op %d", s.idx, o.kind)}
+// Run serves a run of element arrivals in order.
+func (s *shardState) Run(items []item) {
+	for i := range items {
+		s.arrive(&items[i])
 	}
 }
+
+// Handle answers the stats op, the only single op a cover shard takes.
+func (s *shardState) Handle(struct{}) shardSnapshot { return s.snapshot() }
 
 // arrive serves one element arrival: guard the degree budget, advance the
 // local algorithm, and report the newly bought global sets.
-func (s *shard) arrive(o op) reply {
-	le := o.elem
+func (s *shardState) arrive(it *item) {
+	le := it.elem
+	d := it.d
 	if s.deg[le] == 0 {
-		return reply{err: fmt.Errorf("coverengine: element is in no set; it can never be covered")}
+		d.Err = fmt.Errorf("coverengine: element is in no set; it can never be covered")
+		return
 	}
 	if s.count[le] >= s.deg[le] {
-		return reply{err: fmt.Errorf("coverengine: %w", setcover.ErrElementSaturated)}
+		d.Err = fmt.Errorf("coverengine: %w", setcover.ErrElementSaturated)
+		return
 	}
-	var rep reply
 	switch {
 	case s.alg != nil:
 		out, err := s.alg.ShrinkCapacity(le)
 		if err != nil {
-			return reply{err: fmt.Errorf("coverengine: shard %d: %w", s.idx, err)}
+			d.Err = fmt.Errorf("coverengine: shard %d: %w", s.idx, err)
+			return
 		}
-		rep.preemptions = len(out.Preempted)
 		s.preemptions += len(out.Preempted)
 		for _, id := range out.Preempted {
-			rep.newSets = append(rep.newSets, s.setGlobal[id])
+			d.NewSets = append(d.NewSets, s.setGlobal[id])
 		}
 	case s.bic != nil:
 		added, err := s.bic.Arrive(le)
 		if err != nil {
-			return reply{err: fmt.Errorf("coverengine: shard %d: %w", s.idx, err)}
+			d.Err = fmt.Errorf("coverengine: shard %d: %w", s.idx, err)
+			return
 		}
 		for _, id := range added {
-			rep.newSets = append(rep.newSets, s.setGlobal[id])
+			d.NewSets = append(d.NewSets, s.setGlobal[id])
 		}
 	default:
-		return reply{err: fmt.Errorf("coverengine: shard %d has no algorithm", s.idx)}
+		d.Err = fmt.Errorf("coverengine: shard %d has no algorithm", s.idx)
+		return
 	}
 	s.count[le]++
 	s.arrivals++
-	rep.arrival = s.count[le]
-	return rep
+	d.Arrival = s.count[le]
 }
 
 // snapshot captures the shard's accounting.
-func (s *shard) snapshot() shardSnapshot {
+func (s *shardState) snapshot() shardSnapshot {
 	snap := shardSnapshot{arrivals: s.arrivals, preemptions: s.preemptions}
 	if s.bic != nil {
 		snap.augmentations = s.bic.Augmentations()
 	}
-	var h fnv64 = fnvOffset
+	h := shard.NewDigest()
 	for _, c := range s.count {
-		h.int(c)
+		h.Int(c)
 	}
 	snap.countDigest = uint64(h)
 	return snap

@@ -2,80 +2,166 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"admission/internal/core"
+	"admission/internal/graph"
 	"admission/internal/problem"
+	"admission/internal/rng"
+	"admission/internal/workload"
 )
 
+// streamInstance builds an oversubscribed workload on a small random graph.
+func streamInstance(t testing.TB, seed uint64, n int) *problem.Instance {
+	t.Helper()
+	r := rng.New(seed)
+	g, err := graph.Random(8, 24, 4, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := workload.RandomTraffic(g, n, workload.CostUniform, 0, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
 // TestSubmitBatchMatchesSequential is the batching contract: SubmitBatch
-// over a slice produces the identical decision stream to calling Submit on
-// each element in order, for any shard count (per-shard arrival order is
-// preserved either way).
+// over a slice produces the identical decision stream and final state to
+// calling Submit on each element in order, for any shard count and batch
+// size. On four shards a third of the requests cross shards, so runs are
+// cut by cross-shard reservations throughout: sending a shard's pending
+// run after such a reservation instead of before it changes decisions.
 func TestSubmitBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ins := testInstance(t, 7, 500, false)
 			acfg := core.DefaultConfig()
 			acfg.Seed = 11
-
-			seq, err := New(ins.Capacities, Config{Shards: shards, Algorithm: acfg})
-			if err != nil {
-				t.Fatal(err)
+			mk := func() *Engine {
+				eng, err := New(ins.Capacities, Config{Shards: shards, Algorithm: acfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
 			}
+
+			seq := mk()
 			defer seq.Close()
-			bat, err := New(ins.Capacities, Config{Shards: shards, Algorithm: acfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bat.Close()
-
 			want := make([]Decision, 0, len(ins.Requests))
+			cross := 0
 			for _, r := range ins.Requests {
 				d, err := seq.Submit(context.Background(), r)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want = append(want, d)
-			}
-			// Submit in several batches to exercise batch boundaries.
-			got := make([]Decision, 0, len(ins.Requests))
-			for lo := 0; lo < len(ins.Requests); lo += 97 {
-				hi := min(lo+97, len(ins.Requests))
-				ds, err := bat.SubmitBatch(context.Background(), ins.Requests[lo:hi])
-				if err != nil {
-					t.Fatal(err)
+				if d.CrossShard {
+					cross++
 				}
-				got = append(got, ds...)
+			}
+			if shards > 1 && 10*cross < 3*len(want) {
+				t.Fatalf("only %d of %d requests cross shards, want at least 30%%", cross, len(want))
 			}
 
-			if len(got) != len(want) {
-				t.Fatalf("got %d decisions, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID || got[i].Accepted != want[i].Accepted ||
-					got[i].CrossShard != want[i].CrossShard {
-					t.Fatalf("decision %d: got %+v, want %+v", i, got[i], want[i])
-				}
-				gp := problem.SortedCopy(got[i].Preempted)
-				wp := problem.SortedCopy(want[i].Preempted)
-				if len(gp) != len(wp) {
-					t.Fatalf("decision %d: preempted %v, want %v", i, gp, wp)
-				}
-				for j := range gp {
-					if gp[j] != wp[j] {
-						t.Fatalf("decision %d: preempted %v, want %v", i, gp, wp)
+			for _, size := range []int{1, 97, len(ins.Requests)} {
+				t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+					bat := mk()
+					defer bat.Close()
+					got := make([]Decision, 0, len(ins.Requests))
+					for lo := 0; lo < len(ins.Requests); lo += size {
+						ds, err := bat.SubmitBatch(context.Background(), ins.Requests[lo:min(lo+size, len(ins.Requests))])
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, ds...)
 					}
-				}
-			}
-			ss, bs := seq.Snapshot(), bat.Snapshot()
-			if ss.Accepted != bs.Accepted || ss.RejectedCost != bs.RejectedCost ||
-				ss.Preemptions != bs.Preemptions {
-				t.Fatalf("stats diverge: sequential %+v, batch %+v", ss, bs)
+					if len(got) != len(want) {
+						t.Fatalf("got %d decisions, want %d", len(got), len(want))
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID || got[i].Accepted != want[i].Accepted ||
+							got[i].CrossShard != want[i].CrossShard || !slices.Equal(got[i].Preempted, want[i].Preempted) ||
+							got[i].Err != nil {
+							t.Fatalf("decision %d: got %+v, want %+v", i, got[i], want[i])
+						}
+					}
+					if a, b := seq.StateDigest(), bat.StateDigest(); a != b {
+						t.Fatalf("state digest %#x, sequential %#x", b, a)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestStreamMatchesSubmit feeds one request stream to a four-shard engine
+// through interleaved Submit calls and SubmitBatch calls of varying sizes,
+// and the same stream to a twin through Submit alone: Submit is a batch of
+// one on the same dispatch path, so the decisions, their IDs and the final
+// state must be identical.
+func TestStreamMatchesSubmit(t *testing.T) {
+	ins := streamInstance(t, 31, 400)
+	acfg := core.DefaultConfig()
+	acfg.Seed = 9
+	mk := func() *Engine {
+		eng, err := New(ins.Capacities, Config{Shards: 4, Algorithm: acfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	ctx := context.Background()
+
+	ref := mk()
+	defer ref.Close()
+	want := make([]Decision, 0, len(ins.Requests))
+	for _, r := range ins.Requests {
+		d, err := ref.Submit(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, d)
+	}
+
+	eng := mk()
+	defer eng.Close()
+	got := make([]Decision, 0, len(ins.Requests))
+	for lo, k := 0, 0; lo < len(ins.Requests); k++ {
+		if k%4 == 3 {
+			d, err := eng.Submit(ctx, ins.Requests[lo])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, d)
+			lo++
+			continue
+		}
+		hi := min(lo+k%13+1, len(ins.Requests))
+		ds, err := eng.SubmitBatch(ctx, ins.Requests[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ds...)
+		lo = hi
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d decisions, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Accepted != want[i].Accepted ||
+			got[i].CrossShard != want[i].CrossShard || !slices.Equal(got[i].Preempted, want[i].Preempted) {
+			t.Fatalf("decision %d diverged: mixed %+v, submit %+v", i, got[i], want[i])
+		}
+	}
+	if a, b := ref.StateDigest(), eng.StateDigest(); a != b {
+		t.Fatalf("state digest %#x, submit-only %#x", b, a)
 	}
 }
 
@@ -245,5 +331,180 @@ func TestConcurrentSubmitBatch(t *testing.T) {
 		if load > ins.Capacities[e] {
 			t.Fatalf("edge %d over capacity: %d > %d", e, load, ins.Capacities[e])
 		}
+	}
+}
+
+// TestStreamOrderedConcurrentWriters splits one request stream across
+// several goroutines, each submitting its share in batches to one
+// four-shard engine (run under -race): every batch gets a contiguous block
+// of IDs in batch order, the blocks tile [0, N) exactly once, and the
+// shard counters reconcile with the engine's.
+func TestStreamOrderedConcurrentWriters(t *testing.T) {
+	ins := streamInstance(t, 37, 600)
+	acfg := core.DefaultConfig()
+	acfg.Seed = 3
+	eng, err := New(ins.Capacities, Config{Shards: 4, Algorithm: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	const writers = 6
+	seen := make([]bool, len(ins.Requests))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := w * 10; lo < len(ins.Requests); lo += writers * 10 {
+				ds, err := eng.SubmitBatch(context.Background(), ins.Requests[lo:min(lo+10, len(ins.Requests))])
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				mu.Lock()
+				for i, d := range ds {
+					if d.ID != ds[0].ID+i || d.ID >= len(seen) || seen[d.ID] {
+						t.Errorf("writer %d: batch at %d decision %d has ID %d", w, lo, i, d.ID)
+					} else {
+						seen[d.ID] = true
+					}
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for id, ok := range seen {
+		if !ok {
+			t.Fatalf("ID %d never issued", id)
+		}
+	}
+	assertDecided(t, eng, len(ins.Requests))
+}
+
+// TestStreamCancellation cancels batches mid-flight: many goroutines
+// submit a request stream in batches under contexts that are cancelled
+// while they run (or before), enough of them to fill the shard queues so
+// the cancellation boundary is reached. Every SubmitBatch returns — its
+// decisions or the context error — and after Drain the engine's request
+// counter reconciles exactly with what the shards decided: every enqueued
+// run and reservation is accounted, nothing else is.
+func TestStreamCancellation(t *testing.T) {
+	ins := streamInstance(t, 41, 300)
+	acfg := core.DefaultConfig()
+	acfg.Seed = 5
+	eng, err := New(ins.Capacities, Config{Shards: 2, Algorithm: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 300
+	var cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if w%3 == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(time.Duration(w%7)*50*time.Microsecond, cancel)
+			}
+			for round := 0; round < 4; round++ {
+				lo := (w*7 + round*31) % len(ins.Requests)
+				_, err := eng.SubmitBatch(ctx, ins.Requests[lo:min(lo+16, len(ins.Requests))])
+				if errors.Is(err, context.Canceled) {
+					cancelled.Add(1)
+					return
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d writers saw a cancellation", cancelled.Load(), writers)
+	st := eng.Snapshot()
+	assertDecided(t, eng, int(st.Requests))
+	eng.Close()
+	assertDecided(t, eng, int(st.Requests))
+}
+
+// TestSubmitWithCancelledContext checks Submit under an already-cancelled
+// context: it returns promptly (either the decision, if the shard answered
+// first, or the context error), never hangs, and the engine stays usable.
+func TestSubmitWithCancelledContext(t *testing.T) {
+	eng, err := New([]int{4, 4}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = eng.Submit(ctx, problem.Request{Edges: []int{0}, Cost: 1})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit hung under a cancelled context")
+	}
+	// The engine still serves fresh traffic.
+	if _, err := eng.Submit(context.Background(), problem.Request{Edges: []int{1}, Cost: 1}); err != nil {
+		t.Fatalf("Submit after cancelled submit: %v", err)
+	}
+}
+
+// TestSubmitBatchCancelledContext checks a batch dispatched under a
+// cancelled context fails as a whole without leaking: the engine converges
+// and closes cleanly.
+func TestSubmitBatchCancelledContext(t *testing.T) {
+	ins := streamInstance(t, 43, 64)
+	eng, err := New(ins.Capacities, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ds, err := eng.SubmitBatch(ctx, ins.Requests)
+	if err == nil {
+		// The non-blocking enqueue fast path may win against an
+		// already-cancelled context; then the whole batch decided.
+		if len(ds) != len(ins.Requests) {
+			t.Fatalf("got %d decisions for %d requests", len(ds), len(ins.Requests))
+		}
+	} else if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitBatch: %v", err)
+	}
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertDecided(t, eng, int(eng.Snapshot().Requests))
+	eng.Close()
+}
+
+// assertDecided checks, at a quiescent point, that the engine counted n
+// requests and that the shards decided exactly the single-shard ones among
+// them.
+func assertDecided(t *testing.T, eng *Engine, n int) {
+	t.Helper()
+	st := eng.Snapshot()
+	total := 0
+	for _, sh := range eng.ShardStats() {
+		total += sh.Requests
+	}
+	if st.Requests != int64(n) || int64(total)+st.CrossShard != st.Requests {
+		t.Fatalf("engine counted %d requests (%d cross-shard), shards decided %d, want %d",
+			st.Requests, st.CrossShard, total, n)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"admission/internal/core"
-	"admission/internal/graph"
+	"admission/internal/shard"
 )
 
 // This file is the engine's face toward the cluster tier (DESIGN.md §14):
@@ -32,10 +32,10 @@ import (
 // An empty edge list is a deterministic refused no-op, so protocol-level
 // rejections still consume their place in the decision stream.
 func (e *Engine) SubmitReserve(ctx context.Context, edges []int) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.ValidateClusterEdges(edges); err != nil {
 		return Decision{}, err
 	}
@@ -71,10 +71,10 @@ func (e *Engine) SubmitRelease(ctx context.Context, edges []int) (Decision, erro
 // calls are context-free on purpose — once phase 2 starts it must run to
 // completion to keep the reservation ledgers consistent.
 func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.ValidateClusterEdges(edges); err != nil {
 		return Decision{}, err
 	}
@@ -93,7 +93,7 @@ func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision
 	}
 	sort.Ints(order)
 	for _, si := range order {
-		if rep := e.shards[si].call(op{kind: kind, edges: byShard[si]}); rep.err != nil {
+		if rep := e.rt.Call(si, op{kind: kind, edges: byShard[si]}); rep.err != nil {
 			e.errs.Add(1)
 			return Decision{}, rep.err
 		}
@@ -130,20 +130,9 @@ func ConfigFingerprint(capacities []int, cfg Config) (string, error) {
 	if err := cfg.Algorithm.Validate(); err != nil {
 		return "", err
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		var err error
-		parts, err = graph.PartitionRange(len(capacities), k)
-		if err != nil {
-			return "", err
-		}
-	}
-	if err := checkPartition(parts, len(capacities)); err != nil {
-		return "", err
+	parts, err := shard.Partition(len(capacities), cfg.Shards, cfg.Partition, "edge")
+	if err != nil {
+		return "", fmt.Errorf("engine: %w", err)
 	}
 	edgeShard := make([]int32, len(capacities))
 	for si, part := range parts {
@@ -157,23 +146,23 @@ func ConfigFingerprint(capacities []int, cfg Config) (string, error) {
 // fingerprintOf is the shared digest behind Fingerprint and
 // ConfigFingerprint.
 func fingerprintOf(caps []int, numShards int, edgeShard []int32, cfg core.Config) string {
-	var h fnv64 = fnvOffset
-	h.int(len(caps))
+	h := shard.NewDigest()
+	h.Int(len(caps))
 	for _, c := range caps {
-		h.int(c)
+		h.Int(c)
 	}
-	h.int(numShards)
+	h.Int(numShards)
 	for _, s := range edgeShard {
-		h.int(int(s))
+		h.Int(int(s))
 	}
-	h.bool(cfg.Unweighted)
-	h.float(cfg.LogBase)
-	h.float(cfg.ThresholdFactor)
-	h.float(cfg.ProbFactor)
-	h.int(int(cfg.AlphaMode))
-	h.float(cfg.Alpha)
-	h.float(cfg.DoublingBudgetFactor)
-	h.bool(cfg.DisableReqPruning)
-	h.word(cfg.Seed)
+	h.Bool(cfg.Unweighted)
+	h.Float(cfg.LogBase)
+	h.Float(cfg.ThresholdFactor)
+	h.Float(cfg.ProbFactor)
+	h.Int(int(cfg.AlphaMode))
+	h.Float(cfg.Alpha)
+	h.Float(cfg.DoublingBudgetFactor)
+	h.Bool(cfg.DisableReqPruning)
+	h.Word(cfg.Seed)
 	return fmt.Sprintf("admission/v1 m=%d k=%d seed=%d cfg=%016x", len(caps), numShards, cfg.Seed, uint64(h))
 }

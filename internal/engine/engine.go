@@ -4,18 +4,18 @@
 // algorithms inside each shard's event loop, and routes every incoming
 // request to the shard(s) owning its edges.
 //
-// Concurrency model. Each shard is a single goroutine that owns all of its
-// state — the §3 randomized algorithm over the shard's local capacity
-// vector, the local→global ID maps, and the cross-shard reservation
-// counters. Shards communicate exclusively over channels (no mutexes on the
-// admission path): submitters send operations into a shard's queue and block
-// on a per-operation reply channel; the shard drains its queue in batches
-// and decides each operation in arrival order. Shards never send to other
-// shards, so the topology is acyclic and deadlock-free.
+// Concurrency model. Each shard is a single goroutine of the shard runtime
+// (internal/shard) that owns all of its state — the §3 randomized
+// algorithm over the shard's local capacity vector, the local→global ID
+// maps, and the cross-shard reservation counters. Shards communicate
+// exclusively over channels (no mutexes on the admission path) and decide
+// their queued work in arrival order. Shards never send to other shards,
+// so the topology is acyclic and deadlock-free.
 //
-// Requests whose edges all live in one shard take the fast path: a single
-// Offer against that shard's §3 instance, preserving the paper's
-// competitive guarantee within the shard. Requests spanning shards take the
+// Requests whose edges all live in one shard are offered to that shard's
+// §3 instance, preserving the paper's competitive guarantee within the
+// shard; a batch's consecutive single-shard requests for one shard travel
+// as one run, with one reply. Requests spanning shards take the
 // two-phase path: the submitting goroutine reserves one capacity unit per
 // edge on every involved shard (reserve = §4 capacity shrink, granted only
 // when the edge has a free integral slot and remaining fractional adjusted
@@ -35,34 +35,34 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"admission/internal/core"
-	"admission/internal/graph"
 	"admission/internal/problem"
 	"admission/internal/service"
+	"admission/internal/shard"
 )
 
 // The Engine implements the repository-wide generic serving contract
 // (DESIGN.md §10): the HTTP layer, client and load generator are written
 // against service.Service and serve this engine unchanged.
-var (
-	_ service.Service[problem.Request, Decision] = (*Engine)(nil)
-	_ service.Batcher[problem.Request, Decision] = (*Engine)(nil)
-)
+var _ service.Service[problem.Request, Decision] = (*Engine)(nil)
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// edgeBufPool recycles the local-edge-index scratch slices of the
-// single-shard fast path.
-var edgeBufPool = sync.Pool{New: func() any {
-	b := make([]int, 0, 16)
-	return &b
-}}
+// batch is one batch submission's working memory, recycled through
+// batchPool: the shard runtime's run layout plus the flat buffer the
+// items' local edge indices live in.
+type batch struct {
+	shard.Batch[item, op, reply]
+	edges []int
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // Config configures the engine.
 type Config struct {
@@ -80,31 +80,12 @@ type Config struct {
 	// (graph.PartitionRange); callers with a topology should prefer
 	// (*graph.Graph).PartitionEdges for locality.
 	Partition [][]int
-	// BatchSize bounds how many queued operations a shard drains per loop
-	// iteration (default 64).
-	BatchSize int
-	// QueueLen is each shard's operation queue capacity (default 256).
-	QueueLen int
 }
 
 // DefaultConfig returns a single-shard engine over the paper's weighted
 // constants.
 func DefaultConfig() Config {
 	return Config{Shards: 1, Algorithm: core.DefaultConfig()}
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize <= 0 {
-		return 64
-	}
-	return c.BatchSize
-}
-
-func (c Config) queueLen() int {
-	if c.QueueLen <= 0 {
-		return 256
-	}
-	return c.QueueLen
 }
 
 // Decision reports the engine's reaction to one submitted request.
@@ -122,10 +103,9 @@ type Decision struct {
 	// as a consequence of this decision.
 	Preempted []int
 	// Err carries a per-request engine failure (only reachable through the
-	// batch and stream paths; Submit returns such failures as its error
-	// instead). A decision with Err set has no other meaningful fields
-	// beyond ID, and the request was neither accepted nor charged as
-	// rejected.
+	// batch path; Submit returns such failures as its error instead). A
+	// decision with Err set has no other meaningful fields beyond ID, and
+	// the request was neither accepted nor charged as rejected.
 	Err error
 }
 
@@ -160,12 +140,12 @@ type Stats struct {
 // Engine is the sharded concurrent admission server. Submit is safe for
 // concurrent use by any number of goroutines.
 type Engine struct {
-	caps        []int
-	algCfg      core.Config
-	streamDepth int     // Stream window, from Config.QueueLen
-	edgeShard   []int32 // global edge -> owning shard
-	edgeLocal   []int32 // global edge -> index within the shard
-	shards      []*shard
+	caps      []int
+	algCfg    core.Config
+	edgeShard []int32 // global edge -> owning shard
+	edgeLocal []int32 // global edge -> index within the shard
+	shards    []*shardState
+	rt        *shard.Runtime[item, op, reply]
 
 	nextID        atomic.Int64
 	requests      atomic.Int64
@@ -174,39 +154,6 @@ type Engine struct {
 	crossShard    atomic.Int64
 	crossAccepted atomic.Int64
 	crossRejected atomicFloat64 // Σ cost of rejected cross-shard requests
-
-	closed   atomic.Bool
-	inflight atomic.Int64 // active Submit/Stats entries; see enter/exit
-	// drainers tracks the background goroutines resolving the accounting
-	// of cancellation-abandoned operations; Drain and Close wait for them
-	// so post-Close statistics stay exact.
-	drainers service.DrainTracker
-	loops    sync.WaitGroup
-}
-
-// enter registers a caller on the admission path. It returns false once the
-// engine is closed. The counter-then-flag order pairs with Close's
-// flag-then-drain order: a caller that incremented before Close set the flag
-// is drained; one that incremented after observes the flag and backs out.
-// (A plain WaitGroup would panic here: Add may not race with Wait.)
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
-// drainInflight blocks until no callers remain on the admission path. Only
-// Close (and post-close snapshot reads) call it, so polling is fine.
-func (e *Engine) drainInflight() {
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
 }
 
 // New creates an engine over the capacity vector.
@@ -222,29 +169,18 @@ func New(capacities []int, cfg Config) (*Engine, error) {
 	if err := cfg.Algorithm.Validate(); err != nil {
 		return nil, err
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		var err error
-		parts, err = graph.PartitionRange(len(capacities), k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := checkPartition(parts, len(capacities)); err != nil {
-		return nil, err
+	parts, err := shard.Partition(len(capacities), cfg.Shards, cfg.Partition, "edge")
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 
 	e := &Engine{
-		caps:        append([]int(nil), capacities...),
-		algCfg:      cfg.Algorithm,
-		streamDepth: cfg.queueLen(),
-		edgeShard:   make([]int32, len(capacities)),
-		edgeLocal:   make([]int32, len(capacities)),
+		caps:      append([]int(nil), capacities...),
+		algCfg:    cfg.Algorithm,
+		edgeShard: make([]int32, len(capacities)),
+		edgeLocal: make([]int32, len(capacities)),
 	}
+	handlers := make([]shard.Handler[item, op, reply], len(parts))
 	for si, part := range parts {
 		localCaps := make([]int, len(part))
 		globalEdges := make([]int, len(part))
@@ -255,65 +191,23 @@ func New(capacities []int, cfg Config) (*Engine, error) {
 			globalEdges[li] = ge
 		}
 		acfg := cfg.Algorithm
-		acfg.Seed = shardSeed(cfg.Algorithm.Seed, si)
+		acfg.Seed = shard.Seed(cfg.Algorithm.Seed, si)
 		alg, err := core.NewRandomized(localCaps, acfg)
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", si, err)
 		}
-		s := &shard{
+		s := &shardState{
 			idx:         si,
-			ops:         make(chan op, cfg.queueLen()),
-			batchSize:   cfg.batchSize(),
 			alg:         alg,
 			globalEdges: globalEdges,
 			reserved:    make([]int, len(part)),
 			committed:   make([]int, len(part)),
 		}
 		e.shards = append(e.shards, s)
-		e.loops.Add(1)
-		go func() {
-			defer e.loops.Done()
-			s.loop()
-		}()
+		handlers[si] = s
 	}
+	e.rt = shard.Start(handlers, op{kind: opStats})
 	return e, nil
-}
-
-// checkPartition verifies parts is an exact, non-empty cover of [0, m).
-func checkPartition(parts [][]int, m int) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("engine: empty partition")
-	}
-	owner := make([]int, m)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for si, part := range parts {
-		if len(part) == 0 {
-			return fmt.Errorf("engine: partition shard %d is empty", si)
-		}
-		for _, ge := range part {
-			if ge < 0 || ge >= m {
-				return fmt.Errorf("engine: partition shard %d references edge %d, have %d edges", si, ge, m)
-			}
-			if owner[ge] != -1 {
-				return fmt.Errorf("engine: edge %d in both shard %d and shard %d", ge, owner[ge], si)
-			}
-			owner[ge] = si
-		}
-	}
-	for ge, s := range owner {
-		if s == -1 {
-			return fmt.Errorf("engine: edge %d missing from partition", ge)
-		}
-	}
-	return nil
-}
-
-// shardSeed derives shard i's RNG seed. Shard 0 keeps the base seed so a
-// one-shard engine is bit-identical to the unsharded algorithm.
-func shardSeed(base uint64, i int) uint64 {
-	return base ^ (uint64(i) * 0x9e3779b97f4a7c15)
 }
 
 // Shards returns the number of shards.
@@ -337,37 +231,23 @@ func (e *Engine) Validate(r problem.Request) error {
 	return nil
 }
 
-// Submit offers one request to the engine and blocks until it is decided
-// or ctx is done. It is safe for concurrent use; each call is assigned a
-// fresh global ID. Cancellation is honoured while enqueueing into a full
-// shard queue and while waiting for the decision; an operation that was
-// already enqueued is still decided and accounted by the engine (a
-// background drainer keeps the counters exact), the caller just stops
-// waiting for it.
+// Submit offers one request to the engine and blocks until it is decided:
+// Validate plus a batch of one. It is safe for concurrent use; each call
+// is assigned a fresh global ID. Cancellation is honoured while enqueueing
+// into a full shard queue; once enqueued the request is decided and
+// accounted.
 func (e *Engine) Submit(ctx context.Context, r problem.Request) (Decision, error) {
-	if !e.enter() {
-		return Decision{}, ErrClosed
-	}
-	defer e.exit()
 	if err := e.Validate(r); err != nil {
 		return Decision{}, err
 	}
-
-	id := int(e.nextID.Add(1) - 1)
-
-	// Fast path: all edges in one shard (the common case under a locality
-	// partition) — one local slice, no map.
-	if single := e.singleShardOf(r.Edges); single >= 0 {
-		buf := e.localizeEdges(r.Edges)
-		ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
-		if err != nil {
-			edgeBufPool.Put(buf)
-			return Decision{}, err
-		}
-		e.requests.Add(1)
-		return e.awaitLocal(ctx, id, ch, buf)
+	ds, err := e.SubmitBatchPrevalidated(ctx, []problem.Request{r})
+	if err != nil {
+		return Decision{}, err
 	}
-	return e.submitCross(ctx, id, e.groupByShard(r.Edges), r.Cost)
+	if ds[0].Err != nil {
+		return Decision{}, ds[0].Err
+	}
+	return ds[0], nil
 }
 
 // singleShardOf returns the shard owning every listed edge, or -1 when the
@@ -382,19 +262,6 @@ func (e *Engine) singleShardOf(edges []int) int {
 	return single
 }
 
-// localizeEdges fills a pooled scratch slice with the shard-local indices
-// of the global edges. The caller must return the holder to edgeBufPool,
-// but only after the owning shard has replied to the op carrying it.
-func (e *Engine) localizeEdges(edges []int) *[]int {
-	buf := edgeBufPool.Get().(*[]int)
-	local := (*buf)[:0]
-	for _, ge := range edges {
-		local = append(local, int(e.edgeLocal[ge]))
-	}
-	*buf = local
-	return buf
-}
-
 // groupByShard buckets the global edges by owning shard, as local indices.
 func (e *Engine) groupByShard(edges []int) map[int][]int {
 	byShard := map[int][]int{}
@@ -403,44 +270,6 @@ func (e *Engine) groupByShard(edges []int) map[int][]int {
 		byShard[si] = append(byShard[si], int(e.edgeLocal[ge]))
 	}
 	return byShard
-}
-
-// awaitLocal waits for a single-shard decision, recycling the pooled edge
-// buffer and reply channel. On ctx cancellation the pending reply is
-// handed to a background drainer so the engine's accounting (and the
-// pools) stay exact.
-func (e *Engine) awaitLocal(ctx context.Context, id int, ch chan reply, buf *[]int) (Decision, error) {
-	select {
-	case rep := <-ch:
-		replyPool.Put(ch)
-		if buf != nil {
-			edgeBufPool.Put(buf)
-		}
-		return e.finishLocal(id, rep)
-	case <-ctx.Done():
-		e.drainers.Go(func() {
-			rep := <-ch
-			replyPool.Put(ch)
-			if buf != nil {
-				edgeBufPool.Put(buf)
-			}
-			_, _ = e.finishLocal(id, rep)
-		})
-		return Decision{}, ctx.Err()
-	}
-}
-
-// finishLocal folds a single-shard reply into the engine's accounting and
-// the Decision.
-func (e *Engine) finishLocal(id int, rep reply) (Decision, error) {
-	if rep.err != nil {
-		e.errs.Add(1)
-		return Decision{}, rep.err
-	}
-	if rep.ok {
-		e.accepted.Add(1)
-	}
-	return Decision{ID: id, Accepted: rep.ok, Preempted: rep.preempted}, nil
 }
 
 // submitCross runs the two-phase cross-shard path: reserve on every involved
@@ -459,17 +288,17 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 	// parallel; replies arrive on per-op buffered channels.
 	replies := make([]chan reply, len(order))
 	for i, si := range order {
-		ch, err := e.shards[si].send(ctx, op{kind: opReserve, globalID: id, edges: byShard[si]})
+		ch, err := e.rt.Send(ctx, si, op{kind: opReserve, edges: byShard[si]})
 		if err != nil {
 			// Cancelled mid-fire: resolve the reservations already queued in
 			// the background (collect grants, then release them) so no
 			// capacity unit leaks.
 			fired, shards := replies[:i], order[:i]
-			e.drainers.Go(func() {
+			e.rt.Go(func() {
 				for j, ch := range fired {
-					rep := recvReply(ch)
+					rep := e.rt.Recv(ch)
 					if rep.err == nil && rep.ok {
-						e.shards[shards[j]].call(op{kind: opRelease, edges: byShard[shards[j]]})
+						e.rt.Call(shards[j], op{kind: opRelease, edges: byShard[shards[j]]})
 					}
 				}
 			})
@@ -484,7 +313,7 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 	ok := true
 	var firstErr error
 	for i, si := range order {
-		rep := recvReply(replies[i])
+		rep := e.rt.Recv(replies[i])
 		if rep.err != nil && firstErr == nil {
 			firstErr = rep.err
 		}
@@ -499,7 +328,7 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 	// Phase 2: abort on any refusal, releasing the granted reservations.
 	if !ok {
 		for _, si := range granted {
-			rep := e.shards[si].call(op{kind: opRelease, edges: byShard[si]})
+			rep := e.rt.Call(si, op{kind: opRelease, edges: byShard[si]})
 			if rep.err != nil && firstErr == nil {
 				firstErr = rep.err
 			}
@@ -517,13 +346,13 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 }
 
 // SubmitBatch submits a sequence of requests in slice order and returns one
-// Decision per request, in the same order. Unlike a loop over Submit, the
-// batch is pipelined: every single-shard request is dispatched to its
-// owning shard without waiting for the previous reply, so the per-request
-// channel round-trip latency is paid once per batch rather than once per
-// request. Per-shard arrival order — and therefore the decision stream —
-// is identical to submitting the same slice sequentially through Submit.
-// Cross-shard requests still decide inline (the two-phase protocol needs
+// Decision per request, in the same order. The batch is pipelined: the
+// consecutive single-shard requests one shard owns travel to it as one
+// run, with one reply, so the channel round trip is paid per run rather
+// than per request. Before a cross-shard request reserves, every pending
+// run is sent, so each shard's arrival order — and therefore the decision
+// stream — is identical to submitting the same slice sequentially through
+// Submit. Cross-shard requests decide inline (the two-phase protocol needs
 // replies before it can commit), retaining their position in the order.
 //
 // Validation is atomic: every request is checked before any is dispatched,
@@ -548,57 +377,63 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []problem.Request) ([]Dec
 // failure must map to a 400 before anything is enqueued) and would
 // otherwise pay the same scan twice per request on the hot path.
 // Submitting an unvalidated request through it is undefined behaviour.
+//
+// Cancellation is honoured while enqueueing: a run is enqueued whole or
+// not at all, and the runs already enqueued when ctx fires are decided
+// and accounted by a background drainer.
 func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Request) ([]Decision, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
 	out := make([]Decision, len(reqs))
-	type pendingOffer struct {
-		idx int
-		ch  chan reply
-		buf *[]int
-	}
-	pend := make([]pendingOffer, 0, len(reqs))
-	// drainPend resolves already-fired offers in the background after a
-	// mid-dispatch cancellation, keeping the accounting and pools exact.
-	drainPend := func(pend []pendingOffer) {
-		e.drainers.Go(func() {
-			for _, p := range pend {
-				rep := recvReply(p.ch)
-				edgeBufPool.Put(p.buf)
-				_, _ = e.finishLocal(out[p.idx].ID, rep)
-			}
+	base := int(e.nextID.Add(int64(len(reqs)))) - len(reqs)
+	b := batchPool.Get().(*batch)
+	nEdges := 0
+	b.Layout(e.rt, len(reqs), func(i int) int {
+		s := e.singleShardOf(reqs[i].Edges)
+		if s >= 0 {
+			nEdges += len(reqs[i].Edges)
+		}
+		return s
+	})
+	// Sized up front, so the items' edge subslices never move.
+	b.edges = slices.Grow(b.edges[:0], nEdges)
+	// abandon hands the runs already enqueued to a drainer that accounts
+	// them once decided and then recycles the batch.
+	abandon := func() {
+		e.rt.Go(func() {
+			b.Wait()
+			e.tally(b.Runs())
+			batchPool.Put(b)
 		})
 	}
 
 	for i := range reqs {
-		r := reqs[i]
-		id := int(e.nextID.Add(1) - 1)
-		out[i].ID = id
-
-		if single := e.singleShardOf(r.Edges); single >= 0 {
-			buf := e.localizeEdges(r.Edges)
-			ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
-			if err != nil {
-				edgeBufPool.Put(buf)
-				drainPend(pend)
-				return nil, err
+		r := &reqs[i]
+		out[i].ID = base + i
+		if s := b.Owner(i); s >= 0 {
+			lo := len(b.edges)
+			for _, ge := range r.Edges {
+				b.edges = append(b.edges, int(e.edgeLocal[ge]))
 			}
-			e.requests.Add(1)
-			pend = append(pend, pendingOffer{idx: i, ch: ch, buf: buf})
+			*b.Add(s) = item{d: &out[i], edges: b.edges[lo:len(b.edges):len(b.edges)], cost: r.Cost}
 			continue
 		}
-		d, err := e.submitCross(ctx, id, e.groupByShard(r.Edges), r.Cost)
+		if err := e.flush(ctx, b); err != nil {
+			abandon()
+			return nil, err
+		}
+		d, err := e.submitCross(ctx, base+i, e.groupByShard(r.Edges), r.Cost)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancelled mid-dispatch: whole-batch failure (submitCross
 				// has already scheduled its own cleanup).
-				drainPend(pend)
+				abandon()
 				return nil, err
 			}
 			out[i].Err = err
@@ -606,78 +441,38 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 		}
 		out[i] = d
 	}
-
-	// Collect the pipelined single-shard replies. Every fired op must be
-	// received even after an error, or reply channels and edge buffers
-	// leak; the ops are already queued, so the waits here are bounded by
-	// shard processing, not by new traffic.
-	for _, p := range pend {
-		rep := recvReply(p.ch)
-		edgeBufPool.Put(p.buf)
-		d, err := e.finishLocal(out[p.idx].ID, rep)
-		if err != nil {
-			out[p.idx].Err = err
-			continue
-		}
-		out[p.idx].Accepted = d.Accepted
-		out[p.idx].Preempted = d.Preempted
+	if err := e.flush(ctx, b); err != nil {
+		abandon()
+		return nil, err
 	}
+	b.Wait()
+	e.tally(b.Runs())
+	batchPool.Put(b)
 	return out, nil
 }
 
-// Stream opens an ordered, pipelined submission stream over the engine
-// (the generic service contract's third submission shape): Send dispatches
-// a request to its shard without waiting for earlier decisions, Recv
-// yields decisions in send order. Single-shard requests pipeline through
-// the shard queues; cross-shard requests decide inline during Send, like
-// SubmitBatch. The stream's buffers are sized by the engine's configured
-// queue length (window ≈ 2× that).
-func (e *Engine) Stream(ctx context.Context) (*service.Stream[problem.Request, Decision], error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	return service.NewStream(ctx, e.streamDepth, e.dispatch), nil
+// flush sends every pending run, counting its requests.
+func (e *Engine) flush(ctx context.Context, b *batch) error {
+	n, err := b.Flush(ctx)
+	e.requests.Add(int64(n))
+	return err
 }
 
-// dispatch fires one request for the stream path and returns an Await for
-// its decision. It performs exactly Submit's validation and dispatch; only
-// the wait is deferred.
-func (e *Engine) dispatch(ctx context.Context, r problem.Request) (service.Await[Decision], error) {
-	if !e.enter() {
-		return nil, ErrClosed
-	}
-	defer e.exit()
-	if err := e.Validate(r); err != nil {
-		return nil, err
-	}
-	id := int(e.nextID.Add(1) - 1)
-	if single := e.singleShardOf(r.Edges); single >= 0 {
-		buf := e.localizeEdges(r.Edges)
-		ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
-		if err != nil {
-			edgeBufPool.Put(buf)
-			return nil, err
-		}
-		e.requests.Add(1)
-		return func(ctx context.Context) (Decision, error) {
-			d, err := e.awaitLocal(ctx, id, ch, buf)
-			// Per-request engine failures travel on the decision (like the
-			// batch path), so stream consumers can keep reading; only
-			// cancellation surfaces as the Await's error.
-			if err != nil && ctx.Err() == nil {
-				return Decision{ID: id, Err: err}, nil
+// tally folds decided runs into the engine's counters.
+func (e *Engine) tally(runs [][]item) {
+	var accepted, errs int64
+	for _, run := range runs {
+		for _, it := range run {
+			switch {
+			case it.d.Err != nil:
+				errs++
+			case it.d.Accepted:
+				accepted++
 			}
-			return d, err
-		}, nil
-	}
-	d, err := e.submitCross(ctx, id, e.groupByShard(r.Edges), r.Cost)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
 		}
-		d, err = Decision{ID: id, Err: err}, nil
 	}
-	return service.Ready(d, err), nil
+	e.accepted.Add(accepted)
+	e.errs.Add(errs)
 }
 
 // ShardStat is a per-shard snapshot of load and accounting, the data
@@ -770,29 +565,13 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard: live via stats ops while
-// the engine is open, or the final snapshots recorded at loop exit after
-// Close. The enter registration makes a live snapshot safe against a
-// concurrent Close (Close drains it before closing the shard queues).
+// snapshots collects one state snapshot per shard: live while the engine
+// is open, the final snapshots after Close.
 func (e *Engine) snapshots() []shardSnapshot {
-	out := make([]shardSnapshot, len(e.shards))
-	if !e.enter() {
-		// Closed: read the final snapshots once the loops have exited.
-		e.loops.Wait()
-		for i, s := range e.shards {
-			out[i] = s.final
-		}
-		return out
-	}
-	replies := make([]chan reply, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = s.sendNow(op{kind: opStats})
-	}
-	// The ops are queued; shards answer them even if Close runs now, so the
-	// admission path can be released before collecting.
-	e.exit()
-	for i := range replies {
-		out[i] = recvReply(replies[i]).stats
+	reps := e.rt.Snapshots()
+	out := make([]shardSnapshot, len(reps))
+	for i, rep := range reps {
+		out[i] = rep.stats
 	}
 	return out
 }
@@ -800,41 +579,16 @@ func (e *Engine) snapshots() []shardSnapshot {
 // Drain blocks until no submissions are in flight — including the
 // background accounting of cancellation-abandoned operations — or ctx is
 // done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes). The
-// wait parks between polls instead of spinning, so a long drain does not
-// burn a core.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool {
-		return e.inflight.Load() == 0 && e.drainers.Idle()
-	})
-}
+// (the serving layer refuses new work, then drains, then closes).
+func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
 // in-flight submissions finish, and every shard loop exits after recording
 // its final snapshot. Snapshot, Stats and RejectedCost remain usable (and
-// exact) afterwards; for operations abandoned through a Stream whose
-// context died, exactness additionally requires the stream to have been
-// closed and fully resolved (Recv to io.EOF) first. Close is idempotent
-// and always returns nil (the error is part of the generic service
-// contract).
+// exact) afterwards. Close is idempotent and always returns nil (the error
+// is part of the generic service contract).
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		e.loops.Wait()
-		e.drainers.Wait()
-		return nil
-	}
-	e.drainInflight()
-	// Wait for cancellation drainers before closing the shard queues: a
-	// cross-shard abort drainer may still need to enqueue release ops.
-	e.drainers.Wait()
-	for _, s := range e.shards {
-		close(s.ops)
-	}
-	e.loops.Wait()
-	// Late drainers (spawned by stream awaits resolved during shutdown)
-	// only consume already-buffered replies; wait them out so post-Close
-	// statistics are exact.
-	e.drainers.Wait()
+	e.rt.Close()
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"admission/internal/graph"
 	"admission/internal/problem"
 	"admission/internal/rng"
+	"admission/internal/shard"
 	"admission/internal/workload"
 )
 
@@ -113,7 +114,7 @@ func TestShardedMatchesPerShardReference(t *testing.T) {
 			local[i] = caps[ge]
 		}
 		cfg := acfg
-		cfg.Seed = shardSeed(acfg.Seed, s)
+		cfg.Seed = shard.Seed(acfg.Seed, s)
 		refs[s], err = core.NewRandomized(local, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +264,7 @@ func TestConcurrentSubmits(t *testing.T) {
 	}
 	acfg := core.DefaultConfig()
 	acfg.Seed = 5
-	eng, err := New(ins.Capacities, Config{Partition: parts, Algorithm: acfg, BatchSize: 8, QueueLen: 32})
+	eng, err := New(ins.Capacities, Config{Partition: parts, Algorithm: acfg})
 	if err != nil {
 		t.Fatal(err)
 	}

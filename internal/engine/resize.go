@@ -58,10 +58,10 @@ func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resi
 	if edge != AllEdges && (edge < 0 || edge >= len(e.caps)) {
 		return Resize{}, fmt.Errorf("engine: resize of unknown edge %d, have %d edges", edge, len(e.caps))
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Resize{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
 	// Bucket the target edges by owning shard as local indices: one op per
 	// involved shard, shards working in parallel.
@@ -83,14 +83,14 @@ func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resi
 	res := Resize{Edge: edge}
 	replies := make([]chan reply, len(order))
 	for i, si := range order {
-		ch, err := e.shards[si].send(ctx, op{kind: kind, edges: byShard[si], units: units})
+		ch, err := e.rt.Send(ctx, si, op{kind: kind, edges: byShard[si], units: units})
 		if err != nil {
 			// Cancelled mid-fire: the ops already queued still apply; await
 			// them in the background so the reply channels recycle.
 			fired := replies[:i]
-			e.drainers.Go(func() {
+			e.rt.Go(func() {
 				for _, ch := range fired {
-					recvReply(ch)
+					e.rt.Recv(ch)
 				}
 			})
 			return Resize{}, err
@@ -100,7 +100,7 @@ func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resi
 	}
 	var firstErr error
 	for i := range order {
-		rep := recvReply(replies[i])
+		rep := e.rt.Recv(replies[i])
 		res.Applied += rep.applied
 		res.Preempted = append(res.Preempted, rep.preempted...)
 		if rep.err != nil && firstErr == nil {

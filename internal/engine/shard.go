@@ -1,25 +1,20 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"admission/internal/core"
 	"admission/internal/problem"
-	"admission/internal/service"
 )
 
-// opKind enumerates shard operations.
+// opKind enumerates the single ops a shard decides; offers travel in runs.
 type opKind uint8
 
 const (
-	// opOffer runs the shard's §3 instance on a single-shard request.
-	opOffer opKind = iota
 	// opReserve tentatively consumes one capacity unit per listed edge
 	// (two-phase cross-shard, phase 1). Granted only if every edge has a
 	// free integral slot.
-	opReserve
+	opReserve opKind = iota
 	// opRelease undoes a granted reservation (two-phase abort).
 	opRelease
 	// opCommit makes a granted reservation permanent (cluster two-phase
@@ -42,23 +37,29 @@ const (
 	opShrink
 )
 
-// op is one message into a shard's queue. edges are local indices.
+// op is a single (non-run) message into a shard's queue. edges are local
+// indices.
 type op struct {
-	kind     opKind
-	globalID int
-	edges    []int
-	units    int // opGrow/opShrink: capacity units per listed edge
-	cost     float64
-	reply    chan reply
+	kind  opKind
+	units int // opGrow/opShrink: capacity units per listed edge
+	edges []int
 }
 
-// reply is a shard's answer, sent on the op's buffered reply channel.
+// reply is a shard's answer to an op.
 type reply struct {
 	ok        bool
 	applied   int   // opGrow/opShrink: capacity units actually applied
 	preempted []int // global request IDs
 	err       error
 	stats     shardSnapshot
+}
+
+// item is one single-shard request of a batch, decided inside its shard's
+// run. The shard writes the outcome into *d.
+type item struct {
+	d     *Decision // the request's slot in the batch result; d.ID is set
+	edges []int     // local edge indices
+	cost  float64
 }
 
 // shardSnapshot is a consistent view of one shard's accounting.
@@ -70,97 +71,40 @@ type shardSnapshot struct {
 	caps         []int // per local edge: effective capacity + reservations
 }
 
-// replyPool recycles the per-operation reply channels: every op's channel
-// carries exactly one send and one receive, so a channel is safe to reuse as
-// soon as its reply has been consumed. This removes one channel allocation
-// per operation from the admission path.
-var replyPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
-
-// recvReply receives an op's reply and returns its channel to the pool.
-func recvReply(ch chan reply) reply {
-	r := <-ch
-	replyPool.Put(ch)
-	return r
-}
-
-// shard owns one edge partition. All fields are touched only by the shard's
-// own goroutine (loop); other goroutines communicate via ops.
-type shard struct {
-	idx       int
-	ops       chan op
-	batchSize int
+// shardState owns one edge partition. Its fields are touched only by the
+// shard's event loop (shard.Runtime); other goroutines send it runs and
+// ops. globalEdges is immutable after construction and read by the engine
+// too.
+type shardState struct {
+	idx int
 
 	alg         *core.Randomized
 	globalEdges []int // local edge -> global edge ID
 	reserved    []int // per local edge: granted cross-shard reservations
 	committed   []int // per local edge: committed (permanent) reservations
 	reqGlobal   []int // local request ID -> global request ID
-
-	// final is the snapshot taken when the loop exits; readable by other
-	// goroutines after Engine.loops.Wait() (happens-before via join).
-	final shardSnapshot
-
-	batch []op // scratch
 }
 
-// send enqueues an op and returns its reply channel without waiting. The
-// channel comes from replyPool; consume it with recvReply to recycle it.
-// Enqueueing honours ctx (service.TrySend): when the shard queue is full
-// and ctx is done the op is not enqueued and ctx's error is returned —
-// the cancellation boundary of the generic serving contract.
-func (s *shard) send(ctx context.Context, o op) (chan reply, error) {
-	o.reply = replyPool.Get().(chan reply)
-	if err := service.TrySend(ctx, s.ops, o); err != nil {
-		replyPool.Put(o.reply)
-		return nil, err
-	}
-	return o.reply, nil
-}
-
-// sendNow enqueues an op without a cancellation boundary and returns its
-// reply channel. It is context-free on purpose: its callers (phase-2
-// release, stats snapshots) must run to completion to keep the engine's
-// invariants.
-func (s *shard) sendNow(o op) chan reply {
-	o.reply = replyPool.Get().(chan reply)
-	s.ops <- o
-	return o.reply
-}
-
-// call enqueues an op without a cancellation boundary and waits for the
-// reply.
-func (s *shard) call(o op) reply { return recvReply(s.sendNow(o)) }
-
-// loop is the shard's event loop: drain a batch of queued operations, decide
-// each in arrival order, answer on the per-op reply channels. It exits when
-// the ops channel is closed, leaving the final snapshot behind.
-func (s *shard) loop() {
-	for o := range s.ops {
-		s.batch = append(s.batch[:0], o)
-	drain:
-		for len(s.batch) < s.batchSize {
-			select {
-			case next, open := <-s.ops:
-				if !open {
-					break drain
-				}
-				s.batch = append(s.batch, next)
-			default:
-				break drain
-			}
+// Run offers a run of single-shard requests to the shard's §3 instance in
+// order.
+func (s *shardState) Run(items []item) {
+	for i := range items {
+		it := &items[i]
+		lid := len(s.reqGlobal)
+		s.reqGlobal = append(s.reqGlobal, it.d.ID)
+		out, err := s.alg.Offer(lid, problem.Request{Edges: it.edges, Cost: it.cost})
+		if err != nil {
+			it.d.Err = fmt.Errorf("engine: shard %d: %w", s.idx, err)
+			continue
 		}
-		for _, o := range s.batch {
-			o.reply <- s.handle(o)
-		}
+		it.d.Accepted = out.Accepted
+		it.d.Preempted = s.toGlobal(out.Preempted)
 	}
-	s.final = s.snapshot()
 }
 
-// handle decides one operation.
-func (s *shard) handle(o op) reply {
+// Handle decides one op.
+func (s *shardState) Handle(o op) reply {
 	switch o.kind {
-	case opOffer:
-		return s.offer(o)
 	case opReserve:
 		return s.reserve(o)
 	case opRelease:
@@ -178,23 +122,12 @@ func (s *shard) handle(o op) reply {
 	}
 }
 
-// offer runs the local §3 instance on a fully-local request.
-func (s *shard) offer(o op) reply {
-	lid := len(s.reqGlobal)
-	s.reqGlobal = append(s.reqGlobal, o.globalID)
-	out, err := s.alg.Offer(lid, problem.Request{Edges: o.edges, Cost: o.cost})
-	if err != nil {
-		return reply{err: fmt.Errorf("engine: shard %d: %w", s.idx, err)}
-	}
-	return reply{ok: out.Accepted, preempted: s.toGlobal(out.Preempted)}
-}
-
 // reserve grants a cross-shard reservation iff every listed edge has a free
 // integral slot, consuming one capacity unit per edge via the §4 shrink. The
 // shrink's weight augmentations may preempt local requests probabilistically
 // (reported in the reply); its deterministic feasibility repair never fires
 // because a free slot was verified first and preemptions only free load.
-func (s *shard) reserve(o op) reply {
+func (s *shardState) reserve(o op) reply {
 	for _, le := range o.edges {
 		// A free integral slot is not sufficient: the fractional layer's
 		// adjusted capacity (consumed by §2 permanent accepts) must also
@@ -226,7 +159,7 @@ func (s *shard) reserve(o op) reply {
 }
 
 // release aborts a granted reservation, restoring the shrunk capacity.
-func (s *shard) release(o op) reply {
+func (s *shardState) release(o op) reply {
 	for _, le := range o.edges {
 		if s.reserved[le] <= 0 {
 			return reply{err: fmt.Errorf("engine: shard %d: release of unreserved edge %d", s.idx, le)}
@@ -242,7 +175,7 @@ func (s *shard) release(o op) reply {
 // commit finalizes a granted reservation: the reserved units move to the
 // committed ledger, where release cannot reach them. The capacity stays
 // shrunk — a committed cross-cluster accept is permanent.
-func (s *shard) commit(o op) reply {
+func (s *shardState) commit(o op) reply {
 	for _, le := range o.edges {
 		if s.reserved[le] <= 0 {
 			return reply{err: fmt.Errorf("engine: shard %d: commit of unreserved edge %d", s.idx, le)}
@@ -257,7 +190,7 @@ func (s *shard) commit(o op) reply {
 
 // grow raises each listed edge's capacity by op.units fresh units (the
 // admin scale-up). Growing never preempts, so it always applies fully.
-func (s *shard) grow(o op) reply {
+func (s *shardState) grow(o op) reply {
 	applied := 0
 	for _, le := range o.edges {
 		for u := 0; u < o.units; u++ {
@@ -276,7 +209,7 @@ func (s *shard) grow(o op) reply {
 // capacity consumed by permanent cross-shard accepts — are skipped rather
 // than failed: the admin caller learns how much actually drained from the
 // applied count and the evicted requests from the preempted list.
-func (s *shard) shrink(o op) reply {
+func (s *shardState) shrink(o op) reply {
 	applied := 0
 	var preempted []int
 	for _, le := range o.edges {
@@ -297,7 +230,7 @@ func (s *shard) shrink(o op) reply {
 }
 
 // snapshot captures the shard's accounting.
-func (s *shard) snapshot() shardSnapshot {
+func (s *shardState) snapshot() shardSnapshot {
 	loads := s.alg.Loads()
 	caps := s.alg.Capacities()
 	for le, r := range s.reserved {
@@ -318,7 +251,7 @@ func (s *shard) snapshot() shardSnapshot {
 }
 
 // toGlobal maps local request IDs to global ones.
-func (s *shard) toGlobal(local []int) []int {
+func (s *shardState) toGlobal(local []int) []int {
 	if len(local) == 0 {
 		return nil
 	}

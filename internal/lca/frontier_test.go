@@ -14,7 +14,8 @@ import (
 )
 
 // TestConcurrentExactQueriesShareFrontier has 8 goroutines ask one engine
-// about shuffled positions through Submit, SubmitBatch and Stream at once.
+// about shuffled positions through Submit, one SubmitBatch and a series of
+// small SubmitBatch calls at once.
 // Every answer must equal the 1-shard streaming engine's decision at that
 // position, and the shared frontier must have simulated each arrival of
 // the prefix exactly once.
@@ -84,26 +85,14 @@ func TestConcurrentExactQueriesShareFrontier(t *testing.T) {
 				}
 				check(qs, as)
 			case 2:
-				st, err := eng.Stream(ctx)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for _, q := range qs {
-					if err := st.Send(q); err != nil {
+				as := make([]Answer, 0, len(qs))
+				for lo := 0; lo < len(qs); lo += 7 {
+					chunk, err := eng.SubmitBatch(ctx, qs[lo:min(lo+7, len(qs))])
+					if err != nil {
 						t.Error(err)
 						return
 					}
-				}
-				as := make([]Answer, len(qs))
-				for i := range as {
-					if as[i], err = st.Recv(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if err := st.Close(); err != nil {
-					t.Error(err)
+					as = append(as, chunk...)
 				}
 				check(qs, as)
 			}

@@ -153,8 +153,6 @@ type Config struct {
 	Algorithm core.Config
 	// Workers bounds concurrent query computations (default GOMAXPROCS).
 	Workers int
-	// StreamDepth sizes Stream's pipeline buffers (default 256).
-	StreamDepth int
 }
 
 // Query asks for the decision at one arrival position.
@@ -192,14 +190,12 @@ type Answer struct {
 func (a Answer) DecisionErr() error { return a.Err }
 
 // Engine answers decision queries over one seeded arrival order. It
-// implements service.Service[Query, Answer] (and the prevalidated Batcher
-// fast path), so it plugs into the generic serving stack exactly like the
-// streaming engines.
+// implements service.Service[Query, Answer], so it plugs into the generic
+// serving stack exactly like the streaming engines.
 type Engine struct {
 	cfg     Config
 	ins     *problem.Instance
 	workers int
-	depth   int
 	sema    chan struct{}
 
 	front frontier
@@ -226,7 +222,6 @@ type frontier struct {
 }
 
 var _ service.Service[Query, Answer] = (*Engine)(nil)
-var _ service.Batcher[Query, Answer] = (*Engine)(nil)
 
 // New builds a query engine: it generates the source sequence once (held
 // immutable thereafter), validates that the algorithm configuration can
@@ -258,15 +253,10 @@ func New(cfg Config) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := cfg.StreamDepth
-	if depth <= 0 {
-		depth = 256
-	}
 	return &Engine{
 		cfg:     cfg,
 		ins:     ins,
 		workers: workers,
-		depth:   depth,
 		sema:    make(chan struct{}, workers),
 		front:   frontier{alg: alg},
 	}, nil
@@ -409,49 +399,6 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Ans
 		return nil, ctx.Err()
 	}
 	return out, nil
-}
-
-// Stream opens an ordered, pipelined query stream: Send dispatches a query
-// to the worker pool without waiting for earlier answers, Recv yields
-// answers in send order.
-func (e *Engine) Stream(ctx context.Context) (*service.Stream[Query, Answer], error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	return service.NewStream(ctx, e.depth, e.dispatch), nil
-}
-
-// dispatch fires one query onto the worker pool and returns the await for
-// its answer. The computation (and its accounting) always completes even
-// if the caller stops waiting — cancellation bounds the wait only.
-func (e *Engine) dispatch(ctx context.Context, q Query) (service.Await[Answer], error) {
-	if !e.enter() {
-		return nil, ErrClosed
-	}
-	if err := e.Validate(q); err != nil {
-		e.exit()
-		return nil, err
-	}
-	ch := make(chan Answer, 1)
-	go func() {
-		defer e.exit()
-		ch <- e.compute(q)
-	}()
-	return func(ctx context.Context) (Answer, error) {
-		select {
-		case a := <-ch:
-			return a, nil
-		case <-ctx.Done():
-			// Prefer an answer that is already available; the computation
-			// goroutine accounts itself either way.
-			select {
-			case a := <-ch:
-				return a, nil
-			default:
-				return Answer{}, ctx.Err()
-			}
-		}
-	}, nil
 }
 
 // Stats returns the uniform statistics snapshot. Objective is the sum of

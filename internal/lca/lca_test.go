@@ -140,8 +140,9 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-// TestBatchStreamSubmitAgree answers every position three ways — Submit,
-// SubmitBatch, Stream — and requires identical answers in order.
+// TestBatchStreamSubmitAgree answers every position three ways — one
+// SubmitBatch, a stream of small SubmitBatch calls, and Submit — and
+// requires identical answers in order.
 func TestBatchStreamSubmitAgree(t *testing.T) {
 	eng := testEngine(t, "random", workload.CostUniform, 64, 5, core.DefaultConfig(), 4)
 	defer eng.Close()
@@ -159,26 +160,16 @@ func TestBatchStreamSubmitAgree(t *testing.T) {
 		t.Fatalf("batch returned %d answers for %d queries", len(batch), len(qs))
 	}
 
-	st, err := eng.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		if err := st.Send(q); err != nil {
+	for lo := 0; lo < len(qs); lo += 5 {
+		as, err := eng.SubmitBatch(ctx, qs[lo:min(lo+5, len(qs))])
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := range qs {
-		a, err := st.Recv()
-		if err != nil {
-			t.Fatalf("Recv %d: %v", i, err)
+		for i, a := range as {
+			if fmt.Sprint(a) != fmt.Sprint(batch[lo+i]) {
+				t.Fatalf("streamed answer %d = %+v, batch = %+v", lo+i, a, batch[lo+i])
+			}
 		}
-		if fmt.Sprint(a) != fmt.Sprint(batch[i]) {
-			t.Fatalf("stream answer %d = %+v, batch = %+v", i, a, batch[i])
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	for i, q := range qs[:8] {
@@ -289,9 +280,6 @@ func TestCloseAndDrain(t *testing.T) {
 	}
 	if _, err := eng.SubmitBatch(ctx, []Query{{Pos: 0}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitBatch after Close: %v, want ErrClosed", err)
-	}
-	if _, err := eng.Stream(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Stream after Close: %v, want ErrClosed", err)
 	}
 	// Statistics remain readable and exact after Close.
 	if st := eng.Stats(); st.Requests != 1 {

@@ -375,8 +375,9 @@ func TestRouterAdmissionLoopback(t *testing.T) {
 	}
 }
 
-// TestRouterStreamOrdered: the router's Stream facade must deliver
-// decisions in submission order with the same routing semantics.
+// TestRouterStreamOrdered: a request stream submitted through the router
+// in batches must come back in submission order — strictly increasing
+// router IDs, no failed decisions — over a live backend.
 func TestRouterStreamOrdered(t *testing.T) {
 	caps := make([]int, 8)
 	for i := range caps {
@@ -410,29 +411,28 @@ func TestRouterStreamOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := router.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 40
-	go func() {
-		for i := 0; i < n; i++ {
-			_ = st.Send(problem.Request{Edges: []int{i % len(caps)}, Cost: 1})
-		}
-		st.Close()
-	}()
-	var got int
-	for {
-		d, err := st.Recv()
-		if err != nil {
-			break
-		}
-		if d.Err != nil {
-			t.Fatalf("stream decision %d failed: %v", got, d.Err)
-		}
-		got++
+	reqs := make([]problem.Request, n)
+	for i := range reqs {
+		reqs[i] = problem.Request{Edges: []int{i % len(caps)}, Cost: 1}
 	}
-	if got != n {
-		t.Fatalf("stream yielded %d decisions, want %d", got, n)
+	prev := -1
+	for lo := 0; lo < n; lo += 7 {
+		ds, err := router.SubmitBatch(context.Background(), reqs[lo:min(lo+7, n)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range ds {
+			if d.Err != nil {
+				t.Fatalf("decision %d failed: %v", lo+i, d.Err)
+			}
+			if d.ID <= prev {
+				t.Fatalf("decision %d has ID %d after %d", lo+i, d.ID, prev)
+			}
+			prev = d.ID
+		}
+	}
+	if got := router.Stats().Requests; got != n {
+		t.Fatalf("router counted %d requests, want %d", got, n)
 	}
 }

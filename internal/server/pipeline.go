@@ -258,10 +258,10 @@ func (p *pipe[Req, Dec]) flushLoop() {
 
 // flush submits one coalesced batch through the service's pipelined batch
 // path and delivers each submission its chunk of decisions. Items were
-// validated at the HTTP boundary, so the prevalidated fast path is used
-// when the service has one. A whole-batch error (the service was closed
-// under the server) fans out to every chunk; per-item failures reach only
-// their own line via the decision's DecisionErr. On a durable pipeline the
+// validated at the HTTP boundary, so the prevalidated path is used. A
+// whole-batch error (the service was closed under the server) fans out to
+// every chunk; per-item failures reach only their own line via the
+// decision's DecisionErr. On a durable pipeline the
 // batch is appended to the WAL here (buffered) and handed to the acker,
 // which fsyncs before delivering — a decision is never released to a
 // client before the log covers it. A WAL append failure fails the whole
@@ -269,7 +269,7 @@ func (p *pipe[Req, Dec]) flushLoop() {
 // rather than serving decisions durability has lost.
 func (p *pipe[Req, Dec]) flush(reqs []Req, spans []flushSpan[Req, Dec]) {
 	p.batchSz.Observe(float64(len(reqs)))
-	ds, err := service.SubmitPrevalidated(context.Background(), p.svc, reqs)
+	ds, err := p.svc.SubmitBatchPrevalidated(context.Background(), reqs)
 	if p.dur == nil {
 		p.deliver(spans, ds, err)
 		return

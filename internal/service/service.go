@@ -1,7 +1,7 @@
 // Package service defines the one serving contract every online workload
 // in this repository is exposed through (DESIGN.md §10): a generic
-// Service[Req, Dec] with context-aware single, batched and streamed
-// submission, uniform statistics, and a uniform drain/close lifecycle.
+// Service[Req, Dec] with context-aware single and batched submission,
+// uniform statistics, and a uniform drain/close lifecycle.
 //
 // The admission engine (internal/engine, §§2–3 of the paper) and the set
 // cover engine (internal/coverengine, §§4–5) both implement Service; the
@@ -13,12 +13,12 @@
 // query→decision oracle, and the serving question (batching, pipelining,
 // cancellation, observability) is the same for all of them.
 //
-// Concurrency contract: a Service's Submit, SubmitBatch, Stream, Validate
-// and Stats are safe for concurrent use by any number of goroutines.
-// Context cancellation is honoured at blocking boundaries (enqueueing into
-// a full shard queue, waiting for a decision); once an operation has been
-// enqueued its decision is still made and accounted — cancellation bounds
-// the caller's wait, never the engine's bookkeeping.
+// Concurrency contract: a Service's Submit, SubmitBatch, Validate and
+// Stats are safe for concurrent use by any number of goroutines. Context
+// cancellation is honoured at blocking boundaries (enqueueing into a full
+// shard queue); once an operation has been enqueued its decision is still
+// made and accounted — cancellation bounds the caller's wait, never the
+// engine's bookkeeping.
 package service
 
 import "context"
@@ -66,10 +66,12 @@ type Service[Req any, Dec Decision] interface {
 	// batch before anything is dispatched. Per-item serving failures are
 	// reported on the decision (DecisionErr), not as the batch error.
 	SubmitBatch(ctx context.Context, reqs []Req) ([]Dec, error)
-	// Stream opens an ordered, pipelined submission stream: Send dispatches
-	// without waiting for earlier decisions, Recv yields decisions in send
-	// order. The stream is bounded by the service's queue depth.
-	Stream(ctx context.Context) (*Stream[Req, Dec], error)
+	// SubmitBatchPrevalidated is SubmitBatch without the per-item
+	// validation pass, for callers that have already run Validate on every
+	// item (the HTTP layer validates at the request boundary and would
+	// otherwise pay the same scan twice per item). Submitting an
+	// unvalidated request through it is undefined behaviour.
+	SubmitBatchPrevalidated(ctx context.Context, reqs []Req) ([]Dec, error)
 	// Validate checks a request exactly the way Submit would, so batching
 	// callers (the HTTP layer) can reject malformed items up front.
 	Validate(req Req) error
@@ -82,23 +84,4 @@ type Service[Req any, Dec Decision] interface {
 	// ones finish, and statistics remain readable (and exact) afterwards.
 	// Close is idempotent.
 	Close() error
-}
-
-// Batcher is an optional fast path a Service may implement: SubmitBatch
-// minus the per-item validation pass, for callers that have already run
-// Validate on every item (the HTTP layer validates at the request boundary
-// and would otherwise pay the same scan twice per item). Submitting an
-// unvalidated request through it is undefined behaviour.
-type Batcher[Req any, Dec Decision] interface {
-	// SubmitBatchPrevalidated is SubmitBatch without re-validating items.
-	SubmitBatchPrevalidated(ctx context.Context, reqs []Req) ([]Dec, error)
-}
-
-// SubmitPrevalidated dispatches a batch through the service's prevalidated
-// fast path when it has one, falling back to SubmitBatch otherwise.
-func SubmitPrevalidated[Req any, Dec Decision](ctx context.Context, svc Service[Req, Dec], reqs []Req) ([]Dec, error) {
-	if b, ok := svc.(Batcher[Req, Dec]); ok {
-		return b.SubmitBatchPrevalidated(ctx, reqs)
-	}
-	return svc.SubmitBatch(ctx, reqs)
 }

@@ -9,9 +9,10 @@ import (
 
 // DrainTracker counts background accounting goroutines — the drainers
 // that finish the bookkeeping of operations whose caller stopped waiting
-// after a context cancellation. Both engines embed one so their Drain and
-// Close can guarantee the counters (and, for set cover, the ledger) have
-// converged before statistics are reported as exact.
+// after a context cancellation. The shard runtime (internal/shard) embeds
+// one so both engines' Drain and Close can guarantee the counters (and,
+// for set cover, the ledger) have converged before statistics are reported
+// as exact.
 type DrainTracker struct {
 	n atomic.Int64
 }

@@ -8,8 +8,8 @@ import (
 
 // Option configures an engine constructor (NewEngine, NewCoverEngine).
 // Options replace the old EngineConfig/CoverEngineConfig structs with one
-// shared functional surface: the same WithShards/WithPartition/WithBatch
-// options tune either engine, while workload-specific options (WithMode,
+// shared functional surface: the same WithShards/WithPartition options
+// tune either engine, while workload-specific options (WithMode,
 // WithEps for set cover; WithAlgorithm's interpretation) are validated by
 // the constructor they are passed to. See DESIGN.md §10 for the migration
 // table.
@@ -20,8 +20,6 @@ type Option func(*engineOptions) error
 type engineOptions struct {
 	shards    int
 	partition [][]int
-	batch     int
-	queue     int
 	seed      *uint64
 	algorithm *Config
 	mode      *CoverMode
@@ -63,31 +61,6 @@ func WithPartition(partition [][]int) Option {
 			return fmt.Errorf("admission: WithPartition: empty partition")
 		}
 		o.partition = partition
-		return nil
-	}
-}
-
-// WithBatch bounds how many queued operations a shard's event loop drains
-// per iteration (the engines default to 64).
-func WithBatch(n int) Option {
-	return func(o *engineOptions) error {
-		if n <= 0 {
-			return fmt.Errorf("admission: WithBatch(%d): batch size must be > 0", n)
-		}
-		o.batch = n
-		return nil
-	}
-}
-
-// WithQueue sets each shard's operation queue capacity, which also sizes
-// an engine Stream's buffers — the stream blocks sends once about twice
-// this many decisions are unreceived (the engines default to 256).
-func WithQueue(n int) Option {
-	return func(o *engineOptions) error {
-		if n <= 0 {
-			return fmt.Errorf("admission: WithQueue(%d): queue length must be > 0", n)
-		}
-		o.queue = n
 		return nil
 	}
 }

@@ -2,7 +2,6 @@ package admission_test
 
 import (
 	"context"
-	"io"
 	"strings"
 	"testing"
 
@@ -36,9 +35,7 @@ func TestEngineOptions(t *testing.T) {
 	t.Run("sharded with options", func(t *testing.T) {
 		eng, err := admission.NewEngine(caps,
 			admission.WithShards(2),
-			admission.WithSeed(42),
-			admission.WithBatch(16),
-			admission.WithQueue(64))
+			admission.WithSeed(42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,32 +231,15 @@ func TestFacadeServiceContract(t *testing.T) {
 }
 
 // countDecisions is a workload-agnostic serving loop written once against
-// the generic Service contract: stream every request, drain, close, and
-// report how many decisions came back.
+// the generic Service contract: submit every request as one batch, drain,
+// close, and report how many decisions came back.
 func countDecisions[Req any, Dec admission.ServiceDecision](ctx context.Context, svc admission.Service[Req, Dec], reqs []Req) (int, error) {
-	st, err := svc.Stream(ctx)
+	ds, err := svc.SubmitBatch(ctx, reqs)
 	if err != nil {
 		return 0, err
 	}
-	for _, r := range reqs {
-		if err := st.Send(r); err != nil {
-			return 0, err
-		}
-	}
-	if err := st.Close(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for {
-		if _, err := st.Recv(); err == io.EOF {
-			break
-		} else if err != nil {
-			return n, err
-		}
-		n++
-	}
 	if err := svc.Drain(ctx); err != nil {
-		return n, err
+		return len(ds), err
 	}
-	return n, svc.Close()
+	return len(ds), svc.Close()
 }
