@@ -358,7 +358,9 @@ func (e *Engine) SubmitBatch(ctx context.Context, qs []Query) ([]Answer, error) 
 }
 
 // SubmitBatchPrevalidated is SubmitBatch without the validation pass (the
-// serving layer validates at the request boundary).
+// serving layer validates at the request boundary). The calling goroutine
+// is one of the min(Workers, len(qs)) workers, so a batch of one query
+// spawns no goroutine.
 func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Answer, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -368,32 +370,32 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Ans
 	}
 	defer e.exit()
 	out := make([]Answer, len(qs))
-	workers := e.workers
-	if workers > len(qs) {
-		workers = len(qs)
-	}
 	var (
 		next      atomic.Int64
 		wg        sync.WaitGroup
 		cancelled atomic.Bool
 	)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(qs) {
+				return
+			}
+			if ctx.Err() != nil {
+				cancelled.Store(true)
+				return
+			}
+			out[i] = e.compute(qs[i])
+		}
+	}
+	for w := 1; w < min(e.workers, len(qs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				out[i] = e.compute(qs[i])
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if cancelled.Load() {
 		return nil, ctx.Err()

@@ -302,4 +302,12 @@ func TestCancellation(t *testing.T) {
 	if _, err := eng.SubmitBatchPrevalidated(ctx, qs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitBatchPrevalidated on cancelled ctx: %v", err)
 	}
+	// A batch of one runs on the calling goroutine alone, with the same
+	// cancellation check as the fanned-out batch above.
+	if _, err := eng.SubmitBatchPrevalidated(ctx, []Query{{Pos: 1}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("one-query SubmitBatchPrevalidated on cancelled ctx: %v", err)
+	}
+	if got := eng.Stats().Requests; got != 0 {
+		t.Fatalf("cancelled submissions computed %d queries, want 0", got)
+	}
 }

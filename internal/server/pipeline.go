@@ -19,16 +19,20 @@ import (
 
 // pipe is one workload's coalescing batch pipeline plus its HTTP handler
 // pair — the single generic serving path every registered workload shares.
-// Handlers enqueue whole submissions (one channel operation per HTTP
-// request, not per item) under an item-counted bound (Config.QueueLen), so
-// buffered memory stays bounded regardless of submission sizes; the
-// flusher goroutine coalesces queued submissions into engine batches of up
-// to Config.BatchSize items, dispatches them through the service's
-// pipelined batch path, and hands each submission its slice of the
-// decisions. One flusher per workload
-// preserves global FIFO order over that workload's queue, which keeps
-// one-connection traffic decision-deterministic — the property the
-// E14/E15 identity gates rely on.
+// A submission has two entry points. When it fits one engine batch, the
+// pipeline is in-memory, and no item accepted before it is still
+// undecided, its handler decides it inline (decideInline). Otherwise the
+// handler enqueues it whole (one channel operation per HTTP request, not
+// per item) under an item-counted bound (Config.QueueLen), so buffered
+// memory stays bounded regardless of submission sizes; the flusher
+// goroutine coalesces queued submissions into engine batches of up to
+// Config.BatchSize items, dispatches them through the service's pipelined
+// batch path, and hands each submission its slice of the decisions. Both
+// entry points decide under decideMu, and an inline decision is taken only
+// when nothing accepted earlier is undecided, so items are decided in the
+// workload's global FIFO order, which keeps one-connection traffic
+// decision-deterministic — the property the E14/E15 identity gates rely
+// on.
 type pipe[Req any, Dec service.Decision] struct {
 	srv   *Server
 	name  string
@@ -44,6 +48,13 @@ type pipe[Req any, Dec service.Decision] struct {
 	qmu         sync.Mutex
 	qcond       *sync.Cond
 	queuedItems int
+
+	// decideMu is held by whoever is deciding items: the flusher from its
+	// first take of a batch until the batch is delivered, an inline
+	// handler for its submission's engine call. The flusher may block on
+	// it; a handler only TryLocks it, while holding qmu, so the qmu →
+	// decideMu order never deadlocks against the flusher's decideMu → qmu.
+	decideMu sync.Mutex
 
 	decisions *metrics.Counter
 	errItems  *metrics.Counter
@@ -208,6 +219,10 @@ func (p *pipe[Req, Dec]) flushLoop() {
 		}
 		reqs = reqs[:0]
 		spans = spans[:0]
+		// Held from the first take until the batch is delivered: once
+		// releaseItems below drops queuedItems, the lock is what keeps an
+		// inline submission from overtaking items taken but not decided.
+		p.decideMu.Lock()
 	fill:
 		for len(reqs) < size {
 			if cur == nil {
@@ -240,6 +255,7 @@ func (p *pipe[Req, Dec]) flushLoop() {
 			}
 		}
 		p.flush(reqs, spans)
+		p.decideMu.Unlock()
 		p.maybeSnapshot()
 		if p.snapCh != nil {
 			// Between batches everything submitted is decided — the other
@@ -374,9 +390,7 @@ func (p *pipe[Req, Dec]) maybeSnapshot() {
 }
 
 // deliver hands each submission its chunk of decisions, folding every
-// decision into the metrics counters before delivery — a client that
-// disconnects mid-stream must not leave /metrics short of the engine's
-// ledger.
+// decision into the metrics counters before delivery.
 func (p *pipe[Req, Dec]) deliver(spans []flushSpan[Req, Dec], ds []Dec, err error) {
 	now := time.Now()
 	at := 0
@@ -386,19 +400,56 @@ func (p *pipe[Req, Dec]) deliver(spans []flushSpan[Req, Dec], ds []Dec, err erro
 			c.ds = ds[at : at+sp.n]
 		}
 		at += sp.n
-		p.latency.Observe(now.Sub(sp.sub.enq).Seconds())
-		for _, d := range c.ds {
-			if d.DecisionErr() != nil {
-				p.errItems.Inc()
-				continue
-			}
-			p.decisions.Inc()
-			if p.observe != nil {
-				p.observe(d)
-			}
-		}
+		p.account(c, now.Sub(sp.sub.enq))
 		sp.sub.done <- c
 	}
+}
+
+// account folds one decided chunk into the latency histogram and the
+// decision counters. Both entry points call it before any of the chunk's
+// lines is written — a client that disconnects mid-stream must not leave
+// /metrics short of the engine's ledger.
+func (p *pipe[Req, Dec]) account(c chunk[Dec], latency time.Duration) {
+	p.latency.Observe(latency.Seconds())
+	for _, d := range c.ds {
+		if d.DecisionErr() != nil {
+			p.errItems.Inc()
+			continue
+		}
+		p.decisions.Inc()
+		if p.observe != nil {
+			p.observe(d)
+		}
+	}
+}
+
+// decideInline decides reqs on the calling handler and reports true, or
+// reports false and decides nothing. It decides only a submission that
+// fits one engine batch on an in-memory pipeline (a durable one releases
+// decisions only after the acker's fsync), and only if, at the moment it
+// is accepted under qmu, no earlier item is undecided: none queued, and
+// decideMu free, so the flusher holds no taken batch. The submission is
+// observed as one batch and one chunk, as the flusher would observe it.
+func (p *pipe[Req, Dec]) decideInline(reqs []Req) (chunk[Dec], bool) {
+	if p.dur != nil || len(reqs) > p.srv.cfg.batchSize() {
+		return chunk[Dec]{}, false
+	}
+	p.qmu.Lock()
+	ok := p.queuedItems == 0 && p.decideMu.TryLock()
+	p.qmu.Unlock()
+	if !ok {
+		return chunk[Dec]{}, false
+	}
+	start := time.Now()
+	p.batchSz.Observe(float64(len(reqs)))
+	ds, err := p.svc.SubmitBatchPrevalidated(context.Background(), reqs)
+	p.decideMu.Unlock()
+	c := chunk[Dec]{n: len(reqs), err: err}
+	if err == nil {
+		c.ds = ds
+	}
+	p.account(c, time.Since(start))
+	return c, true
 }
 
 // isWireContentType reports whether ct (with optional parameters) names
@@ -480,7 +531,9 @@ type decisionSink[Dec service.Decision] interface {
 	decision(d Dec) bool
 	// errorLine writes one whole-batch failure line.
 	errorLine(msg string) bool
-	// finish flushes whatever is buffered.
+	// finish writes whatever is buffered through to the ResponseWriter
+	// without forcing a flush: net/http finishes the response, so a small
+	// one leaves in one write with a Content-Length.
 	finish()
 }
 
@@ -510,12 +563,7 @@ func (s *jsonSink[Dec]) errorLine(msg string) bool {
 	return s.enc.Encode(errorJSON{Error: msg}) == nil
 }
 
-func (s *jsonSink[Dec]) finish() {
-	_ = s.bw.Flush()
-	if s.flusher != nil {
-		s.flusher.Flush()
-	}
-}
+func (s *jsonSink[Dec]) finish() { _ = s.bw.Flush() }
 
 // wireFlushBytes is the buffered-bytes threshold at which the binary sink
 // writes its pooled buffer through to the client.
@@ -544,16 +592,7 @@ func (s *wireSink[Dec]) maybeFlush() bool {
 	if len(s.buf.B) < wireFlushBytes {
 		return true
 	}
-	return s.flushNow()
-}
-
-func (s *wireSink[Dec]) flushNow() bool {
-	if len(s.buf.B) == 0 {
-		return true
-	}
-	_, err := s.w.Write(s.buf.B)
-	s.buf.B = s.buf.B[:0]
-	if err != nil {
+	if !s.write() {
 		return false
 	}
 	if s.flusher != nil {
@@ -562,15 +601,25 @@ func (s *wireSink[Dec]) flushNow() bool {
 	return true
 }
 
-func (s *wireSink[Dec]) finish() { s.flushNow() }
+// write hands the buffered frames to the ResponseWriter.
+func (s *wireSink[Dec]) write() bool {
+	if len(s.buf.B) == 0 {
+		return true
+	}
+	_, err := s.w.Write(s.buf.B)
+	s.buf.B = s.buf.B[:0]
+	return err == nil
+}
+
+func (s *wireSink[Dec]) finish() { s.write() }
 
 // handleSubmit decodes one submission (a JSON item or array, or a framed
 // binary body when the request's Content-Type negotiates the wire
 // protocol), validates every item up front (the whole submission is
-// rejected if any item is invalid), enqueues it into the workload's
-// batching pipeline, and streams one decision line per item, in item
-// order and in the same format the submission used, as chunks of
-// decisions arrive from the flusher.
+// rejected if any item is invalid), decides it inline or enqueues it into
+// the workload's batching pipeline, and streams one decision line per
+// item, in item order and in the same format the submission used, as
+// chunks of decisions are made.
 func (p *pipe[Req, Dec]) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s := p.srv
 	if r.Method != http.MethodPost {
@@ -610,26 +659,14 @@ func (p *pipe[Req, Dec]) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	// Backpressure by items: wait for queue headroom before enqueueing.
-	// An admitted submission may overshoot the bound by itself (at most
-	// MaxSubmit items), like the old per-item queue once a submission
-	// started enqueueing; the flusher releases room as it takes items, so
-	// waiters here make progress as long as the pipeline is flushing.
-	limit := s.cfg.queueLen()
-	p.qmu.Lock()
-	for p.queuedItems >= limit {
-		p.qcond.Wait()
+	// An inline decision holds enter until it is made, so Drain waits for
+	// it before closing the queues, and the services may be closed as soon
+	// as Drain returns.
+	c, inline := p.decideInline(reqs)
+	var sub *submission[Req, Dec]
+	if !inline {
+		sub = p.enqueue(reqs)
 	}
-	p.queuedItems += len(reqs)
-	p.qmu.Unlock()
-	sub := &submission[Req, Dec]{
-		reqs: reqs,
-		enq:  time.Now(),
-		// Buffered for the worst-case chunk count so the flusher never
-		// blocks on this submission's consumer.
-		done: make(chan chunk[Dec], len(reqs)/s.cfg.batchSize()+2),
-	}
-	p.queue <- sub
 	s.exit()
 
 	flusher, _ := w.(http.Flusher)
@@ -644,33 +681,66 @@ func (p *pipe[Req, Dec]) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		bw := bufio.NewWriter(w)
 		sink = &jsonSink[Dec]{bw: bw, enc: json.NewEncoder(bw), flusher: flusher, encode: p.codec.Encode}
 	}
-	gone := false
-	for served := 0; served < len(reqs); {
-		c := <-sub.done
-		served += c.n
-		if gone {
-			continue // keep receiving so the buffered chunks are consumed
-		}
-		if c.err != nil {
-			// Whole-batch failure: one error line per item in the chunk.
-			line := c.err.Error()
-			for i := 0; i < c.n && !gone; i++ {
-				gone = !sink.errorLine(line)
-			}
-			continue
-		}
-		for _, d := range c.ds {
-			if !sink.decision(d) {
-				// Client went away; decisions are already accounted.
-				gone = true
-				break
-			}
+	ok := true
+	if inline {
+		ok = writeChunk(sink, c)
+	} else {
+		for served := 0; served < len(reqs); {
+			c := <-sub.done
+			served += c.n
+			// Once the client is gone, keep receiving so the buffered
+			// chunks are consumed; decisions are already accounted.
+			ok = ok && writeChunk(sink, c)
 		}
 	}
-	if gone {
-		return
+	if ok {
+		sink.finish()
 	}
-	sink.finish()
+}
+
+// enqueue hands reqs to the flusher once the queue has headroom.
+func (p *pipe[Req, Dec]) enqueue(reqs []Req) *submission[Req, Dec] {
+	// Backpressure by items: wait for queue headroom before enqueueing.
+	// An admitted submission may overshoot the bound by itself (at most
+	// MaxSubmit items), like the old per-item queue once a submission
+	// started enqueueing; the flusher releases room as it takes items, so
+	// waiters here make progress as long as the pipeline is flushing.
+	limit := p.srv.cfg.queueLen()
+	p.qmu.Lock()
+	for p.queuedItems >= limit {
+		p.qcond.Wait()
+	}
+	p.queuedItems += len(reqs)
+	p.qmu.Unlock()
+	sub := &submission[Req, Dec]{
+		reqs: reqs,
+		enq:  time.Now(),
+		// Buffered for the worst-case chunk count so the flusher never
+		// blocks on this submission's consumer.
+		done: make(chan chunk[Dec], len(reqs)/p.srv.cfg.batchSize()+2),
+	}
+	p.queue <- sub
+	return sub
+}
+
+// writeChunk streams one chunk's lines; false once the client is gone.
+func writeChunk[Dec service.Decision](sink decisionSink[Dec], c chunk[Dec]) bool {
+	if c.err != nil {
+		// Whole-batch failure: one error line per item in the chunk.
+		line := c.err.Error()
+		for i := 0; i < c.n; i++ {
+			if !sink.errorLine(line) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, d := range c.ds {
+		if !sink.decision(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // releaseItems returns item headroom to the queue bound and wakes blocked
@@ -702,6 +772,3 @@ func (p *pipe[Req, Dec]) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(body)
 }
-
-// name reported for debugging and future introspection endpoints.
-func (p *pipe[Req, Dec]) String() string { return fmt.Sprintf("pipe(%s)", p.name) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"admission/internal/core"
 	"admission/internal/lca"
+	"admission/internal/wire"
 	"admission/internal/workload"
 )
 
@@ -132,6 +134,38 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 	}
 	if got := metricValue(t, metricsText, "acserve_query_workers"); got != float64(eng.Workers()) {
 		t.Fatalf("workers metric %v, engine %d", got, eng.Workers())
+	}
+
+	// A one-item submission's response is finished by net/http, so it
+	// leaves in one write with a Content-Length instead of as chunks.
+	hc := &http.Client{}
+	defer hc.CloseIdleConnections()
+	for _, post := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"application/json", []byte(`{"pos":3}`)},
+		{wire.ContentType, QueryClientWire().AppendRequest(wire.AppendSubmitHeader(nil, 1), lca.Query{Pos: 3})},
+	} {
+		resp, err := hc.Post(ts.URL+"/v1/query", post.contentType, bytes.NewReader(post.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", post.contentType, resp.StatusCode, body)
+		}
+		if resp.ContentLength <= 0 || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v: want one sized write",
+				post.contentType, resp.ContentLength, resp.TransferEncoding)
+		}
+		if int64(len(body)) != resp.ContentLength {
+			t.Fatalf("%s: read %d bytes, Content-Length %d", post.contentType, len(body), resp.ContentLength)
+		}
 	}
 }
 

@@ -21,9 +21,11 @@
 // accounting observable.
 //
 // Concurrency contract: a Server's HTTP handlers are safe for any number
-// of concurrent connections; each workload's pipeline is a single flusher
-// goroutine (preserving global FIFO order over that workload's submission
-// queue, which keeps one-connection traffic decision-deterministic), and
+// of concurrent connections. Each workload's items are decided in one
+// global FIFO order, which keeps one-connection traffic
+// decision-deterministic: a submission that fits one engine batch and finds
+// nothing earlier undecided is decided on its own handler, every other one
+// by the workload's flusher goroutine, and both decide under one lock.
 // Drain may be called from any goroutine, concurrently with in-flight
 // handlers. The Server does not close its services — the caller owns them.
 package server
@@ -287,7 +289,7 @@ type Server struct {
 
 	draining   atomic.Bool
 	paused     atomic.Bool  // admin pause: submissions answer 503 until resumed
-	submitters atomic.Int64 // handlers currently enqueueing; see enter/exit
+	submitters atomic.Int64 // handlers enqueueing or deciding inline; see enter/exit
 
 	// adminEng is the capacity-resize target recorded by the admission
 	// registrations (nil when no admission workload is mounted);
@@ -406,8 +408,9 @@ func (s *Server) Workloads() []string {
 	return append([]string(nil), s.names...)
 }
 
-// enter registers an enqueueing handler; false once draining (the same
-// counter-then-flag pattern as the engines' admission paths).
+// enter registers a handler that enqueues or decides inline; false once
+// draining (the same counter-then-flag pattern as the engines' admission
+// paths).
 func (s *Server) enter() bool {
 	s.submitters.Add(1)
 	if s.draining.Load() {
@@ -421,12 +424,12 @@ func (s *Server) enter() bool {
 func (s *Server) exit() { s.submitters.Add(-1) }
 
 // Drain gracefully shuts every workload pipeline down: new submissions are
-// refused with 503, handlers already enqueueing finish, every queued
-// submission is decided and answered, and the flushers exit. Drain is
-// idempotent and retryable: the context bounds how long to wait, and a
-// Drain that returned a context error can be called again with a fresh
-// context to resume waiting (every pipeline's intake is closed before any
-// waiting starts, so all flushers keep draining in the meantime). The
+// refused with 503, handlers already enqueueing or deciding inline finish,
+// every queued submission is decided and answered, and the flushers exit.
+// Drain is idempotent and retryable: the context bounds how long to wait,
+// and a Drain that returned a context error can be called again with a
+// fresh context to resume waiting (every pipeline's intake is closed before
+// any waiting starts, so all flushers keep draining in the meantime). The
 // services stay open — close them after Drain returns.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()

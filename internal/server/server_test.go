@@ -223,7 +223,9 @@ func TestLifecycleMetricsReconcile(t *testing.T) {
 
 	var preempted int64
 	var accepted int64
+	submissions := 0
 	for lo := 0; lo < len(ins.Requests); lo += 50 {
+		submissions++
 		hi := min(lo+50, len(ins.Requests))
 		ds, err := client.Submit(ctx, ins.Requests[lo:hi])
 		if err != nil {
@@ -276,11 +278,21 @@ func TestLifecycleMetricsReconcile(t *testing.T) {
 	for _, want := range []string{
 		"acserve_admission_shard_occupancy{shard=\"0\"}",
 		"acserve_admission_decision_latency_seconds_bucket",
-		"acserve_admission_batch_size_count",
 		"acserve_admission_queue_depth",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output missing %q", want)
+		}
+	}
+	// One submission at a time fits one batch and finds the pipeline idle,
+	// so each is observed once, as one batch and one chunk — whichever
+	// entry point decided it.
+	for _, name := range []string{
+		"acserve_admission_batch_size_count",
+		"acserve_admission_decision_latency_seconds_count",
+	} {
+		if got := metricValue(t, text, name); got != float64(submissions) {
+			t.Fatalf("%s = %g, want one per submission (%d)", name, got, submissions)
 		}
 	}
 

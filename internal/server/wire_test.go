@@ -6,10 +6,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"admission/internal/core"
+	"admission/internal/engine"
+	"admission/internal/problem"
 	"admission/internal/wire"
 )
 
@@ -186,30 +193,72 @@ func TestWireMalformedBodies(t *testing.T) {
 // TestWireConcurrentSubmissions hammers the binary path from many
 // goroutines sharing one client — the pooled encode/decode buffers and the
 // sink's pooled response buffer must be race-free (this test is the wire
-// half of the -race CI gate) — and reconciles the total decision count.
+// half of the -race CI gate) — and pins one decision order across the
+// pipeline's two entry points: one-item submissions are decided on their
+// handlers whenever the pipeline is idle, BatchSize+1-item submissions
+// always go through the flusher in two chunks. Both must decide under one
+// lock, so no engine call may overlap another (serialGuard counts them),
+// and a one-shard engine whose calls never overlap decides in the order it
+// assigns IDs: the served decisions, sorted by ID, must equal a fresh
+// engine's decisions for the same requests replayed in ID order, down to
+// the state digest.
 func TestWireConcurrentSubmissions(t *testing.T) {
-	ins := testInstance(t, 11, 64)
-	eng, _, ts := newTestServer(t, ins.Capacities, 2, Config{})
+	const batch = 16
+	ins := testInstance(t, 11, 256)
+	acfg := core.DefaultConfig()
+	acfg.Seed = 1
+	eng, err := engine.New(ins.Capacities, engine.Config{Shards: 1, Algorithm: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	guard := &serialGuard{Engine: eng}
+	s, err := New(Config{BatchSize: batch}, Register(WorkloadAdmission, guard, admissionCodec(eng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	wc := NewAdmissionWireClient(ts.URL, 8)
 
+	type served struct {
+		req problem.Request
+		dec DecisionJSON
+	}
 	const workers = 8
-	const rounds = 5
-	var wg sync.WaitGroup
+	const rounds = 40
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		all []served
+	)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				ds, err := wc.Submit(context.Background(), ins.Requests)
+				n := 1
+				if (w+r)%4 == 0 {
+					n = batch + 1
+				}
+				lo := (w*rounds + r) % (len(ins.Requests) - n)
+				reqs := ins.Requests[lo : lo+n]
+				ds, err := wc.Submit(context.Background(), reqs)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(ds) != len(ins.Requests) {
-					errs <- fmt.Errorf("got %d decisions for %d items", len(ds), len(ins.Requests))
+				if len(ds) != n {
+					errs <- fmt.Errorf("got %d decisions for %d items", len(ds), n)
 					return
 				}
+				mu.Lock()
+				for i := range ds {
+					all = append(all, served{reqs[i], ds[i]})
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -218,7 +267,52 @@ func TestWireConcurrentSubmissions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got, want := eng.Snapshot().Requests, int64(workers*rounds*len(ins.Requests)); got != want {
-		t.Fatalf("engine decided %d requests, want %d", got, want)
+	if got, want := eng.Snapshot().Requests, int64(len(all)); got != want {
+		t.Fatalf("engine decided %d requests, served %d", got, want)
 	}
+	if n := guard.overlaps.Load(); n != 0 {
+		t.Fatalf("%d engine calls overlapped another: the entry points do not decide under one lock", n)
+	}
+
+	sort.Slice(all, func(i, j int) bool { return all[i].dec.ID < all[j].dec.ID })
+	reqs := make([]problem.Request, len(all))
+	for i, sv := range all {
+		if sv.dec.ID != i || sv.dec.Error != "" {
+			t.Fatalf("served decision %d: %+v, want ID %d and no error", i, sv.dec, i)
+		}
+		reqs[i] = sv.req
+	}
+	ref, err := engine.New(ins.Capacities, engine.Config{Shards: 1, Algorithm: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.SubmitBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sv := range all {
+		if sv.dec.Accepted != want[i].Accepted || !slices.Equal(sv.dec.Preempted, want[i].Preempted) {
+			t.Fatalf("ID %d: served accepted=%v preempted=%v, replay in ID order accepted=%v preempted=%v",
+				i, sv.dec.Accepted, sv.dec.Preempted, want[i].Accepted, want[i].Preempted)
+		}
+	}
+	if got, want := eng.StateDigest(), ref.StateDigest(); got != want {
+		t.Fatalf("served engine digest %#x, replay in ID order %#x", got, want)
+	}
+}
+
+// serialGuard is an engine as the pipeline sees it, counting batch calls
+// made while another is still deciding.
+type serialGuard struct {
+	*engine.Engine
+	inflight, overlaps atomic.Int64
+}
+
+func (g *serialGuard) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Request) ([]engine.Decision, error) {
+	if g.inflight.Add(1) > 1 {
+		g.overlaps.Add(1)
+	}
+	defer g.inflight.Add(-1)
+	return g.Engine.SubmitBatchPrevalidated(ctx, reqs)
 }
