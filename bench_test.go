@@ -1,5 +1,6 @@
-// Benchmarks: one per reproduction experiment (E1–E18, see DESIGN.md §4 and
-// EXPERIMENTS.md), micro-benchmarks of the individual algorithms, and
+// Benchmarks: one per reproduction experiment E1–E15 and E18 (see DESIGN.md
+// §4 and EXPERIMENTS.md; E16, E17, E19 and E20 run only under acbench and
+// the harness tests), micro-benchmarks of the individual algorithms, and
 // throughput benchmarks of the sharded concurrent engines (DESIGN.md §5 and
 // §9) and the HTTP serving layer over loopback (DESIGN.md §7).
 //

@@ -1,10 +1,12 @@
-// Command acbench regenerates the reproduction experiments E1–E18 (see
+// Command acbench regenerates the reproduction experiments E1–E20 (see
 // DESIGN.md §4 and EXPERIMENTS.md): empirical competitive-ratio sweeps for
 // every theorem of Alon–Azar–Gutner (SPAA 2005), with scaling-law fits,
 // plus the systems validation experiments — the sharded engine (E11,
-// DESIGN.md §5), the serving loopbacks (E14–E16, §§7–11), and WAL crash
-// recovery (E17, §12, which re-executes this binary as a durable server
-// child and SIGKILLs it).
+// DESIGN.md §5), the serving loopbacks (E14–E16, §§7–11), WAL crash
+// recovery (E17, §12), the query tier (E18, §13), the cluster tier (E19,
+// §14) and live operations (E20, §15). E17 and E19 re-execute this binary
+// as a durable server child and SIGKILL it, so main installs the harness's
+// one child hook first.
 //
 // Usage:
 //
@@ -28,13 +30,8 @@ import (
 
 func main() {
 	// E17 and E19 re-execute this binary as their durable-server children.
-	if os.Getenv(harness.E17ChildEnv) != "" {
-		harness.RunE17Child()
-		return
-	}
-	if os.Getenv(harness.E19ChildEnv) != "" {
-		harness.RunE19Child()
-		return
+	if os.Getenv(harness.ChildEnv) != "" {
+		harness.RunChild()
 	}
 	var (
 		expID   = flag.String("exp", "", "experiment id to run (default: all)")

@@ -1,0 +1,272 @@
+package harness
+
+import (
+	"bufio"
+	"cmp"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"os"
+	"os/exec"
+	"os/signal"
+	"syscall"
+	"time"
+
+	"admission/internal/cluster"
+	"admission/internal/problem"
+	"admission/internal/rng"
+	"admission/internal/server"
+	"admission/internal/wal"
+	"admission/internal/workload"
+)
+
+// --- the durable child: E17 and E19 re-execute their host binary ---------
+
+// ChildEnv marks a process as the durable-server child of E17 or E19 and
+// carries its JSON spec. Main functions that may host those experiments
+// must call RunChild when it is set.
+const ChildEnv = "ACBENCH_CHILD"
+
+// Child roles: what a durable child serves.
+const (
+	roleAdmission = "admission" // E17: a 4-shard admission engine
+	roleCluster   = "cluster"   // E19: a backend for one ring partition
+)
+
+// childCapacity is the uniform edge capacity of the children's workload.
+const childCapacity = 4
+
+// childSpec is what a parent hands its child through ChildEnv. Both sides
+// regenerate the instance from Seed and Edges, so no request crosses the
+// process boundary.
+type childSpec struct {
+	Role      string `json:"role"`
+	Dir       string `json:"dir"` // WAL directory
+	Seed      uint64 `json:"seed"`
+	Edges     int    `json:"edges"`
+	SnapEvery int64  `json:"snap_every"` // snapshot cadence in decisions
+	// Addr is the loopback address to listen on; "" picks a free port. A
+	// restarted cluster backend takes its predecessor's, so the router's
+	// client reaches both incarnations.
+	Addr string `json:"addr,omitempty"`
+	// Backends and Index place a cluster backend on the ring.
+	Backends int `json:"backends,omitempty"`
+	Index    int `json:"index,omitempty"`
+}
+
+// childInstance regenerates the children's workload from the seed alone.
+func childInstance(seed uint64, m int) (*problem.Instance, error) {
+	_, ins, err := genOverloadedGraph(m, childCapacity, workload.CostUnit, rng.New(seed))
+	return ins, err
+}
+
+// durableNode is a spec's fresh engine or backend together with what
+// differs between the roles: its WAL kind, recover function and durable
+// registration.
+type durableNode struct {
+	kind        wal.Kind
+	fingerprint string
+	recover     func(*wal.Log) (server.RecoveryInfo, error)
+	mount       func(*wal.Log, server.DurableOptions) server.Registration
+	digest      func() uint64
+	close       func() error
+}
+
+// node builds the spec's engine (admission) or ring-partition backend
+// (cluster) with the deterministic configuration its experiment uses.
+func (s childSpec) node() (*durableNode, error) {
+	ins, err := childInstance(s.Seed, s.Edges)
+	if err != nil {
+		return nil, err
+	}
+	switch s.Role {
+	case roleAdmission:
+		eng, err := e17Engine(ins.Capacities, s.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return &durableNode{
+			kind:        wal.KindAdmission,
+			fingerprint: eng.Fingerprint(),
+			recover:     func(log *wal.Log) (server.RecoveryInfo, error) { return server.RecoverAdmission(log, eng) },
+			mount: func(log *wal.Log, opts server.DurableOptions) server.Registration {
+				return server.AdmissionDurable(eng, log, opts)
+			},
+			digest: eng.StateDigest,
+			close:  eng.Close,
+		}, nil
+	case roleCluster:
+		ring, err := cluster.NewRing(s.Edges, s.Backends, 0)
+		if err != nil {
+			return nil, err
+		}
+		bcaps, err := ring.Caps(ins.Capacities, s.Index)
+		if err != nil {
+			return nil, err
+		}
+		be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: e19EngineConfig(s.Seed)})
+		if err != nil {
+			return nil, err
+		}
+		return &durableNode{
+			kind:        wal.KindCluster,
+			fingerprint: be.Fingerprint(),
+			recover:     func(log *wal.Log) (server.RecoveryInfo, error) { return server.RecoverCluster(log, be) },
+			mount: func(log *wal.Log, opts server.DurableOptions) server.Registration {
+				return server.ClusterBackendDurable(be, log, opts)
+			},
+			digest: be.StateDigest,
+			close:  be.Close,
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown child role %q", s.Role)
+}
+
+// open builds the spec's node and replays its WAL directory into it. The
+// child opens the log for appending; a parent's offline fsck opens it
+// read-only. On success the caller closes the log, then the node.
+func (s childSpec) open(readOnly bool) (*durableNode, *wal.Log, server.RecoveryInfo, error) {
+	n, err := s.node()
+	if err != nil {
+		return nil, nil, server.RecoveryInfo{}, err
+	}
+	log, err := wal.Open(s.Dir, wal.Options{Kind: n.kind, Fingerprint: n.fingerprint, ReadOnly: readOnly})
+	if err != nil {
+		n.close()
+		return nil, nil, server.RecoveryInfo{}, err
+	}
+	info, err := n.recover(log)
+	if err != nil {
+		log.Close()
+		n.close()
+		return nil, nil, server.RecoveryInfo{}, err
+	}
+	return n, log, info, nil
+}
+
+// RunChild is the body of a durable-server child: the engine or cluster
+// backend named by the ChildEnv spec, behind the WAL, on a loopback
+// listener. It recovers whatever the WAL directory holds (recovery
+// re-verifies every logged decision, so coming up at all certifies
+// decision-identical recovery), prints one READY line with its address and
+// recovered count, and serves until SIGTERM, then drains, snapshots and
+// closes. It never returns: SIGKILL is part of its job.
+func RunChild() {
+	die := func(err error) {
+		fmt.Fprintln(os.Stderr, "acbench child:", err)
+		os.Exit(1)
+	}
+	var spec childSpec
+	if err := json.Unmarshal([]byte(os.Getenv(ChildEnv)), &spec); err != nil {
+		die(fmt.Errorf("bad %s: %w", ChildEnv, err))
+	}
+	node, log, info, err := spec.open(false)
+	if err != nil {
+		die(err)
+	}
+	srv, err := server.New(server.Config{},
+		node.mount(log, server.DurableOptions{SnapshotEvery: spec.SnapEvery, Replay: info}))
+	if err != nil {
+		die(err)
+	}
+	// The one listener outside serve: a restarted cluster backend must
+	// come back on its predecessor's fixed address.
+	ln, err := net.Listen("tcp", cmp.Or(spec.Addr, "127.0.0.1:0"))
+	if err != nil {
+		die(err)
+	}
+	hs := srv.HTTPServer(ln.Addr().String())
+	go func() { _ = hs.Serve(ln) }()
+
+	// spawnChild parses this line; keep the formats in sync.
+	fmt.Printf("CHILD READY addr=%s recovered=%d\n", ln.Addr(), log.NextSeq())
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM)
+	<-sig
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_ = hs.Shutdown(ctx)
+	if err := srv.Drain(ctx); err != nil {
+		die(err)
+	}
+	if log.RecordsSinceSnapshot() > 0 {
+		if err := log.WriteSnapshot(node.digest()); err != nil {
+			die(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		die(err)
+	}
+	node.close()
+	os.Exit(0)
+}
+
+// child is the parent's handle on one child incarnation.
+type child struct {
+	cmd       *exec.Cmd
+	addr      string
+	recovered int64
+}
+
+// spawnChild re-executes the current binary as the durable child spec
+// describes and waits up to 60 s for its READY line.
+func spawnChild(spec childSpec) (*child, error) {
+	js, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	c := &child{cmd: exec.Command(exe)}
+	c.cmd.Env = append(os.Environ(), ChildEnv+"="+string(js))
+	c.cmd.Stderr = os.Stderr
+	out, err := c.cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.cmd.Start(); err != nil {
+		return nil, err
+	}
+	ready := make(chan error, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			if _, err := fmt.Sscanf(sc.Text(), "CHILD READY addr=%s recovered=%d", &c.addr, &c.recovered); err == nil {
+				ready <- nil
+				return
+			}
+		}
+		ready <- fmt.Errorf("%s child exited without a READY line (is the RunChild hook installed in this binary's main?): %v", spec.Role, sc.Err())
+	}()
+	select {
+	case err := <-ready:
+		if err != nil {
+			c.kill()
+			return nil, err
+		}
+		return c, nil
+	case <-time.After(60 * time.Second):
+		c.kill()
+		return nil, fmt.Errorf("%s child did not become ready within 60s", spec.Role)
+	}
+}
+
+// kill SIGKILLs the child and reaps it.
+func (c *child) kill() {
+	_ = c.cmd.Process.Kill()
+	_ = c.cmd.Wait()
+}
+
+// stop sends SIGTERM — drain, shutdown snapshot, close — and waits for a
+// clean exit.
+func (c *child) stop() error {
+	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		c.kill()
+		return err
+	}
+	return c.cmd.Wait()
+}

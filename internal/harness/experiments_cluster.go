@@ -1,18 +1,10 @@
 package harness
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"admission/internal/cluster"
@@ -21,8 +13,6 @@ import (
 	"admission/internal/problem"
 	"admission/internal/rng"
 	"admission/internal/server"
-	"admission/internal/wal"
-	"admission/internal/workload"
 )
 
 // --- E19: cluster tier — routed identity, throughput, fault injection ----
@@ -65,22 +55,8 @@ func init() {
 	)
 }
 
-// Environment contract between the E19 parent and its re-executed durable
-// backend child.
 const (
-	// E19ChildEnv marks the process as an E19 durable-backend child; main
-	// functions that may host the experiment check it and call
-	// RunE19Child.
-	E19ChildEnv     = "ACBENCH_E19_CHILD"
-	e19DirEnv       = "ACBENCH_E19_DIR"
-	e19AddrEnv      = "ACBENCH_E19_ADDR"
-	e19SeedEnv      = "ACBENCH_E19_SEED"
-	e19EdgesEnv     = "ACBENCH_E19_EDGES"
-	e19BackendsEnv  = "ACBENCH_E19_BACKENDS"
-	e19IndexEnv     = "ACBENCH_E19_INDEX"
-	e19SnapEnv      = "ACBENCH_E19_SNAP"
 	e19ClusterSize  = 3
-	e19Capacity     = 4
 	e19Batch        = 256
 	e19MinThruItems = 4096
 )
@@ -91,14 +67,6 @@ const (
 // cluster idles between waves and the comparison measures latency, not
 // throughput.
 const e19ThruConns = 4
-
-// e19Instance regenerates the experiment's workload: parent and child both
-// derive it from the seed alone, so the child never needs the requests —
-// only the capacities, from which its ring partition follows.
-func e19Instance(seed uint64, m int) (*problem.Instance, error) {
-	_, ins, err := genOverloadedGraph(m, e19Capacity, workload.CostUnit, rng.New(seed))
-	return ins, err
-}
 
 // e19EngineConfig is the deterministic per-backend engine configuration
 // every leg shares (and the direct golden engine of the identity leg).
@@ -115,183 +83,15 @@ func e19Policy() cluster.RetryPolicy {
 	return cluster.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
 }
 
-// RunE19Child is the body of the E19 child process: a durable cluster
-// backend for one ring partition on a fixed loopback address (fixed so a
-// restarted incarnation is reachable through the same router client). It
-// recovers whatever the WAL directory holds — recovery replays the log
-// into a fresh backend and verifies every regenerated decision against
-// the logged one, so the child coming up at all certifies
-// decision-identical recovery — prints one READY line with its address
-// and recovered count, serves until SIGTERM (snapshotting on the way
-// out), and never returns. Main functions hosting the experiment must
-// call it when E19ChildEnv is set.
-func RunE19Child() {
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "e19-child:", err)
-		os.Exit(1)
-	}
-	seed, err := strconv.ParseUint(os.Getenv(e19SeedEnv), 10, 64)
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19SeedEnv, err))
-	}
-	m, err := strconv.Atoi(os.Getenv(e19EdgesEnv))
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19EdgesEnv, err))
-	}
-	backends, err := strconv.Atoi(os.Getenv(e19BackendsEnv))
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19BackendsEnv, err))
-	}
-	index, err := strconv.Atoi(os.Getenv(e19IndexEnv))
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19IndexEnv, err))
-	}
-	snapEvery, err := strconv.ParseInt(os.Getenv(e19SnapEnv), 10, 64)
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19SnapEnv, err))
-	}
-	dir, addr := os.Getenv(e19DirEnv), os.Getenv(e19AddrEnv)
-	if dir == "" || addr == "" {
-		die(fmt.Errorf("empty %s or %s", e19DirEnv, e19AddrEnv))
-	}
-
-	ins, err := e19Instance(seed, m)
-	if err != nil {
-		die(err)
-	}
-	ring, err := cluster.NewRing(m, backends, 0)
-	if err != nil {
-		die(err)
-	}
-	bcaps, err := ring.Caps(ins.Capacities, index)
-	if err != nil {
-		die(err)
-	}
-	be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: e19EngineConfig(seed)})
-	if err != nil {
-		die(err)
-	}
-	log, err := wal.Open(dir, wal.Options{Kind: wal.KindCluster, Fingerprint: be.Fingerprint()})
-	if err != nil {
-		die(err)
-	}
-	info, err := server.RecoverCluster(log, be)
-	if err != nil {
-		die(err)
-	}
-	srv, err := server.New(server.Config{},
-		server.ClusterBackendDurable(be, log, server.DurableOptions{SnapshotEvery: snapEvery, Replay: info}))
-	if err != nil {
-		die(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		die(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-
-	// The parent parses this line; keep the format in sync with
-	// spawnE19Child.
-	fmt.Printf("E19-CHILD READY addr=%s recovered=%d\n", ln.Addr().String(), log.NextSeq())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM)
-	<-sig
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
-		die(err)
-	}
-	if log.RecordsSinceSnapshot() > 0 {
-		if err := log.WriteSnapshot(be.StateDigest()); err != nil {
-			die(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		die(err)
-	}
-	be.Close()
-	os.Exit(0)
-}
-
-// e19Child is the parent's handle on one durable-backend incarnation.
-type e19Child struct {
-	cmd       *exec.Cmd
-	addr      string
-	recovered int64
-}
-
-// spawnE19Child re-executes the current binary as a durable cluster
-// backend for ring partition index and waits for its READY line.
-func spawnE19Child(dir, addr string, seed uint64, m, index int, snapEvery int64) (*e19Child, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		E19ChildEnv+"=1",
-		e19DirEnv+"="+dir,
-		e19AddrEnv+"="+addr,
-		e19SeedEnv+"="+strconv.FormatUint(seed, 10),
-		e19EdgesEnv+"="+strconv.Itoa(m),
-		e19BackendsEnv+"="+strconv.Itoa(e19ClusterSize),
-		e19IndexEnv+"="+strconv.Itoa(index),
-		e19SnapEnv+"="+strconv.FormatInt(snapEvery, 10),
-	)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	ready := make(chan *e19Child, 1)
-	scanErr := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "E19-CHILD READY ") {
-				continue
-			}
-			c := &e19Child{cmd: cmd}
-			if _, err := fmt.Sscanf(line, "E19-CHILD READY addr=%s recovered=%d", &c.addr, &c.recovered); err != nil {
-				scanErr <- fmt.Errorf("E19: unparsable READY line %q: %w", line, err)
-				return
-			}
-			ready <- c
-			return
-		}
-		scanErr <- fmt.Errorf("E19: child exited without a READY line (is the RunE19Child hook installed in this binary's main?): %v", sc.Err())
-	}()
-	select {
-	case c := <-ready:
-		return c, nil
-	case err := <-scanErr:
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, err
-	case <-time.After(60 * time.Second):
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("E19: child did not become ready within 60s")
-	}
-}
-
-// e19Cluster is an in-process cluster topology: n partitioned backends
-// each behind its own loopback HTTP server, a router over cluster clients
-// to all of them, and the router itself mounted behind an acrouter-style
-// loopback server.
+// e19Cluster is an in-process cluster topology: partitioned backends each
+// behind its own loopback, a router over cluster clients to all of them,
+// and the router itself served on an acrouter-style loopback.
 type e19Cluster struct {
 	ring     *cluster.Ring
-	backends []*cluster.Backend
+	backends []*cluster.Backend // nil where the backend runs elsewhere
 	clients  []*cluster.Client
 	router   *cluster.Router
-	base     string // router server base URL
+	base     string // router loopback base URL
 	closers  []func()
 }
 
@@ -301,48 +101,45 @@ func (c *e19Cluster) close() {
 	}
 }
 
-// e19StartCluster stands the whole in-process topology up and waits for
-// the router to verify every backend fingerprint.
-func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error) {
-	tc := &e19Cluster{}
-	serve := func(reg server.Registration) (string, error) {
-		srv, err := server.New(server.Config{}, reg)
-		if err != nil {
-			return "", err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		tc.closers = append(tc.closers, func() { _ = httpSrv.Close() })
-		return "http://" + ln.Addr().String(), nil
-	}
+// e19StartCluster stands the topology up over len(remote) partitions and
+// waits for the router to verify every backend fingerprint. A non-empty
+// remote[b] is the base URL of a backend b running elsewhere; the others
+// are built and served in-process.
+func e19StartCluster(caps []int, ecfg engine.Config, remote []string) (*e19Cluster, error) {
+	tc := &e19Cluster{backends: make([]*cluster.Backend, len(remote))}
 	fail := func(err error) (*e19Cluster, error) {
 		tc.close()
 		return nil, err
 	}
+	serveOn := func(reg server.Registration) (string, error) {
+		lb, err := serve(server.Config{}, reg)
+		if err != nil {
+			return "", err
+		}
+		tc.closers = append(tc.closers, func() { _ = lb.close() })
+		return lb.URL, nil
+	}
 
-	ring, err := cluster.NewRing(len(caps), n, 0)
+	ring, err := cluster.NewRing(len(caps), len(remote), 0)
 	if err != nil {
 		return fail(err)
 	}
 	tc.ring = ring
-	for b := 0; b < n; b++ {
-		bcaps, err := ring.Caps(caps, b)
-		if err != nil {
-			return fail(err)
-		}
-		be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-		if err != nil {
-			return fail(err)
-		}
-		tc.backends = append(tc.backends, be)
-		tc.closers = append(tc.closers, func() { be.Close() })
-		base, err := serve(server.ClusterBackend(be))
-		if err != nil {
-			return fail(err)
+	for b, base := range remote {
+		if base == "" {
+			bcaps, err := ring.Caps(caps, b)
+			if err != nil {
+				return fail(err)
+			}
+			be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
+			if err != nil {
+				return fail(err)
+			}
+			tc.backends[b] = be
+			tc.closers = append(tc.closers, func() { be.Close() })
+			if base, err = serveOn(server.ClusterBackend(be)); err != nil {
+				return fail(err)
+			}
 		}
 		tc.clients = append(tc.clients, cluster.NewClient(base, e19Policy()))
 	}
@@ -358,7 +155,7 @@ func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error)
 	if err := router.WaitReady(ctx); err != nil {
 		return fail(err)
 	}
-	if tc.base, err = serve(server.RouterAdmission(router)); err != nil {
+	if tc.base, err = serveOn(server.RouterAdmission(router)); err != nil {
 		return fail(err)
 	}
 	return tc, nil
@@ -390,28 +187,19 @@ func e19Reconcile(ctx context.Context, router *cluster.Router, clients []*cluste
 // e19Identity runs the identity leg: the routed conns=1 stream over a
 // single-backend cluster against the golden direct stream.
 func e19Identity(ins *problem.Instance, ecfg engine.Config, golden []server.DecisionJSON, goldenDigest uint64) error {
-	tc, err := e19StartCluster(ins.Capacities, ecfg, 1)
+	tc, err := e19StartCluster(ins.Capacities, ecfg, make([]string, 1))
 	if err != nil {
 		return err
 	}
 	defer tc.close()
-	ctx := context.Background()
-	client := server.NewAdmissionClient(tc.base, 1)
-	defer client.CloseIdle()
-	n := len(ins.Requests)
-	for lo := 0; lo < n; lo += e19Batch {
-		hi := lo + e19Batch
-		if hi > n {
-			hi = n
-		}
-		ds, err := client.Submit(ctx, ins.Requests[lo:hi])
-		if err != nil {
-			return fmt.Errorf("routed submit at %d: %w", lo, err)
-		}
-		if err := e17Match(ds, golden[lo:hi], lo); err != nil {
-			return fmt.Errorf("routed %w", err)
-		}
+	got, _, _, err := stream(server.NewAdmissionClient(tc.base, 1), ins.Requests, e19Batch)
+	if err == nil {
+		err = sameLines(got, golden, 0, sameAdmission)
 	}
+	if err != nil {
+		return fmt.Errorf("routed %w", err)
+	}
+	ctx := context.Background()
 	if err := tc.router.Drain(ctx); err != nil {
 		return err
 	}
@@ -448,35 +236,26 @@ func e19ThroughputStream(m int, seed uint64, crossEvery int) []problem.Request {
 // cluster-of-3.
 func e19Throughput(ins *problem.Instance, ecfg engine.Config, reqs []problem.Request, single bool) (*server.LoadReport, error) {
 	var base string
-	var cleanup func()
 	if single {
 		eng, err := engine.New(ins.Capacities, ecfg)
 		if err != nil {
 			return nil, err
 		}
-		srv, err := server.New(server.Config{}, server.Admission(eng))
+		defer eng.Close()
+		lb, err := serve(server.Config{}, server.Admission(eng))
 		if err != nil {
-			eng.Close()
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		base = "http://" + ln.Addr().String()
-		cleanup = func() { _ = httpSrv.Close(); eng.Close() }
+		defer lb.close()
+		base = lb.URL
 	} else {
-		tc, err := e19StartCluster(ins.Capacities, ecfg, e19ClusterSize)
+		tc, err := e19StartCluster(ins.Capacities, ecfg, make([]string, e19ClusterSize))
 		if err != nil {
 			return nil, err
 		}
+		defer tc.close()
 		base = tc.base
-		cleanup = tc.close
 	}
-	defer cleanup()
 	return server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
 		BaseURL: base,
 		Items:   reqs,
@@ -499,110 +278,51 @@ type e19FaultResult struct {
 // is a re-executed durable child.
 func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (res e19FaultResult, err error) {
 	n := len(ins.Requests)
-	snapEvery := int64(n / 4)
-	if snapEvery < 16 {
-		snapEvery = 16
-	}
 	dir, err := os.MkdirTemp("", "e19-wal-")
 	if err != nil {
 		return res, err
 	}
 	defer os.RemoveAll(dir)
 
-	// Reserve a fixed loopback address for the child so both incarnations
-	// are reachable through the same router client.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return res, err
-	}
-	childAddr := ln.Addr().String()
-	_ = ln.Close()
-
-	// In-process backends 0 and 2, durable child as backend 1.
-	ring, err := cluster.NewRing(m, e19ClusterSize, 0)
-	if err != nil {
-		return res, err
-	}
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	clients := make([]*cluster.Client, e19ClusterSize)
-	for b := 0; b < e19ClusterSize; b++ {
-		if b == 1 {
-			clients[b] = cluster.NewClient("http://"+childAddr, e19Policy())
-			continue
-		}
-		bcaps, cerr := ring.Caps(ins.Capacities, b)
-		if cerr != nil {
-			return res, cerr
-		}
-		be, berr := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-		if berr != nil {
-			return res, berr
-		}
-		closers = append(closers, func() { be.Close() })
-		srv, serr := server.New(server.Config{}, server.ClusterBackend(be))
-		if serr != nil {
-			return res, serr
-		}
-		bln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return res, lerr
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(bln) }()
-		closers = append(closers, func() { _ = httpSrv.Close() })
-		clients[b] = cluster.NewClient("http://"+bln.Addr().String(), e19Policy())
-	}
-
-	c1, err := spawnE19Child(dir, childAddr, seed, m, 1, snapEvery)
+	// Durable child as backend 1, in-process backends 0 and 2. The
+	// restarted child takes the first incarnation's address, so the
+	// router's client reaches both.
+	spec := childSpec{Role: roleCluster, Dir: dir, Seed: seed, Edges: m,
+		SnapEvery: max(int64(n/4), 16), Backends: e19ClusterSize, Index: 1}
+	c1, err := spawnChild(spec)
 	if err != nil {
 		return res, err
 	}
 	childUp := c1
 	defer func() {
 		if childUp != nil {
-			_ = childUp.cmd.Process.Kill()
-			_ = childUp.cmd.Wait()
+			childUp.kill()
 		}
 	}()
 	if c1.recovered != 0 {
 		return res, fmt.Errorf("fresh child recovered %d operations from an empty directory", c1.recovered)
 	}
-
-	router, err := cluster.NewRouter(ins.Capacities, clients,
-		cluster.RouterConfig{Backend: cluster.BackendConfig{Engine: ecfg}, ResyncEvery: time.Hour})
+	spec.Addr = c1.addr
+	remote := make([]string, e19ClusterSize)
+	remote[1] = "http://" + c1.addr
+	tc, err := e19StartCluster(ins.Capacities, ecfg, remote)
 	if err != nil {
 		return res, err
 	}
-	closers = append(closers, func() { _ = router.Close() })
+	defer tc.close()
+	router, ring, clients := tc.router, tc.ring, tc.clients
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if err := router.WaitReady(ctx); err != nil {
-		return res, err
-	}
 
 	// Phase 1: healthy cluster, roughly half the stream.
-	batch := e19Batch
-	if batch > n/4 {
-		batch = n / 4
-	}
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(1, min(e19Batch, n/4))
 	killAt := n / 2
 	submit := func(lo, hi int) ([]engine.Decision, error) {
 		return router.SubmitBatch(ctx, ins.Requests[lo:hi])
 	}
 	pos := 0
 	for pos < killAt {
-		hi := pos + batch
-		if hi > killAt {
-			hi = killAt
-		}
+		hi := min(pos+batch, killAt)
 		ds, serr := submit(pos, hi)
 		if serr != nil {
 			return res, fmt.Errorf("pre-kill submit at %d: %w", pos, serr)
@@ -619,20 +339,14 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// SIGKILL between batches: every in-flight exchange has completed, so
 	// the router's view and the WAL agree exactly (the indeterminate
 	// mid-exchange window is pinned separately by the package tests).
-	if err := c1.cmd.Process.Kill(); err != nil {
-		return res, err
-	}
-	_ = c1.cmd.Wait()
+	c1.kill()
 	childUp = nil
 
 	// Phase 2: drive the rest of the stream into the degraded cluster.
 	// Requests touching partition 1 must come back as typed
 	// ErrPartitionDown refusals; the rest must keep deciding.
 	for pos < n {
-		hi := pos + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(pos+batch, n)
 		ds, serr := submit(pos, hi)
 		if serr != nil {
 			return res, fmt.Errorf("degraded submit at %d: %w", pos, serr)
@@ -681,7 +395,7 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// Phase 3: restart from the same WAL directory and re-admit. The kill
 	// fell between batches, so the replayed count must equal the router's
 	// acknowledged count exactly.
-	c2, err := spawnE19Child(dir, childAddr, seed, m, 1, snapEvery)
+	c2, err := spawnChild(spec)
 	if err != nil {
 		return res, err
 	}
@@ -718,33 +432,19 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// Shut the child down cleanly (SIGTERM snapshots on the way out) and
 	// fsck its WAL: an offline read-only replay into a fresh backend must
 	// land on the digest the live backend reported.
-	if err := c2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return res, err
-	}
-	if err := c2.cmd.Wait(); err != nil {
-		childUp = nil
+	childUp = nil
+	if err := c2.stop(); err != nil {
 		return res, fmt.Errorf("child shutdown after SIGTERM: %w", err)
 	}
-	childUp = nil
-	bcaps, err := ring.Caps(ins.Capacities, 1)
+	node, log, _, err := spec.open(true)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("fsck: %w", err)
 	}
-	be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-	if err != nil {
-		return res, err
-	}
-	defer be.Close()
-	log, err := wal.Open(dir, wal.Options{Kind: wal.KindCluster, Fingerprint: be.Fingerprint(), ReadOnly: true})
-	if err != nil {
-		return res, fmt.Errorf("fsck open: %w", err)
-	}
-	defer log.Close()
-	if _, err := server.RecoverCluster(log, be); err != nil {
-		return res, fmt.Errorf("fsck replay: %w", err)
-	}
-	if got := fmt.Sprintf("%016x", be.StateDigest()); got != res.digest {
-		return res, fmt.Errorf("fsck digest %s, live backend reported %s", got, res.digest)
+	fsckDigest := fmt.Sprintf("%016x", node.digest())
+	log.Close()
+	node.close()
+	if fsckDigest != res.digest {
+		return res, fmt.Errorf("fsck digest %s, live backend reported %s", fsckDigest, res.digest)
 	}
 	return res, nil
 }
@@ -752,7 +452,7 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 func runE19(cfg Config) ([]*Table, error) {
 	seed := cfg.Seed ^ 0xE19E19
 	m := cfg.scaledInt(48, 18)
-	ins, err := e19Instance(seed, m)
+	ins, err := childInstance(seed, m)
 	if err != nil {
 		return nil, err
 	}
@@ -768,19 +468,12 @@ func runE19(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden := make([]server.DecisionJSON, 0, n)
-	for _, req := range ins.Requests {
-		d, err := eng.Submit(context.Background(), req)
-		if err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("E19: golden run: %w", err)
-		}
-		golden = append(golden, server.DecisionJSON{
-			ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted,
-		})
-	}
+	golden, err := directLines(eng, ins.Requests)
 	goldenDigest := eng.StateDigest()
 	eng.Close()
+	if err != nil {
+		return nil, fmt.Errorf("E19: golden run: %w", err)
+	}
 
 	if err := e19Identity(ins, ecfg, golden, goldenDigest); err != nil {
 		return nil, fmt.Errorf("E19 identity leg: %w", err)

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"sync"
 	"time"
 
 	"admission/internal/coverengine"
@@ -72,7 +70,6 @@ func runE15(cfg Config) ([]*Table, error) {
 		ratio, thru float64
 	}
 	points := make([]e15Point, len(scenarios)*cfg.reps())
-	var mu sync.Mutex
 	err := parallelEach(len(scenarios)*cfg.reps(), cfg.workers(), func(i int) error {
 		si, rep := i/cfg.reps(), i%cfg.reps()
 		sc := scenarios[si]
@@ -115,40 +112,13 @@ func runE15(cfg Config) ([]*Table, error) {
 			// Fidelity path: serve a one-shard engine with the direct run's
 			// seed and compare the streamed decisions line by line.
 			cost, thru, err = e15Identical(ins, arrivals, seed)
-			if err != nil {
-				return fmt.Errorf("E15: %s rep %d: %w", sc.name, rep, err)
-			}
 		default:
-			cov, err := coverengine.New(ins, coverengine.Config{Shards: sc.shards, Seed: seed})
-			if err != nil {
-				return err
-			}
-			report, err := serveCoverLoopback(cov, arrivals, sc.conns)
-			if err != nil {
-				return fmt.Errorf("E15: %s rep %d: %w", sc.name, rep, err)
-			}
-			// Reconciliation gate: every arrival decided, no refusals
-			// (ValidateArrivals caps repetitions at the degree), and the
-			// stream's bought sets match the ledger's growth.
-			st := cov.Snapshot()
-			if report.Decided != int64(len(arrivals)) || report.Errors != 0 {
-				cov.Close()
-				return fmt.Errorf("E15: %s rep %d: client saw %d decided/%d errors for %d arrivals",
-					sc.name, rep, report.Decided, report.Errors, len(arrivals))
-			}
-			if st.Arrivals != report.Decided {
-				cov.Close()
-				return fmt.Errorf("E15: %s rep %d: engine served %d arrivals, client saw %d",
-					sc.name, rep, st.Arrivals, report.Decided)
-			}
-			cost = cov.Cost()
-			thru = report.Throughput
-			cov.Close()
+			cost, thru, err = e15Load(ins, arrivals, seed, sc)
 		}
-
-		mu.Lock()
+		if err != nil {
+			return fmt.Errorf("E15: %s rep %d: %w", sc.name, rep, err)
+		}
 		points[i] = e15Point{ok: true, ratio: cost / upper, thru: thru}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -203,139 +173,78 @@ func runE15(cfg Config) ([]*Table, error) {
 // e15Identical serves the arrivals over a one-connection loopback against
 // one-shard cover engines — once through the JSON codec and once through
 // the binary wire codec — and fails unless both streamed decision
-// sequences match the sequential reduction exactly: same newly bought sets
-// on every arrival, same final cover and cost. Returns the JSON run's cost
-// and throughput (the numbers E15 has always reported).
+// sequences match the sequential reduction line by line (sequence number,
+// element, arrival number and newly bought sets on every arrival) and land
+// on its cost. Returns the JSON run's cost and throughput (the numbers E15
+// has always reported).
 func e15Identical(ins *setcover.Instance, arrivals []int, seed uint64) (cost, thru float64, err error) {
 	ref, err := setcover.NewReductionRunner(ins, setcover.ReductionConfig{Seed: seed})
 	if err != nil {
 		return 0, 0, err
 	}
-	want := make([][]int, len(arrivals))
+	want := make([]server.CoverDecisionJSON, len(arrivals))
 	for t, j := range arrivals {
 		added, err := ref.Arrive(j)
 		if err != nil {
 			return 0, 0, err
 		}
-		want[t] = added
+		want[t] = server.CoverDecisionJSON{Seq: t, Element: j, Arrival: ref.Arrivals(j), NewSets: added}
 	}
 
-	for _, codec := range []struct {
-		name string
-		wire bool
-	}{{"json", false}, {"wire", true}} {
-		got, served, elapsed, err := coverStreamConns1(ins, arrivals, seed, codec.wire)
+	for _, wire := range []bool{false, true} {
+		codec, newClient := "json", server.NewCoverClient
+		if wire {
+			codec, newClient = "wire", server.NewCoverWireClient
+		}
+		cov, err := coverengine.New(ins, coverengine.Config{Shards: 1, Seed: seed})
 		if err != nil {
-			return 0, 0, fmt.Errorf("%s codec: %w", codec.name, err)
+			return 0, 0, err
 		}
-		if len(got) != len(arrivals) {
-			return 0, 0, fmt.Errorf("%s codec: served %d decisions for %d arrivals", codec.name, len(got), len(arrivals))
+		elapsed, _, err := serveStream(server.Cover(cov), newClient, arrivals, want, sameCover)
+		served := cov.Cost()
+		cov.Close()
+		if err == nil && served != ref.Cost() {
+			err = fmt.Errorf("served cost %v, sequential %v", served, ref.Cost())
 		}
-		for t := range got {
-			if got[t].Error != "" {
-				return 0, 0, fmt.Errorf("%s codec: arrival %d refused: %s", codec.name, t, got[t].Error)
-			}
-			if fmt.Sprint(got[t].NewSets) != fmt.Sprint(want[t]) {
-				return 0, 0, fmt.Errorf("%s codec: arrival %d (element %d): served bought %v, sequential %v",
-					codec.name, t, arrivals[t], got[t].NewSets, want[t])
-			}
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s codec: %w", codec, err)
 		}
-		if served != ref.Cost() {
-			return 0, 0, fmt.Errorf("%s codec: served cost %v, sequential %v", codec.name, served, ref.Cost())
-		}
-		if !codec.wire {
-			cost = served
-			thru = float64(len(arrivals)) / elapsed.Seconds()
+		if !wire {
+			cost, thru = served, float64(len(arrivals))/elapsed.Seconds()
 		}
 	}
 	return cost, thru, nil
 }
 
-// coverStreamConns1 serves the arrivals in 64-item batches over one
-// loopback connection against a fresh one-shard cover engine, using the
-// JSON or binary client, and returns the full decision stream, the
-// engine's final cost, and the submit-loop duration.
-func coverStreamConns1(ins *setcover.Instance, arrivals []int, seed uint64, wireCodec bool) ([]server.CoverDecisionJSON, float64, time.Duration, error) {
-	cov, err := coverengine.New(ins, coverengine.Config{Shards: 1, Seed: seed})
+// e15Load drives the arrivals through a sc.shards-shard cover engine over
+// sc.conns loopback connections with the cover load generator and returns
+// the cover cost and throughput. Every arrival must be decided with no
+// refusals (ValidateArrivals caps repetitions at the degree) and the
+// engine must have served exactly what the clients saw.
+func e15Load(ins *setcover.Instance, arrivals []int, seed uint64, sc e15Scenario) (cost, thru float64, err error) {
+	cov, err := coverengine.New(ins, coverengine.Config{Shards: sc.shards, Seed: seed})
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	defer cov.Close()
-	srv, err := server.New(server.Config{}, server.Cover(cov))
+	lb, err := serve(server.Config{}, server.Cover(cov))
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
-	var client *server.Client[int, server.CoverDecisionJSON]
-	if wireCodec {
-		client = server.NewCoverWireClient("http://"+ln.Addr().String(), 1)
-	} else {
-		client = server.NewCoverClient("http://"+ln.Addr().String(), 1)
-	}
-	defer client.CloseIdle()
-	const batch = 64
-	got := make([]server.CoverDecisionJSON, 0, len(arrivals))
-	start := time.Now()
-	for lo := 0; lo < len(arrivals); lo += batch {
-		hi := lo + batch
-		if hi > len(arrivals) {
-			hi = len(arrivals)
-		}
-		ds, err := client.Submit(context.Background(), arrivals[lo:hi])
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		got = append(got, ds...)
-	}
-	elapsed := time.Since(start)
-	if err := drainServer(srv); err != nil {
-		return nil, 0, 0, err
-	}
-	return got, cov.Cost(), elapsed, nil
-}
-
-// serveCoverLoopback stands a cover-serving server up on a loopback
-// listener, drives it with the arrival sequence via the cover load
-// generator, and drains. The cover engine stays open for the caller's
-// final accounting reads.
-func serveCoverLoopback(cov *coverengine.Engine, arrivals []int, conns int) (*server.LoadReport, error) {
-	srv, err := server.New(server.Config{}, server.Cover(cov))
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
 	report, err := server.RunCoverLoad(context.Background(), server.LoadConfig[int]{
-		BaseURL: "http://" + ln.Addr().String(),
+		BaseURL: lb.URL,
 		Items:   arrivals,
-		Conns:   conns,
+		Conns:   sc.conns,
 		Batch:   64,
 	})
-	if err != nil {
-		return nil, err
+	if err := errors.Join(err, lb.close()); err != nil {
+		return 0, 0, err
 	}
-	if err := drainServer(srv); err != nil {
-		return nil, err
+	if report.Decided != int64(len(arrivals)) || report.Errors != 0 {
+		return 0, 0, fmt.Errorf("client saw %d decided/%d errors for %d arrivals", report.Decided, report.Errors, len(arrivals))
 	}
-	return report, nil
-}
-
-// drainServer drains a server with a generous timeout.
-func drainServer(srv *server.Server) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return srv.Drain(ctx)
+	if st := cov.Snapshot(); st.Arrivals != report.Decided {
+		return 0, 0, fmt.Errorf("engine served %d arrivals, client saw %d", st.Arrivals, report.Decided)
+	}
+	return cov.Cost(), report.Throughput, nil
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -102,40 +100,33 @@ func runE18(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
+		local := make([]server.QueryDecisionJSON, len(answers))
 		for t, a := range answers {
+			local[t] = server.QueryDecisionJSON{Pos: a.Pos, Accepted: a.Accepted, Preempted: a.Preempted}
 			if a.Err != nil {
-				return fmt.Errorf("E18: local rep %d: query %d failed: %v", rep, t, a.Err)
+				local[t].Error = a.Err.Error()
 			}
-			if a.Pos != direct[t].Pos || a.Accepted != direct[t].Accepted ||
-				fmt.Sprint(a.Preempted) != fmt.Sprint(direct[t].Preempted) {
-				return fmt.Errorf("E18: local rep %d: position %d diverges: query %+v, streaming %+v",
-					rep, t, a, direct[t])
-			}
+		}
+		if err := sameLines(local, direct, 0, sameQuery); err != nil {
+			return fmt.Errorf("E18: local rep %d: %w", rep, err)
 		}
 
 		// Identity gate 2: the served conns=1 streams over both codecs, each
-		// on a fresh engine.
-		for _, wireCodec := range []bool{false, true} {
-			codec := "json"
-			if wireCodec {
-				codec = "wire"
+		// on a fresh engine, so the served path extends the frontier from
+		// position 0 itself.
+		for _, wire := range []bool{false, true} {
+			codec, newClient := "json", server.NewQueryClient
+			if wire {
+				codec, newClient = "wire", server.NewQueryWireClient
 			}
-			got, err := queryStreamConns1(newEngine, qs, wireCodec)
+			qe, err := newEngine(4)
+			if err != nil {
+				return err
+			}
+			_, _, err = serveStream(server.Query(qe), newClient, qs, direct, sameQuery)
+			qe.Close()
 			if err != nil {
 				return fmt.Errorf("E18: %s conns=1 rep %d: %w", codec, rep, err)
-			}
-			if len(got) != len(direct) {
-				return fmt.Errorf("E18: %s conns=1 rep %d: %d decisions for %d queries", codec, rep, len(got), len(direct))
-			}
-			for t := range got {
-				if got[t].Error != "" {
-					return fmt.Errorf("E18: %s conns=1 rep %d: query %d refused: %s", codec, rep, t, got[t].Error)
-				}
-				if got[t].Pos != direct[t].Pos || got[t].Accepted != direct[t].Accepted ||
-					fmt.Sprint(got[t].Preempted) != fmt.Sprint(direct[t].Preempted) {
-					return fmt.Errorf("E18: %s conns=1 rep %d: decision %d diverges: served %+v, streaming %+v",
-						codec, rep, t, got[t], direct[t])
-				}
 			}
 		}
 
@@ -199,54 +190,4 @@ func runE18(cfg Config) ([]*Table, error) {
 	t.AddNote("acceptance: a fresh engine answering all %d positions in seeded order simulates exactly %d arrivals (the shared frontier), where independent prefix replays simulated %d: %s", n, n, n*(n+1)/2, verdict)
 	t.AddNote("throughput is informational: exact queries serialize on the frontier, so the worker bound does not scale them (host GOMAXPROCS=%d)", runtime.GOMAXPROCS(0))
 	return []*Table{t}, nil
-}
-
-// queryStreamConns1 serves the query sequence over a one-connection
-// loopback in 64-item batches using the JSON or binary client and returns
-// the full decision-line stream. It serves a fresh engine from newEngine,
-// so the served path extends the frontier from position 0 itself.
-func queryStreamConns1(newEngine func(workers int) (*lca.Engine, error), qs []lca.Query, wireCodec bool) ([]server.QueryDecisionJSON, error) {
-	qeng, err := newEngine(4)
-	if err != nil {
-		return nil, err
-	}
-	defer qeng.Close()
-	srv, err := server.New(server.Config{}, server.Query(qeng))
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
-	base := "http://" + ln.Addr().String()
-	var client *server.Client[lca.Query, server.QueryDecisionJSON]
-	if wireCodec {
-		client = server.NewQueryWireClient(base, 1)
-	} else {
-		client = server.NewQueryClient(base, 1)
-	}
-	defer client.CloseIdle()
-
-	const batch = 64
-	got := make([]server.QueryDecisionJSON, 0, len(qs))
-	for lo := 0; lo < len(qs); lo += batch {
-		hi := lo + batch
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-		ds, err := client.Submit(context.Background(), qs[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		got = append(got, ds...)
-	}
-	if err := drainServer(srv); err != nil {
-		return nil, err
-	}
-	return got, nil
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"admission/internal/core"
 	"admission/internal/engine"
@@ -113,8 +111,9 @@ func runE20(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// e20Server stands up an admin-enabled in-process server over a flat
-// m×capacity vector and returns its base URL plus a shutdown func.
+// e20Server serves an admin-enabled admission engine over a flat
+// m×capacity vector on a loopback and returns the engine, its base URL and
+// a shutdown func.
 func e20Server(seed uint64, m, capacity, shards int) (*engine.Engine, string, func(), error) {
 	caps := make([]int, m)
 	for i := range caps {
@@ -126,26 +125,12 @@ func e20Server(seed uint64, m, capacity, shards int) (*engine.Engine, string, fu
 	if err != nil {
 		return nil, "", nil, err
 	}
-	srv, err := server.New(server.Config{AdminToken: e20Token}, server.Admission(eng))
+	lb, err := serve(server.Config{AdminToken: e20Token}, server.Admission(eng))
 	if err != nil {
 		eng.Close()
 		return nil, "", nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		return nil, "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	shutdown := func() {
-		_ = httpSrv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Drain(ctx)
-		eng.Close()
-	}
-	return eng, "http://" + ln.Addr().String(), shutdown, nil
+	return eng, lb.URL, func() { _ = lb.close(); eng.Close() }, nil
 }
 
 // e20Churn runs one flash-crowd repetition with a per-tick scrape and

@@ -1,26 +1,12 @@
 package harness
 
 import (
-	"bufio"
-	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
-	"time"
 
 	"admission/internal/core"
 	"admission/internal/engine"
-	"admission/internal/problem"
-	"admission/internal/rng"
 	"admission/internal/server"
-	"admission/internal/wal"
-	"admission/internal/workload"
 )
 
 // --- E17: crash recovery — the WAL restart is decision-identical ----------
@@ -28,7 +14,7 @@ import (
 // E17 validates the durability layer (internal/wal, DESIGN.md §12) at the
 // only level that counts: a real process killed with SIGKILL. The
 // experiment re-executes its own binary as a durable acserve-equivalent
-// child (the RunE17Child hook, installed in acbench's main and the harness
+// child (the RunChild hook, installed in acbench's main and the harness
 // test binary's TestMain), drives it over a one-connection loopback, and
 // SIGKILLs it mid-load with an unsnapshotted segment tail on disk. The
 // restarted child must recover exactly the acknowledged prefix — group
@@ -49,183 +35,18 @@ func init() {
 	)
 }
 
-// Environment contract between the E17 parent and its re-executed child.
-const (
-	// E17ChildEnv marks the process as an E17 durable-server child; main
-	// functions that may host the experiment check it and call
-	// RunE17Child.
-	E17ChildEnv = "ACBENCH_E17_CHILD"
-	e17DirEnv   = "ACBENCH_E17_DIR"
-	e17SeedEnv  = "ACBENCH_E17_SEED"
-	e17EdgesEnv = "ACBENCH_E17_EDGES"
-	e17SnapEnv  = "ACBENCH_E17_SNAP"
-)
-
-// e17Capacity is the uniform edge capacity of the E17 workload.
-const e17Capacity = 4
-
-// e17Instance regenerates the experiment's workload: parent and child both
-// derive it from the seed alone, so the child never needs the requests
-// shipped to it — only the capacities.
-func e17Instance(seed uint64, m int) (*problem.Instance, error) {
-	_, ins, err := genOverloadedGraph(m, e17Capacity, workload.CostUnit, rng.New(seed))
-	return ins, err
-}
-
-// e17Engine builds the deterministic engine both runs share.
+// e17Engine builds the deterministic engine the golden run, the child and
+// the fsck share.
 func e17Engine(caps []int, seed uint64) (*engine.Engine, error) {
 	acfg := core.UnweightedConfig()
 	acfg.Seed = seed
 	return engine.New(caps, engine.Config{Shards: 4, Algorithm: acfg})
 }
 
-// RunE17Child is the body of the E17 child process: an acserve-equivalent
-// durable admission server on a loopback listener. It recovers whatever
-// the WAL directory holds, prints one READY line with its address and the
-// recovered decision count, serves until SIGTERM (snapshotting on the way
-// out), and never returns — SIGKILL is part of its job description. Main
-// functions hosting the experiment must call it when E17ChildEnv is set.
-func RunE17Child() {
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "e17-child:", err)
-		os.Exit(1)
-	}
-	seed, err := strconv.ParseUint(os.Getenv(e17SeedEnv), 10, 64)
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e17SeedEnv, err))
-	}
-	m, err := strconv.Atoi(os.Getenv(e17EdgesEnv))
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e17EdgesEnv, err))
-	}
-	snapEvery, err := strconv.ParseInt(os.Getenv(e17SnapEnv), 10, 64)
-	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e17SnapEnv, err))
-	}
-	dir := os.Getenv(e17DirEnv)
-	if dir == "" {
-		die(fmt.Errorf("empty %s", e17DirEnv))
-	}
-
-	ins, err := e17Instance(seed, m)
-	if err != nil {
-		die(err)
-	}
-	eng, err := e17Engine(ins.Capacities, seed)
-	if err != nil {
-		die(err)
-	}
-	log, err := wal.Open(dir, wal.Options{Kind: wal.KindAdmission, Fingerprint: eng.Fingerprint()})
-	if err != nil {
-		die(err)
-	}
-	info, err := server.RecoverAdmission(log, eng)
-	if err != nil {
-		die(err)
-	}
-	srv, err := server.New(server.Config{},
-		server.AdmissionDurable(eng, log, server.DurableOptions{SnapshotEvery: snapEvery, Replay: info}))
-	if err != nil {
-		die(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		die(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-
-	// The parent parses this line; keep the format in sync with runE17.
-	fmt.Printf("E17-CHILD READY addr=%s recovered=%d\n", ln.Addr().String(), log.NextSeq())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM)
-	<-sig
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
-		die(err)
-	}
-	if log.RecordsSinceSnapshot() > 0 {
-		if err := log.WriteSnapshot(eng.StateDigest()); err != nil {
-			die(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		die(err)
-	}
-	eng.Close()
-	os.Exit(0)
-}
-
-// e17Child is the parent's handle on one child incarnation.
-type e17Child struct {
-	cmd       *exec.Cmd
-	addr      string
-	recovered int64
-}
-
-// spawnE17Child re-executes the current binary as a durable server child
-// and waits for its READY line.
-func spawnE17Child(dir string, seed uint64, m int, snapEvery int64) (*e17Child, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		E17ChildEnv+"=1",
-		e17DirEnv+"="+dir,
-		e17SeedEnv+"="+strconv.FormatUint(seed, 10),
-		e17EdgesEnv+"="+strconv.Itoa(m),
-		e17SnapEnv+"="+strconv.FormatInt(snapEvery, 10),
-	)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	ready := make(chan *e17Child, 1)
-	scanErr := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "E17-CHILD READY ") {
-				continue
-			}
-			c := &e17Child{cmd: cmd}
-			if _, err := fmt.Sscanf(line, "E17-CHILD READY addr=%s recovered=%d", &c.addr, &c.recovered); err != nil {
-				scanErr <- fmt.Errorf("E17: unparsable READY line %q: %w", line, err)
-				return
-			}
-			ready <- c
-			return
-		}
-		scanErr <- fmt.Errorf("E17: child exited without a READY line (is the RunE17Child hook installed in this binary's main?): %v", sc.Err())
-	}()
-	select {
-	case c := <-ready:
-		return c, nil
-	case err := <-scanErr:
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, err
-	case <-time.After(60 * time.Second):
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("E17: child did not become ready within 60s")
-	}
-}
-
 func runE17(cfg Config) ([]*Table, error) {
 	seed := cfg.Seed ^ 0xE17E17
 	m := cfg.scaledInt(64, 16)
-	ins, err := e17Instance(seed, m)
+	ins, err := childInstance(seed, m)
 	if err != nil {
 		return nil, err
 	}
@@ -236,14 +57,8 @@ func runE17(cfg Config) ([]*Table, error) {
 	// Batch small enough that the kill point lands strictly inside the
 	// stream, snapshot interval small enough that the crash leaves both a
 	// snapshot and an unsnapshotted segment tail behind.
-	batch := 64
-	if batch > n/4 {
-		batch = n / 4
-	}
-	snapEvery := int64(n / 8)
-	if snapEvery < 16 {
-		snapEvery = 16
-	}
+	batch := min(64, n/4)
+	snapEvery := max(int64(n/8), 16)
 
 	// Golden run: the uninterrupted sequential decision stream and final
 	// state digest every served segment is held to.
@@ -251,123 +66,79 @@ func runE17(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden := make([]server.DecisionJSON, 0, n)
-	for _, req := range ins.Requests {
-		d, err := eng.Submit(context.Background(), req)
-		if err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("E17: golden run: %w", err)
-		}
-		golden = append(golden, server.DecisionJSON{
-			ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted,
-		})
-	}
+	golden, err := directLines(eng, ins.Requests)
 	goldenDigest := eng.StateDigest()
 	eng.Close()
+	if err != nil {
+		return nil, fmt.Errorf("E17: golden run: %w", err)
+	}
 
 	dir, err := os.MkdirTemp("", "e17-wal-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	spec := childSpec{Role: roleAdmission, Dir: dir, Seed: seed, Edges: m, SnapEvery: snapEvery}
 
-	// Phase 1: durable child from an empty directory, SIGKILLed after
-	// roughly half the stream has been acknowledged.
-	c1, err := spawnE17Child(dir, seed, m, snapEvery)
+	// served streams requests [lo, hi) to a child over one connection and
+	// diffs the decisions against the golden stream.
+	served := func(c *child, lo, hi int) error {
+		got, _, _, err := stream(server.NewAdmissionClient("http://"+c.addr, 1), ins.Requests[lo:hi], batch)
+		if err != nil {
+			return err
+		}
+		return sameLines(got, golden[lo:hi], lo, sameAdmission)
+	}
+
+	// Phase 1: durable child from an empty directory, SIGKILLed once the
+	// first whole batches covering half the stream are acknowledged.
+	c1, err := spawnChild(spec)
 	if err != nil {
 		return nil, err
 	}
+	acked := min(n, (n/2+batch-1)/batch*batch)
 	if c1.recovered != 0 {
-		_ = c1.cmd.Process.Kill()
-		_ = c1.cmd.Wait()
-		return nil, fmt.Errorf("E17: fresh child recovered %d decisions from an empty directory", c1.recovered)
+		err = fmt.Errorf("fresh child recovered %d decisions from an empty directory", c1.recovered)
+	} else {
+		err = served(c1, 0, acked)
 	}
-	client := server.NewAdmissionClient("http://"+c1.addr, 1)
-	acked := 0
-	for acked < n/2 {
-		hi := acked + batch
-		if hi > n {
-			hi = n
-		}
-		ds, err := client.Submit(context.Background(), ins.Requests[acked:hi])
-		if err != nil {
-			_ = c1.cmd.Process.Kill()
-			_ = c1.cmd.Wait()
-			return nil, fmt.Errorf("E17: pre-crash submit at %d: %w", acked, err)
-		}
-		if err := e17Match(ds, golden[acked:hi], acked); err != nil {
-			_ = c1.cmd.Process.Kill()
-			_ = c1.cmd.Wait()
-			return nil, fmt.Errorf("E17: pre-crash %w", err)
-		}
-		acked = hi
+	c1.kill()
+	if err != nil {
+		return nil, fmt.Errorf("E17: pre-crash %w", err)
 	}
-	client.CloseIdle()
-	if err := c1.cmd.Process.Kill(); err != nil {
-		return nil, err
-	}
-	_ = c1.cmd.Wait() // expected: killed
 
 	// Phase 2: restart from the same directory. Group commit acknowledges
 	// only fsynced decisions and nothing was in flight at the kill, so the
 	// recovered count must equal the acknowledged count exactly.
-	c2, err := spawnE17Child(dir, seed, m, snapEvery)
+	c2, err := spawnChild(spec)
 	if err != nil {
 		return nil, err
 	}
-	kill2 := func() {
-		_ = c2.cmd.Process.Kill()
-		_ = c2.cmd.Wait()
-	}
 	if c2.recovered != int64(acked) {
-		kill2()
-		return nil, fmt.Errorf("E17: recovered %d decisions, %d were acknowledged before SIGKILL", c2.recovered, acked)
+		err = fmt.Errorf("recovered %d decisions, %d were acknowledged before SIGKILL", c2.recovered, acked)
+	} else {
+		err = served(c2, acked, n)
 	}
-	client = server.NewAdmissionClient("http://"+c2.addr, 1)
-	for lo := acked; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		ds, err := client.Submit(context.Background(), ins.Requests[lo:hi])
-		if err != nil {
-			kill2()
-			return nil, fmt.Errorf("E17: post-crash submit at %d: %w", lo, err)
-		}
-		if err := e17Match(ds, golden[lo:hi], lo); err != nil {
-			kill2()
-			return nil, fmt.Errorf("E17: post-crash %w", err)
-		}
+	if err != nil {
+		c2.kill()
+		return nil, fmt.Errorf("E17: post-crash %w", err)
 	}
-	client.CloseIdle()
-	if err := c2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		kill2()
-		return nil, err
-	}
-	if err := c2.cmd.Wait(); err != nil {
+	if err := c2.stop(); err != nil {
 		return nil, fmt.Errorf("E17: child shutdown after SIGTERM: %w", err)
 	}
 
 	// Offline fsck: replay the whole log read-only into a fresh engine;
 	// its digest must land exactly on the golden run's.
-	eng2, err := e17Engine(ins.Capacities, seed)
+	node, log, info, err := spec.open(true)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("E17: fsck: %w", err)
 	}
-	defer eng2.Close()
-	log, err := wal.Open(dir, wal.Options{Kind: wal.KindAdmission, Fingerprint: eng2.Fingerprint(), ReadOnly: true})
-	if err != nil {
-		return nil, fmt.Errorf("E17: fsck open: %w", err)
-	}
-	defer log.Close()
-	info, err := server.RecoverAdmission(log, eng2)
-	if err != nil {
-		return nil, fmt.Errorf("E17: fsck replay: %w", err)
-	}
+	fsckDigest := node.digest()
+	log.Close()
+	node.close()
 	if total := info.SnapshotSeq + info.TailRecords; total != int64(n) {
 		return nil, fmt.Errorf("E17: fsck replayed %d decisions, served %d", total, n)
 	}
-	fsckDigest := eng2.StateDigest()
 	if fsckDigest != goldenDigest {
 		return nil, fmt.Errorf("E17: fsck digest %016x, golden %016x", fsckDigest, goldenDigest)
 	}
@@ -387,23 +158,4 @@ func runE17(cfg Config) ([]*Table, error) {
 	t.AddNote("every served decision was compared line by line (id, accepted, cross-shard, preempted) against the golden stream")
 	t.AddNote("acceptance: recovered == acknowledged, both served segments identical to golden, fsck digest equal — PASS")
 	return []*Table{t}, nil
-}
-
-// e17Match compares one served batch against the golden stream slice
-// starting at global index base.
-func e17Match(got, want []server.DecisionJSON, base int) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("batch at %d: %d decisions for %d requests", base, len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Error != "" {
-			return fmt.Errorf("decision %d refused: %s", base+i, got[i].Error)
-		}
-		if got[i].ID != want[i].ID || got[i].Accepted != want[i].Accepted ||
-			got[i].CrossShard != want[i].CrossShard ||
-			fmt.Sprint(got[i].Preempted) != fmt.Sprint(want[i].Preempted) {
-			return fmt.Errorf("decision %d diverges: served %+v, golden %+v", base+i, got[i], want[i])
-		}
-	}
-	return nil
 }

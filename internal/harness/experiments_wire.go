@@ -1,23 +1,5 @@
 package harness
 
-import (
-	"context"
-	"fmt"
-	"net"
-	"net/http"
-	"sync"
-	"time"
-
-	"admission/internal/core"
-	"admission/internal/engine"
-	"admission/internal/opt"
-	"admission/internal/problem"
-	"admission/internal/rng"
-	"admission/internal/server"
-	"admission/internal/stats"
-	"admission/internal/workload"
-)
-
 // --- E16: wire loopback — binary protocol fidelity and throughput --------
 //
 // E16 validates the binary wire protocol (DESIGN.md §11): the same
@@ -40,171 +22,20 @@ func init() {
 	)
 }
 
-// e16Scenario labels one way of serving the workload.
-type e16Scenario struct {
-	name  string
-	conns int // 0 = direct engine, no server
-	wire  bool
-}
-
 func runE16(cfg Config) ([]*Table, error) {
-	scenarios := []e16Scenario{
-		{name: "direct", conns: 0},
-		{name: "json conns=1", conns: 1},
-		{name: "wire conns=1", conns: 1, wire: true},
-		{name: "wire conns=8", conns: 8, wire: true},
-	}
-	m := cfg.scaledInt(64, 16)
-	const c = 4
-	const shards = 4
-
-	type e16Point struct {
-		ok          bool
-		ratio, thru float64
-	}
-	points := make([]e16Point, len(scenarios)*cfg.reps())
-	var mu sync.Mutex
-	// One work item per repetition (not per scenario): the identity check
-	// needs all of a repetition's decision streams side by side.
-	err := parallelEach(cfg.reps(), cfg.workers(), func(rep int) error {
-		wr := rng.New(cfg.Seed ^ (uint64(rep+1) * 0xE16E16))
-		_, ins, err := genOverloadedGraph(m, c, workload.CostUnit, wr)
-		if err != nil {
-			return err
-		}
-		lb, err := opt.BestLowerBound(ins)
-		if err != nil {
-			return err
-		}
-		if lb <= 0 {
-			return nil // feasible draw; ratio undefined, skip
-		}
-		engineFor := func() (*engine.Engine, error) {
-			acfg := core.UnweightedConfig()
-			acfg.Seed = cfg.Seed ^ (uint64(rep+1) * 2750159)
-			return engine.New(ins.Capacities, engine.Config{Shards: shards, Algorithm: acfg})
-		}
-
-		// Direct reference: the sequential decision stream every served
-		// one-connection stream must reproduce.
-		eng, err := engineFor()
-		if err != nil {
-			return err
-		}
-		direct := make([]server.DecisionJSON, 0, len(ins.Requests))
-		start := time.Now()
-		for _, req := range ins.Requests {
-			d, err := eng.Submit(context.Background(), req)
-			if err != nil {
-				eng.Close()
-				return fmt.Errorf("E16: direct rep %d: %w", rep, err)
-			}
-			direct = append(direct, server.DecisionJSON{
-				ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted,
-			})
-		}
-		directElapsed := time.Since(start)
-		eng.Close()
-		directStats := eng.Snapshot()
-
-		rec := func(si int, p e16Point) {
-			mu.Lock()
-			points[si*cfg.reps()+rep] = p
-			mu.Unlock()
-		}
-		rec(0, e16Point{ok: true, ratio: directStats.RejectedCost / lb,
-			thru: float64(directStats.Requests) / directElapsed.Seconds()})
-
-		// Served scenarios: fresh identically seeded engine each, so every
-		// path decides the same workload from the same initial state.
-		var conns1 [2][]server.DecisionJSON // json, wire
-		for si := 1; si < len(scenarios); si++ {
-			sc := scenarios[si]
-			eng, err := engineFor()
-			if err != nil {
-				return err
-			}
-			if sc.conns == 1 {
-				got, thru, st, err := admissionStreamConns1(eng, ins.Requests, sc.wire)
-				if err != nil {
-					return fmt.Errorf("E16: %s rep %d: %w", sc.name, rep, err)
-				}
-				conns1[boolIdx(sc.wire)] = got
-				rec(si, e16Point{ok: true, ratio: st.RejectedCost / lb, thru: thru})
-				continue
-			}
-			report, st, err := serveWireLoopback(eng, ins.Requests, sc.conns)
-			if err != nil {
-				return fmt.Errorf("E16: %s rep %d: %w", sc.name, rep, err)
-			}
-			// Reconciliation gate: the binary stream the clients saw must
-			// match the engine's accounting exactly.
-			if report.Decided != st.Requests || report.Accepted != st.Accepted {
-				return fmt.Errorf("E16: %s rep %d: client saw %d decided/%d accepted, engine %d/%d",
-					sc.name, rep, report.Decided, report.Accepted, st.Requests, st.Accepted)
-			}
-			rec(si, e16Point{ok: true, ratio: st.RejectedCost / lb, thru: report.Throughput})
-		}
-
-		// Identity gate: both one-connection streams line-for-line equal to
-		// the direct run — the binary codec must be decision-invisible.
-		for _, codec := range []string{"json", "wire"} {
-			got := conns1[boolIdx(codec == "wire")]
-			if len(got) != len(direct) {
-				return fmt.Errorf("E16: %s conns=1 rep %d: %d decisions for %d requests", codec, rep, len(got), len(direct))
-			}
-			for t := range got {
-				if got[t].Error != "" {
-					return fmt.Errorf("E16: %s conns=1 rep %d: request %d refused: %s", codec, rep, t, got[t].Error)
-				}
-				if got[t].ID != direct[t].ID || got[t].Accepted != direct[t].Accepted ||
-					got[t].CrossShard != direct[t].CrossShard ||
-					fmt.Sprint(got[t].Preempted) != fmt.Sprint(direct[t].Preempted) {
-					return fmt.Errorf("E16: %s conns=1 rep %d: decision %d diverges: served %+v, direct %+v",
-						codec, rep, t, got[t], direct[t])
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ratios := make([]*stats.Summary, len(scenarios))
-	thrus := make([]*stats.Summary, len(scenarios))
-	for si := range scenarios {
-		ratios[si] = &stats.Summary{}
-		thrus[si] = &stats.Summary{}
-		for rep := 0; rep < cfg.reps(); rep++ {
-			p := points[si*cfg.reps()+rep]
-			if !p.ok {
-				continue
-			}
-			ratios[si].Add(p.ratio)
-			thrus[si].Add(p.thru)
-		}
-	}
-
 	t := &Table{
 		ID:      "E16",
 		Title:   "Wire loopback: binary protocol fidelity and throughput (acserve §11 codec)",
 		Columns: []string{"path", "throughput (dec/s)", "ratio (mean ± ci95)", "vs direct"},
 	}
-	base := ratios[0].Mean()
-	worst := 0.0
-	for i, sc := range scenarios {
-		rel := 0.0
-		if base > 0 {
-			rel = ratios[i].Mean() / base
-		}
-		if sc.conns > 0 && rel > worst {
-			worst = rel
-		}
-		t.AddRow(sc.name,
-			fmt.Sprintf("%.0f", thrus[i].Mean()),
-			ratioCell(ratios[i]),
-			fmt.Sprintf("%.2f", rel))
+	worst, err := runAdmissionLegs(cfg, t, []admissionLeg{
+		{name: "direct"},
+		{name: "json conns=1", conns: 1},
+		{name: "wire conns=1", conns: 1, wire: true},
+		{name: "wire conns=8", conns: 8, wire: true},
+	}, 0xE16E16, 2750159, false)
+	if err != nil {
+		return nil, err
 	}
 	verdict := "PASS"
 	if worst > 2 {
@@ -214,109 +45,4 @@ func runE16(cfg Config) ([]*Table, error) {
 	t.AddNote("both conns=1 streams were compared line by line (id, accepted, cross-shard, preempted) and are identical to direct")
 	t.AddNote("acceptance: loopback ratio within 2x of direct — worst observed %.2fx: %s; wire conns=8 accounting reconciled exactly", worst, verdict)
 	return []*Table{t}, nil
-}
-
-// boolIdx maps a codec flag to its conns1 slot.
-func boolIdx(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// admissionStreamConns1 serves the request sequence over a one-connection
-// loopback in 64-item batches using the JSON or binary client, drains, and
-// returns the full decision stream, the client-side throughput, and the
-// engine's final stats. The engine is closed on return.
-func admissionStreamConns1(eng *engine.Engine, reqs []problem.Request, wireCodec bool) ([]server.DecisionJSON, float64, engine.Stats, error) {
-	fail := func(err error) ([]server.DecisionJSON, float64, engine.Stats, error) {
-		eng.Close()
-		return nil, 0, engine.Stats{}, err
-	}
-	srv, err := server.New(server.Config{}, server.Admission(eng))
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		_ = httpSrv.Close()
-		eng.Close()
-	}()
-
-	base := "http://" + ln.Addr().String()
-	var client *server.Client[problem.Request, server.DecisionJSON]
-	if wireCodec {
-		client = server.NewAdmissionWireClient(base, 1)
-	} else {
-		client = server.NewAdmissionClient(base, 1)
-	}
-	defer client.CloseIdle()
-
-	const batch = 64
-	got := make([]server.DecisionJSON, 0, len(reqs))
-	start := time.Now()
-	for lo := 0; lo < len(reqs); lo += batch {
-		hi := lo + batch
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		ds, err := client.Submit(context.Background(), reqs[lo:hi])
-		if err != nil {
-			return nil, 0, engine.Stats{}, err
-		}
-		got = append(got, ds...)
-	}
-	elapsed := time.Since(start)
-	if err := drainServer(srv); err != nil {
-		return nil, 0, engine.Stats{}, err
-	}
-	eng.Close()
-	return got, float64(len(got)) / elapsed.Seconds(), eng.Snapshot(), nil
-}
-
-// serveWireLoopback is serveLoopback over the binary wire protocol: it
-// stands a server up on a loopback listener, drives it with the request
-// sequence via the load generator's binary client, drains, and returns the
-// load report plus the engine's final stats. The engine is closed on
-// return.
-func serveWireLoopback(eng *engine.Engine, reqs []problem.Request, conns int) (*server.LoadReport, engine.Stats, error) {
-	srv, err := server.New(server.Config{}, server.Admission(eng))
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		_ = httpSrv.Close()
-		eng.Close()
-	}()
-
-	report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-		BaseURL: "http://" + ln.Addr().String(),
-		Items:   reqs,
-		Conns:   conns,
-		Batch:   64,
-		Wire:    true,
-	})
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return nil, engine.Stats{}, err
-	}
-	eng.Close()
-	return report, eng.Snapshot(), nil
 }

@@ -53,15 +53,7 @@ func AdmissionDurable(eng *engine.Engine, log *wal.Log, opts DurableOptions) Reg
 			*rec = wal.Record{
 				Kind:         wal.KindAdmission,
 				AdmissionReq: wire.AdmissionRequest{Edges: r.Edges, Cost: r.Cost},
-				AdmissionDec: wire.AdmissionDecision{
-					ID:         d.ID,
-					Accepted:   d.Accepted,
-					CrossShard: d.CrossShard,
-					Preempted:  d.Preempted,
-				},
-			}
-			if d.Err != nil {
-				rec.AdmissionDec.Error = d.Err.Error()
+				AdmissionDec: admissionLine(d),
 			}
 		},
 	}
@@ -78,42 +70,47 @@ func AdmissionDurable(eng *engine.Engine, log *wal.Log, opts DurableOptions) Reg
 // and in-memory registrations.
 func admissionCodec(eng *engine.Engine) Codec[problem.Request, engine.Decision] {
 	return Codec[problem.Request, engine.Decision]{
-		Encode: func(d engine.Decision) any {
-			line := DecisionJSON{
-				ID:         d.ID,
-				Accepted:   d.Accepted,
-				CrossShard: d.CrossShard,
-				Preempted:  d.Preempted,
-			}
-			if d.Err != nil {
-				line.Error = d.Err.Error()
-			}
-			return line
-		},
+		Encode:  encodeAdmission,
 		Stats:   func(q QueueState) any { return admissionStats(eng, q) },
 		Metrics: func(reg *metrics.Registry) func(engine.Decision) { return admissionMetrics(reg, eng) },
 		Wire: &WireCodec[problem.Request, engine.Decision]{
-			DecodeRequest: func(payload []byte) (problem.Request, error) {
-				var wr wire.AdmissionRequest
-				if err := wire.DecodeAdmissionRequest(payload, &wr); err != nil {
-					return problem.Request{}, err
-				}
-				return problem.Request{Edges: wr.Edges, Cost: wr.Cost}, nil
-			},
-			AppendDecision: func(buf []byte, d engine.Decision) []byte {
-				wd := wire.AdmissionDecision{
-					ID:         d.ID,
-					Accepted:   d.Accepted,
-					CrossShard: d.CrossShard,
-					Preempted:  d.Preempted,
-				}
-				if d.Err != nil {
-					wd.Error = d.Err.Error()
-				}
-				return wire.AppendAdmissionDecision(buf, &wd)
-			},
+			DecodeRequest:  decodeAdmissionRequest,
+			AppendDecision: appendAdmissionDecision,
 		},
 	}
+}
+
+// admissionLine maps an engine decision onto its wire line. It is the one
+// field mapping behind every admission and cluster JSON line, binary frame
+// and WAL record: DecisionJSON is the same struct with JSON tags.
+func admissionLine(d engine.Decision) wire.AdmissionDecision {
+	line := wire.AdmissionDecision{ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted}
+	if d.Err != nil {
+		line.Error = d.Err.Error()
+	}
+	return line
+}
+
+// encodeAdmission renders an admission or cluster decision as its NDJSON
+// line.
+func encodeAdmission(d engine.Decision) any { return DecisionJSON(admissionLine(d)) }
+
+// appendAdmissionDecision frames an admission or cluster decision; the
+// cluster workload and the router reuse the admission decision frame byte
+// for byte.
+func appendAdmissionDecision(buf []byte, d engine.Decision) []byte {
+	line := admissionLine(d)
+	return wire.AppendAdmissionDecision(buf, &line)
+}
+
+// decodeAdmissionRequest decodes one admission request frame, for the
+// admission workload and the router alike.
+func decodeAdmissionRequest(payload []byte) (problem.Request, error) {
+	var wr wire.AdmissionRequest
+	if err := wire.DecodeAdmissionRequest(payload, &wr); err != nil {
+		return problem.Request{}, err
+	}
+	return problem.Request{Edges: wr.Edges, Cost: wr.Cost}, nil
 }
 
 // AdmissionClientWire returns the client-side binary hooks for the
@@ -139,13 +136,7 @@ func AdmissionClientWire() ClientWire[problem.Request, DecisionJSON] {
 			if err := wire.DecodeAdmissionDecision(payload, &wd); err != nil {
 				return DecisionJSON{}, err
 			}
-			return DecisionJSON{
-				ID:         wd.ID,
-				Accepted:   wd.Accepted,
-				CrossShard: wd.CrossShard,
-				Preempted:  wd.Preempted,
-				Error:      wd.Error,
-			}, nil
+			return DecisionJSON(wd), nil
 		},
 	}
 }

@@ -41,21 +41,13 @@ func ClusterBackendDurable(b *cluster.Backend, log *wal.Log, opts DurableOptions
 		Replay:        opts.Replay,
 		Record: func(op cluster.Op, d engine.Decision, rec *wal.Record) {
 			*rec = wal.Record{
-				Kind:      wal.KindCluster,
-				ClusterOp: clusterOpCode(op.Kind),
-				ClusterTx: op.Tx,
-				AdmissionDec: wire.AdmissionDecision{
-					ID:         d.ID,
-					Accepted:   d.Accepted,
-					CrossShard: d.CrossShard,
-					Preempted:  d.Preempted,
-				},
+				Kind:         wal.KindCluster,
+				ClusterOp:    clusterOpCode(op.Kind),
+				ClusterTx:    op.Tx,
+				AdmissionDec: admissionLine(d),
 			}
 			if op.Kind == cluster.OpOffer || op.Kind == cluster.OpReserve {
 				rec.AdmissionReq = wire.AdmissionRequest{Edges: op.Edges, Cost: op.Cost}
-			}
-			if d.Err != nil {
-				rec.AdmissionDec.Error = d.Err.Error()
 			}
 		},
 	}
@@ -66,18 +58,7 @@ func ClusterBackendDurable(b *cluster.Backend, log *wal.Log, opts DurableOptions
 // in-memory registrations.
 func clusterCodec(b *cluster.Backend) Codec[cluster.Op, engine.Decision] {
 	return Codec[cluster.Op, engine.Decision]{
-		Encode: func(d engine.Decision) any {
-			line := DecisionJSON{
-				ID:         d.ID,
-				Accepted:   d.Accepted,
-				CrossShard: d.CrossShard,
-				Preempted:  d.Preempted,
-			}
-			if d.Err != nil {
-				line.Error = d.Err.Error()
-			}
-			return line
-		},
+		Encode: encodeAdmission,
 		Stats: func(q QueueState) any {
 			st := b.Stats()
 			return cluster.BackendStatsJSON{
@@ -95,24 +76,9 @@ func clusterCodec(b *cluster.Backend) Codec[cluster.Op, engine.Decision] {
 		Metrics: clusterMetrics(b),
 		Wire: &WireCodec[cluster.Op, engine.Decision]{
 			DecodeRequest:  cluster.DecodeOp,
-			AppendDecision: appendClusterDecision,
+			AppendDecision: appendAdmissionDecision,
 		},
 	}
-}
-
-// appendClusterDecision frames one decision; cluster decisions reuse the
-// admission decision frame byte for byte.
-func appendClusterDecision(buf []byte, d engine.Decision) []byte {
-	wd := wire.AdmissionDecision{
-		ID:         d.ID,
-		Accepted:   d.Accepted,
-		CrossShard: d.CrossShard,
-		Preempted:  d.Preempted,
-	}
-	if d.Err != nil {
-		wd.Error = d.Err.Error()
-	}
-	return wire.AppendAdmissionDecision(buf, &wd)
 }
 
 // clusterOpCode maps an operation kind onto its WAL code (the spellings
@@ -231,18 +197,7 @@ type RouterStatsJSON struct {
 // instead of per-shard occupancy (the router has no shards of its own).
 func RouterAdmission(r *cluster.Router) Registration {
 	codec := Codec[problem.Request, engine.Decision]{
-		Encode: func(d engine.Decision) any {
-			line := DecisionJSON{
-				ID:         d.ID,
-				Accepted:   d.Accepted,
-				CrossShard: d.CrossShard,
-				Preempted:  d.Preempted,
-			}
-			if d.Err != nil {
-				line.Error = d.Err.Error()
-			}
-			return line
-		},
+		Encode: encodeAdmission,
 		Stats: func(q QueueState) any {
 			led := r.Ledger()
 			return RouterStatsJSON{
@@ -258,14 +213,8 @@ func RouterAdmission(r *cluster.Router) Registration {
 			}
 		},
 		Wire: &WireCodec[problem.Request, engine.Decision]{
-			DecodeRequest: func(payload []byte) (problem.Request, error) {
-				var wr wire.AdmissionRequest
-				if err := wire.DecodeAdmissionRequest(payload, &wr); err != nil {
-					return problem.Request{}, err
-				}
-				return problem.Request{Edges: wr.Edges, Cost: wr.Cost}, nil
-			},
-			AppendDecision: appendClusterDecision,
+			DecodeRequest:  decodeAdmissionRequest,
+			AppendDecision: appendAdmissionDecision,
 		},
 	}
 	return Register(WorkloadAdmission, r, codec)

@@ -36,20 +36,7 @@ func CoverDurable(cov *coverengine.Engine, log *wal.Log, opts DurableOptions) Re
 		SnapshotEvery: opts.SnapshotEvery,
 		Replay:        opts.Replay,
 		Record: func(element int, d coverengine.Decision, rec *wal.Record) {
-			*rec = wal.Record{
-				Kind:    wal.KindCover,
-				Element: element,
-				CoverDec: wire.CoverDecision{
-					Seq:       d.Seq,
-					Element:   d.Element,
-					Arrival:   d.Arrival,
-					NewSets:   d.NewSets,
-					AddedCost: d.AddedCost,
-				},
-			}
-			if d.Err != nil {
-				rec.CoverDec.Error = d.Err.Error()
-			}
+			*rec = wal.Record{Kind: wal.KindCover, Element: element, CoverDec: coverLine(d)}
 		},
 	}
 	return Register(WorkloadCover, cov, codec)
@@ -59,38 +46,28 @@ func CoverDurable(cov *coverengine.Engine, log *wal.Log, opts DurableOptions) Re
 // in-memory registrations.
 func coverCodec(cov *coverengine.Engine) Codec[int, coverengine.Decision] {
 	return Codec[int, coverengine.Decision]{
-		Encode: func(d coverengine.Decision) any {
-			line := CoverDecisionJSON{
-				Seq:       d.Seq,
-				Element:   d.Element,
-				Arrival:   d.Arrival,
-				NewSets:   d.NewSets,
-				AddedCost: d.AddedCost,
-			}
-			if d.Err != nil {
-				line.Error = d.Err.Error()
-			}
-			return line
-		},
+		Encode:  func(d coverengine.Decision) any { return CoverDecisionJSON(coverLine(d)) },
 		Stats:   func(q QueueState) any { return coverStats(cov, q) },
 		Metrics: func(reg *metrics.Registry) func(coverengine.Decision) { return coverMetrics(reg, cov) },
 		Wire: &WireCodec[int, coverengine.Decision]{
 			DecodeRequest: wire.DecodeCoverRequest,
 			AppendDecision: func(buf []byte, d coverengine.Decision) []byte {
-				wd := wire.CoverDecision{
-					Seq:       d.Seq,
-					Element:   d.Element,
-					Arrival:   d.Arrival,
-					NewSets:   d.NewSets,
-					AddedCost: d.AddedCost,
-				}
-				if d.Err != nil {
-					wd.Error = d.Err.Error()
-				}
-				return wire.AppendCoverDecision(buf, &wd)
+				line := coverLine(d)
+				return wire.AppendCoverDecision(buf, &line)
 			},
 		},
 	}
+}
+
+// coverLine maps a cover engine decision onto its wire line. It is the one
+// field mapping behind every cover JSON line, binary frame and WAL record:
+// CoverDecisionJSON is the same struct with JSON tags.
+func coverLine(d coverengine.Decision) wire.CoverDecision {
+	line := wire.CoverDecision{Seq: d.Seq, Element: d.Element, Arrival: d.Arrival, NewSets: d.NewSets, AddedCost: d.AddedCost}
+	if d.Err != nil {
+		line.Error = d.Err.Error()
+	}
+	return line
 }
 
 // CoverClientWire returns the client-side binary hooks for the set cover
@@ -114,14 +91,7 @@ func CoverClientWire() ClientWire[int, CoverDecisionJSON] {
 			if err := wire.DecodeCoverDecision(payload, &wd); err != nil {
 				return CoverDecisionJSON{}, err
 			}
-			return CoverDecisionJSON{
-				Seq:       wd.Seq,
-				Element:   wd.Element,
-				Arrival:   wd.Arrival,
-				NewSets:   wd.NewSets,
-				AddedCost: wd.AddedCost,
-				Error:     wd.Error,
-			}, nil
+			return CoverDecisionJSON(wd), nil
 		},
 	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 )
@@ -154,9 +155,17 @@ func TestSegmentChainGap(t *testing.T) {
 }
 
 // TestTornSegmentHeader: a crash can leave a freshly rotated segment with
-// even its header incomplete; recovery recreates the segment rather than
-// leaving a header-less file that a later open would reject.
+// even its header incomplete — cut mid-magic, or empty when the process
+// died between creating the file and writing its header; recovery
+// recreates the segment rather than leaving a header-less file that a
+// later open would reject.
 func TestTornSegmentHeader(t *testing.T) {
+	for _, size := range []int64{4, 0} {
+		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) { tornSegmentHeader(t, size) })
+	}
+}
+
+func tornSegmentHeader(t *testing.T, size int64) {
 	opts := testOpts()
 	opts.SegmentBytes = 1 // rotate before every append after the first
 	dir := buildDir(t, 3, opts)
@@ -164,7 +173,7 @@ func TestTornSegmentHeader(t *testing.T) {
 	if len(segs) != 3 {
 		t.Fatalf("got %d segments", len(segs))
 	}
-	if err := os.Truncate(segs[2], 4); err != nil { // mid-magic
+	if err := os.Truncate(segs[2], size); err != nil {
 		t.Fatal(err)
 	}
 	l, err := Open(dir, opts)
@@ -172,7 +181,7 @@ func TestTornSegmentHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := l.Recovery()
-	if rec.TornBytes != 4 || rec.TailRecords != 2 {
+	if rec.TornBytes != size || rec.TailRecords != 2 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if got := l.NextSeq(); got != 2 {

@@ -284,18 +284,21 @@ func (l *Log) openChain(segStarts []int64) error {
 		}
 		if torn > 0 {
 			l.recov.TornBytes = torn
-			if !l.opts.ReadOnly {
-				if hdrOK {
-					if err := truncateTail(path, torn); err != nil {
-						return err
-					}
-				} else {
-					// Even the header was torn: the file carries no
-					// records and no identity, so recreate it whole.
-					if err := os.Remove(path); err != nil {
-						return fmt.Errorf("wal: %w", err)
-					}
-					recreate = true
+		}
+		if !l.opts.ReadOnly {
+			switch {
+			case !hdrOK:
+				// Even the header was torn, or never written (a crash
+				// right after the file was created leaves it empty, with
+				// no torn bytes to count): the file carries no records and
+				// no identity, so recreate it whole.
+				if err := os.Remove(path); err != nil {
+					return fmt.Errorf("wal: %w", err)
+				}
+				recreate = true
+			case torn > 0:
+				if err := truncateTail(path, torn); err != nil {
+					return err
 				}
 			}
 		}
