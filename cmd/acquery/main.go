@@ -89,14 +89,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	acfg := core.DefaultConfig()
-	if *unweighted {
-		acfg = core.UnweightedConfig()
-	}
-	acfg.Seed = *algSeed
 	eng, err := lca.New(lca.Config{
 		Source:    lca.Source{Workload: *wl, Model: model, Capacity: *capacity, N: *n, Seed: *seed},
-		Algorithm: acfg,
+		Algorithm: core.SeededConfig(*unweighted, *algSeed),
 		Workers:   *workers,
 	})
 	if err != nil {
@@ -109,19 +104,7 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, a := range answers {
-		line := server.QueryDecisionJSON{
-			Pos:       a.Pos,
-			Accepted:  a.Accepted,
-			Preempted: a.Preempted,
-			Replayed:  a.Replayed,
-		}
-		if a.Fidelity != lca.FidelityExact {
-			line.Fidelity = a.Fidelity.String()
-		}
-		if a.Err != nil {
-			line.Error = a.Err.Error()
-		}
-		if err := enc.Encode(line); err != nil {
+		if err := enc.Encode(server.QueryLine(a)); err != nil {
 			fail(err)
 		}
 	}

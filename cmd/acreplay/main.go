@@ -16,7 +16,8 @@
 // regenerated decision is verified field for field against the logged one.
 // Nothing on disk is modified; a torn final record is reported, not
 // truncated. The engine flags must match the recorded run (wal.Open
-// rejects a mismatched configuration fingerprint).
+// rejects a mismatched configuration fingerprint); the summary prints the
+// fingerprint, as acserve's startup lines do.
 //
 //	acreplay -wal -edges 64 -cap 16 -shards 8 /var/lib/acserve/admission
 //	acreplay -wal -cover -cover-workload cover-random /var/lib/acserve/cover
@@ -37,7 +38,6 @@ import (
 	"admission/internal/opt"
 	"admission/internal/server"
 	"admission/internal/trace"
-	"admission/internal/wal"
 	"admission/internal/workload"
 )
 
@@ -66,15 +66,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "       acreplay [-q] -wal [engine flags] <wal-dir>")
 		os.Exit(2)
 	}
-	if *walMode {
-		if *cover {
-			fsckCoverWAL(flag.Arg(0), *coverWl, *coverSeed, *coverSh, *coverMode, *coverEps, *quiet)
-		} else {
-			fsckAdmissionWAL(flag.Arg(0), *wl, *edges, *capacity, *shards, *seed, *unweighted, *quiet)
-		}
+	if !*walMode {
+		verifyArtifact(flag.Arg(0), *quiet)
 		return
 	}
-	verifyArtifact(flag.Arg(0), *quiet)
+	var node *server.Node
+	if *cover {
+		mode, err := coverengine.ParseMode(*coverMode)
+		if err != nil {
+			fail(err)
+		}
+		w, err := workload.BuildNamedCover(*coverWl, 0, *coverSeed)
+		if err != nil {
+			fail(err)
+		}
+		cov, err := coverengine.New(w.Instance, coverengine.Config{Shards: *coverSh, Seed: *coverSeed, Mode: mode, Eps: *coverEps})
+		if err != nil {
+			fail(err)
+		}
+		node = server.CoverNode(cov)
+	} else {
+		caps, err := workload.Capacities(*wl, *edges, *capacity, *seed)
+		if err != nil {
+			fail(err)
+		}
+		eng, err := engine.New(caps, engine.Config{Shards: *shards, Algorithm: core.SeededConfig(*unweighted, *seed)})
+		if err != nil {
+			fail(err)
+		}
+		node = server.AdmissionNode(eng)
+	}
+	fsckWAL(flag.Arg(0), node, *quiet)
 }
 
 // verifyArtifact is the original RecordedRun audit.
@@ -110,107 +132,31 @@ func verifyArtifact(path string, quiet bool) {
 	fmt.Println("OK: the recorded run is internally consistent")
 }
 
-// fsckAdmissionWAL replays an admission decision log read-only into a
-// fresh engine built from the given configuration.
-func fsckAdmissionWAL(dir, wl string, edges, capacity, shards int, seed uint64, unweighted, quiet bool) {
-	caps, err := buildCapacities(wl, edges, capacity, seed)
+// fsckWAL replays a decision log read-only into node's fresh engine: the
+// open fails on corruption anywhere but a torn final record, the snapshot
+// prefix is checked against its stamped state digest, and every tail
+// record's regenerated decision is verified against the logged one.
+func fsckWAL(dir string, node *server.Node, quiet bool) {
+	defer node.Close()
+	log, info, err := node.Open(dir, true)
 	if err != nil {
-		fail(err)
+		failedFsck(err)
 	}
-	acfg := core.DefaultConfig()
-	if unweighted {
-		acfg = core.UnweightedConfig()
-	}
-	acfg.Seed = seed
-	eng, err := engine.New(caps, engine.Config{Shards: shards, Algorithm: acfg})
-	if err != nil {
-		fail(err)
-	}
-	defer eng.Close()
-	log := openWAL(dir, wal.KindAdmission, eng.Fingerprint())
 	defer log.Close()
-	info, err := server.RecoverAdmission(log, eng)
-	if err != nil {
-		failedFsck(err)
-	}
-	reportFsck(dir, log, info, eng.StateDigest(), quiet)
-}
-
-// fsckCoverWAL replays a set cover decision log read-only into a fresh
-// cover engine built from the given named workload.
-func fsckCoverWAL(dir, wl string, seed uint64, shards int, mode string, eps float64, quiet bool) {
-	w, err := workload.BuildNamedCover(wl, 0, seed)
-	if err != nil {
-		fail(err)
-	}
-	cfg := coverengine.Config{Shards: shards, Seed: seed, Eps: eps}
-	switch mode {
-	case "reduction":
-		cfg.Mode = coverengine.ModeReduction
-	case "bicriteria":
-		cfg.Mode = coverengine.ModeBicriteria
-	default:
-		fail(fmt.Errorf("unknown cover mode %q (want reduction|bicriteria)", mode))
-	}
-	cov, err := coverengine.New(w.Instance, cfg)
-	if err != nil {
-		fail(err)
-	}
-	defer cov.Close()
-	log := openWAL(dir, wal.KindCover, cov.Fingerprint())
-	defer log.Close()
-	info, err := server.RecoverCover(log, cov)
-	if err != nil {
-		failedFsck(err)
-	}
-	reportFsck(dir, log, info, cov.StateDigest(), quiet)
-}
-
-// openWAL opens a decision log for replay only: corruption anywhere but a
-// torn final record fails here, before any replay starts.
-func openWAL(dir string, kind wal.Kind, fingerprint string) *wal.Log {
-	log, err := wal.Open(dir, wal.Options{Kind: kind, Fingerprint: fingerprint, ReadOnly: true})
-	if err != nil {
-		failedFsck(err)
-	}
-	return log
-}
-
-// reportFsck prints the fsck summary after a successful replay.
-func reportFsck(dir string, log *wal.Log, info server.RecoveryInfo, digest uint64, quiet bool) {
 	if quiet {
 		return
 	}
 	fmt.Printf("wal:            %s (%s)\n", dir, log.Kind())
+	fmt.Printf("fingerprint:    %s\n", node.Fingerprint)
 	fmt.Printf("decisions:      %d (%d snapshot + %d verified tail)\n",
 		info.SnapshotSeq+info.TailRecords, info.SnapshotSeq, info.TailRecords)
 	fmt.Printf("next seq:       %d\n", log.NextSeq())
-	fmt.Printf("state digest:   %016x\n", digest)
+	fmt.Printf("state digest:   %016x\n", node.StateDigest())
 	fmt.Printf("replay time:    %v\n", info.Duration.Round(time.Millisecond))
 	if info.TornBytes > 0 {
 		fmt.Printf("torn tail:      %d bytes (never acknowledged; a writable open truncates it)\n", info.TornBytes)
 	}
 	fmt.Println("OK: the decision log is internally consistent")
-}
-
-// buildCapacities mirrors acserve's capacity-vector construction so the
-// fsck engine matches the serving engine flag for flag.
-func buildCapacities(wl string, edges, capacity int, seed uint64) ([]int, error) {
-	if wl != "" {
-		ins, err := workload.BuildNamed(wl, workload.CostUnit, capacity, 0, seed)
-		if err != nil {
-			return nil, err
-		}
-		return ins.Capacities, nil
-	}
-	if edges <= 0 || capacity <= 0 {
-		return nil, fmt.Errorf("need -edges > 0 and -cap > 0")
-	}
-	caps := make([]int, edges)
-	for i := range caps {
-		caps[i] = capacity
-	}
-	return caps, nil
 }
 
 func failedFsck(err error) {

@@ -36,16 +36,17 @@
 //	GET  /healthz            liveness; 503 while draining
 //
 // On SIGINT/SIGTERM the router drains in-flight submissions and prints
-// the final reconciliation ledger to stderr. The backends stay up — the
-// router does not own them.
+// the final reconciliation ledger to stderr; it exits 1 if the drain did
+// not complete. The backends stay up — the router does not own them.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -86,22 +87,17 @@ func main() {
 	if len(urls) == 0 {
 		fail(fmt.Errorf("need -backends (comma-separated base URLs)"))
 	}
-	caps, err := buildCapacities(*wl, *edges, *capacity, *seed)
+	caps, err := workload.Capacities(*wl, *edges, *capacity, *seed)
 	if err != nil {
 		fail(err)
 	}
-	acfg := core.DefaultConfig()
-	if *unweighted {
-		acfg = core.UnweightedConfig()
-	}
-	acfg.Seed = *seed
 	policy := cluster.RetryPolicy{MaxAttempts: *attempts, BaseDelay: *retryBase, MaxDelay: *retryMax}
 	clients := make([]*cluster.Client, len(urls))
 	for i, u := range urls {
 		clients[i] = cluster.NewClient(u, policy)
 	}
 	router, err := cluster.NewRouter(caps, clients, cluster.RouterConfig{
-		Backend:     cluster.BackendConfig{Engine: engine.Config{Shards: *shards, Algorithm: acfg}},
+		Backend:     cluster.BackendConfig{Engine: engine.Config{Shards: *shards, Algorithm: core.SeededConfig(*unweighted, *seed)}},
 		Vnodes:      *vnodes,
 		ResyncEvery: *resync,
 	})
@@ -130,35 +126,22 @@ func main() {
 		fail(err)
 	}
 
-	httpSrv := srv.HTTPServer(*addr)
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "acrouter: routing /v1/admission on %s: batch %d, resync %v\n",
-			*addr, *batch, *resync)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fail(err)
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "acrouter: %v — draining\n", s)
 	}
+	fmt.Fprintf(os.Stderr, "acrouter: routing /v1/admission on %s: batch %d, resync %v\n",
+		ln.Addr(), *batch, *resync)
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	announce := context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "acrouter: draining") })
+	runErr := srv.Run(ctx, ln, *drainT)
+	announce()
+	dctx, cancel := context.WithTimeout(context.Background(), *drainT)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acrouter: http shutdown: %v\n", err)
-	}
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acrouter: pipeline drain: %v\n", err)
-	}
-	if err := router.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acrouter: router drain: %v\n", err)
+	if err := router.Drain(dctx); err != nil {
+		runErr = errors.Join(runErr, fmt.Errorf("router drain: %w", err))
 	}
 	led := router.Ledger()
 	_ = router.Close()
@@ -166,6 +149,9 @@ func main() {
 		led.Requests, led.Accepted, led.ShedRefusals, led.CrossBackend, led.RejectedCost)
 	if buf, err := json.MarshalIndent(led.Backends, "", "  "); err == nil {
 		fmt.Fprintf(os.Stderr, "acrouter: ledger: %s\n", buf)
+	}
+	if runErr != nil {
+		fail(runErr)
 	}
 }
 
@@ -178,28 +164,6 @@ func splitURLs(s string) []string {
 		}
 	}
 	return out
-}
-
-// buildCapacities derives the global capacity vector: from a named
-// workload's generated topology, or a flat vector of `edges` copies of
-// `capacity` — the same derivation acserve uses, so router and backends
-// agree on it from matching flags.
-func buildCapacities(wl string, edges, capacity int, seed uint64) ([]int, error) {
-	if wl != "" {
-		ins, err := workload.BuildNamed(wl, workload.CostUnit, capacity, 0, seed)
-		if err != nil {
-			return nil, err
-		}
-		return ins.Capacities, nil
-	}
-	if edges <= 0 || capacity <= 0 {
-		return nil, fmt.Errorf("need -edges > 0 and -cap > 0")
-	}
-	caps := make([]int, edges)
-	for i := range caps {
-		caps[i] = capacity
-	}
-	return caps, nil
 }
 
 func fail(err error) {

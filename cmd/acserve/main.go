@@ -11,6 +11,11 @@
 //	acserve -addr :8080 -workload grid -cap 8 -shards 4
 //	acserve -addr :8080 -edges 64 -cap 16 -shards 8 -batch 512
 //
+// The startup lines print each engine's configuration fingerprint, which
+// acrouter, acreplay -wal and a restart on the same -wal-dir must match,
+// and the address actually bound: with port 0 (-addr 127.0.0.1:0) the
+// kernel picks a free one.
+//
 // With -cover the server additionally serves online set cover with
 // repetitions (§§4–5, DESIGN.md §9) over a named set-cover workload's
 // instance — the same registry acload -cover uses, so starting both with
@@ -71,35 +76,42 @@
 //	acserve -addr :8081 -edges 64 -cap 8 -cluster-size 3 -cluster-index 0 -wal-dir /var/lib/acserve0
 //
 // Cluster mode serves only the cluster workload; -cover and -query are
-// rejected.
+// rejected. Otherwise it runs the same path as the admission workload: the
+// backend is one more node that -wal-dir recovers, mounts and finishes.
 //
 // With -wal-dir the server is durable (DESIGN.md §12): every decision is
 // appended to a per-workload write-ahead log under the directory
-// (<dir>/admission, and <dir>/cover with -cover) and group-commit-fsynced
-// before its response line is released, and the log is snapshotted every
-// -snapshot-every decisions. On startup any prior state in the directory
-// is recovered — replayed through the freshly built engines and verified
-// decision-for-decision — before the listener opens, so a restart
-// continues the decision stream exactly where the crash cut it off
-// (experiment E17). The engine flags must match the recorded run;
-// wal.Open rejects a mismatched configuration fingerprint.
+// (<dir>/admission or, in cluster mode, <dir>/cluster, and <dir>/cover
+// with -cover) and group-commit-fsynced before its response line is
+// released, and the log is snapshotted every -snapshot-every decisions.
+// On startup any prior state in the directory is recovered — replayed
+// through the freshly built engines and verified decision-for-decision —
+// before the listener opens, so a restart continues the decision stream
+// exactly where the crash cut it off (experiment E17). The engine flags
+// must match the recorded run; wal.Open rejects a mismatched configuration
+// fingerprint.
 //
 //	acserve -addr :8080 -edges 64 -cap 16 -shards 8 -wal-dir /var/lib/acserve
 //
 // On SIGINT/SIGTERM the server stops accepting connections, completes
-// in-flight submissions (HTTP drain, then pipeline drain), snapshots and
-// closes the decision logs if durable, closes the engines, and prints
-// final statistics to stderr.
+// in-flight submissions (HTTP drain, then pipeline drain), closes the
+// decision logs if durable, closes the engines, and prints final
+// statistics to stderr. A log gets a shutdown snapshot only after a clean
+// drain: a drain that timed out may leave a batch decided but not logged,
+// and a snapshot stamped then would make the next start refuse recovery.
+// acserve then exits 1 instead of 0.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -152,76 +164,87 @@ func main() {
 	)
 	flag.Parse()
 
-	caps, err := buildCapacities(*wl, *edges, *capacity, *seed)
+	caps, err := workload.Capacities(*wl, *edges, *capacity, *seed)
 	if err != nil {
 		fail(err)
 	}
-	acfg := core.DefaultConfig()
-	if *unweighted {
-		acfg = core.UnweightedConfig()
-	}
-	acfg.Seed = *seed
+	acfg := core.SeededConfig(*unweighted, *seed)
+	ecfg := engine.Config{Shards: *shards, Algorithm: acfg}
+
+	// The admission engine (in cluster mode this index's backend) and the
+	// cover engine: nodes that the path below opens, mounts and finishes.
+	var (
+		nodes []*server.Node
+		eng   *engine.Engine
+		be    *cluster.Backend
+		cov   *coverengine.Engine
+	)
 	if *clusterSize > 0 {
 		if *cover || *query {
 			fail(fmt.Errorf("cluster mode serves only the cluster workload; drop -cover/-query"))
 		}
-		serveClusterBackend(caps, engine.Config{Shards: *shards, Algorithm: acfg}, clusterFlags{
-			size: *clusterSize, index: *clusterIndex, vnodes: *clusterVn,
-			addr: *addr, batch: *batch, queue: *queue,
-			wire: *wireOK, drainT: *drainT, walDir: *walDir, snapEvery: *snapEvery,
-			adminToken: *adminToken,
-		})
-		return
-	}
-	eng, err := engine.New(caps, engine.Config{Shards: *shards, Algorithm: acfg})
-	if err != nil {
-		fail(err)
-	}
-	var (
-		regs   []server.Registration
-		admLog *wal.Log
-	)
-	if *walDir == "" {
-		regs = append(regs, server.Admission(eng))
+		if *clusterIndex < 0 || *clusterIndex >= *clusterSize {
+			fail(fmt.Errorf("-cluster-index %d outside [0, %d)", *clusterIndex, *clusterSize))
+		}
+		ring, err := cluster.NewRing(len(caps), *clusterSize, *clusterVn)
+		if err != nil {
+			fail(err)
+		}
+		bcaps, err := ring.Caps(caps, *clusterIndex)
+		if err != nil {
+			fail(err)
+		}
+		if be, err = cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg}); err != nil {
+			fail(err)
+		}
+		nodes = append(nodes, server.ClusterNode(be))
+		fmt.Fprintf(os.Stderr, "acserve: cluster backend %d/%d: %d of %d edges, %d shards, fingerprint %s\n",
+			*clusterIndex, *clusterSize, len(bcaps), len(caps), be.Engine().Shards(), be.Fingerprint())
 	} else {
-		admLog, err = wal.Open(filepath.Join(*walDir, "admission"),
-			wal.Options{Kind: wal.KindAdmission, Fingerprint: eng.Fingerprint()})
-		if err != nil {
+		if eng, err = engine.New(caps, ecfg); err != nil {
 			fail(err)
 		}
-		info, err := server.RecoverAdmission(admLog, eng)
-		if err != nil {
-			fail(err)
-		}
-		reportRecovery("admission", admLog, info)
-		regs = append(regs, server.AdmissionDurable(eng, admLog,
-			server.DurableOptions{SnapshotEvery: *snapEvery, Replay: info}))
+		nodes = append(nodes, server.AdmissionNode(eng))
+		fmt.Fprintf(os.Stderr, "acserve: admission: m=%d edges (max capacity %d), %d shards, fingerprint %s\n",
+			len(caps), slices.Max(caps), eng.Shards(), eng.Fingerprint())
 	}
-	var (
-		cov    *coverengine.Engine
-		covLog *wal.Log
-	)
 	if *cover {
-		cov, err = buildCover(*coverWl, *coverSeed, *coverSh, *coverMode, *coverEps)
+		mode, err := coverengine.ParseMode(*coverMode)
 		if err != nil {
 			fail(err)
 		}
-		if *walDir == "" {
-			regs = append(regs, server.Cover(cov))
-		} else {
-			covLog, err = wal.Open(filepath.Join(*walDir, "cover"),
-				wal.Options{Kind: wal.KindCover, Fingerprint: cov.Fingerprint()})
-			if err != nil {
-				fail(err)
-			}
-			info, err := server.RecoverCover(covLog, cov)
-			if err != nil {
-				fail(err)
-			}
-			reportRecovery("cover", covLog, info)
-			regs = append(regs, server.CoverDurable(cov, covLog,
-				server.DurableOptions{SnapshotEvery: *snapEvery, Replay: info}))
+		w, err := workload.BuildNamedCover(*coverWl, 0, *coverSeed)
+		if err != nil {
+			fail(err)
 		}
+		cov, err = coverengine.New(w.Instance, coverengine.Config{Shards: *coverSh, Seed: *coverSeed, Mode: mode, Eps: *coverEps})
+		if err != nil {
+			fail(err)
+		}
+		nodes = append(nodes, server.CoverNode(cov))
+		fmt.Fprintf(os.Stderr, "acserve: cover: %s (%s), n=%d elements, m=%d sets, %d shards, fingerprint %s\n",
+			*coverWl, cov.Mode(), cov.NumElements(), cov.NumSets(), cov.Shards(), cov.Fingerprint())
+	}
+
+	// With -wal-dir every node recovers its log before the listener opens.
+	logs := make([]*wal.Log, len(nodes))
+	var regs []server.Registration
+	for i, n := range nodes {
+		var info server.RecoveryInfo
+		if *walDir != "" {
+			if logs[i], info, err = n.Open(filepath.Join(*walDir, n.Name), false); err != nil {
+				fail(fmt.Errorf("%s wal: %w", n.Name, err))
+			}
+			fmt.Fprintf(os.Stderr,
+				"acserve: %s wal: recovered %d decisions (%d snapshot + %d tail) in %v, next seq %d",
+				n.Name, info.SnapshotSeq+info.TailRecords, info.SnapshotSeq, info.TailRecords,
+				info.Duration.Round(time.Millisecond), logs[i].NextSeq())
+			if info.TornBytes > 0 {
+				fmt.Fprintf(os.Stderr, " (truncated a %d-byte torn final record)", info.TornBytes)
+			}
+			fmt.Fprintln(os.Stderr)
+		}
+		regs = append(regs, n.Mount(logs[i], server.DurableOptions{SnapshotEvery: *snapEvery, Replay: info}))
 	}
 	var qeng *lca.Engine
 	if *query {
@@ -244,6 +267,9 @@ func main() {
 			fail(err)
 		}
 		regs = append(regs, server.Query(qeng))
+		src := qeng.Source()
+		fmt.Fprintf(os.Stderr, "acserve: query: %s/%s seed %d, %d positions, %d workers\n",
+			src.Workload, src.Model, src.Seed, qeng.Positions(), qeng.Workers())
 	}
 	srv, err := server.New(server.Config{
 		BatchSize:  *batch,
@@ -254,56 +280,38 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	httpSrv := srv.HTTPServer(*addr)
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "acserve: serving workloads [%s] on %s: m=%d edges (max capacity %d), %d shards, batch %d\n",
-			strings.Join(srv.Workloads(), " "), *addr, len(caps), maxOf(caps), eng.Shards(), *batch)
-		if cov != nil {
-			fmt.Fprintf(os.Stderr, "acserve: cover: %s (%s), n=%d elements, m=%d sets, %d shards\n",
-				*coverWl, cov.Mode(), cov.NumElements(), cov.NumSets(), cov.Shards())
-		}
-		if qeng != nil {
-			src := qeng.Source()
-			fmt.Fprintf(os.Stderr, "acserve: query: %s/%s seed %d, %d positions, %d workers\n",
-				src.Workload, src.Model, src.Seed, qeng.Positions(), qeng.Workers())
-		}
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fail(err)
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "acserve: %v — draining\n", s)
 	}
+	fmt.Fprintf(os.Stderr, "acserve: serving workloads [%s] on %s, batch %d\n",
+		strings.Join(srv.Workloads(), " "), ln.Addr(), *batch)
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acserve: http shutdown: %v\n", err)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	announce := context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "acserve: draining") })
+	runErr := srv.Run(ctx, ln, *drainT)
+	announce()
+	// After a clean drain the engines are quiescent: Finish stamps a final
+	// snapshot into each log so the next start replays nothing.
+	err = runErr
+	for i, n := range nodes {
+		err = errors.Join(err, n.Finish(logs[i], runErr))
+		n.Close()
 	}
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acserve: pipeline drain: %v\n", err)
+	if eng != nil {
+		st := eng.Snapshot()
+		fmt.Fprintf(os.Stderr,
+			"acserve: final stats: %d requests, %d accepted, %d preemptions, rejected cost %g\n",
+			st.Requests, st.Accepted, st.Preemptions, st.RejectedCost)
 	}
-	// The pipelines have exited, so the engines are quiescent: stamp a
-	// final snapshot into each log so the next start replays nothing.
-	finishLog("admission", admLog, eng.StateDigest)
+	if be != nil {
+		st := be.Stats()
+		fmt.Fprintf(os.Stderr,
+			"acserve: final cluster stats: %d operations applied, %d accepted, %d open transactions, rejected cost %g\n",
+			st.Requests, st.Accepted, be.OpenTxs(), st.Objective)
+	}
 	if cov != nil {
-		finishLog("cover", covLog, cov.StateDigest)
-	}
-	eng.Close()
-	st := eng.Snapshot()
-	fmt.Fprintf(os.Stderr,
-		"acserve: final stats: %d requests, %d accepted, %d preemptions, rejected cost %g\n",
-		st.Requests, st.Accepted, st.Preemptions, st.RejectedCost)
-	if cov != nil {
-		cov.Close()
 		cst := cov.Snapshot()
 		fmt.Fprintf(os.Stderr,
 			"acserve: final cover stats: %d arrivals, %d sets chosen, cost %g\n",
@@ -316,180 +324,9 @@ func main() {
 			"acserve: final query stats: %d queries, %d accepted, %d errors, %g replayed arrivals\n",
 			qst.Requests, qst.Accepted, qst.Errors, qst.Objective)
 	}
-}
-
-// clusterFlags carries the serving knobs into the cluster-backend mode.
-type clusterFlags struct {
-	size, index, vnodes int
-	addr                string
-	batch, queue        int
-	drainT              time.Duration
-	wire                bool
-	walDir              string
-	snapEvery           int64
-	adminToken          string
-}
-
-// serveClusterBackend runs the server as one backend of an acrouter
-// cluster: it projects the global capacity vector onto this index's ring
-// partition, serves the cluster operation protocol under /v1/cluster —
-// durably when -wal-dir is set — and on SIGINT/SIGTERM drains, snapshots
-// and reports the applied history the router reconciles against.
-func serveClusterBackend(caps []int, ecfg engine.Config, f clusterFlags) {
-	if f.index < 0 || f.index >= f.size {
-		fail(fmt.Errorf("-cluster-index %d outside [0, %d)", f.index, f.size))
-	}
-	ring, err := cluster.NewRing(len(caps), f.size, f.vnodes)
 	if err != nil {
 		fail(err)
 	}
-	bcaps, err := ring.Caps(caps, f.index)
-	if err != nil {
-		fail(err)
-	}
-	be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-	if err != nil {
-		fail(err)
-	}
-	var reg server.Registration
-	var cluLog *wal.Log
-	if f.walDir == "" {
-		reg = server.ClusterBackend(be)
-	} else {
-		cluLog, err = wal.Open(filepath.Join(f.walDir, "cluster"),
-			wal.Options{Kind: wal.KindCluster, Fingerprint: be.Fingerprint()})
-		if err != nil {
-			fail(err)
-		}
-		info, err := server.RecoverCluster(cluLog, be)
-		if err != nil {
-			fail(err)
-		}
-		reportRecovery("cluster", cluLog, info)
-		reg = server.ClusterBackendDurable(be, cluLog,
-			server.DurableOptions{SnapshotEvery: f.snapEvery, Replay: info})
-	}
-	srv, err := server.New(server.Config{
-		BatchSize:  f.batch,
-		QueueLen:   f.queue,
-		JSONOnly:   !f.wire,
-		AdminToken: f.adminToken,
-	}, reg)
-	if err != nil {
-		fail(err)
-	}
-
-	httpSrv := srv.HTTPServer(f.addr)
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr,
-			"acserve: cluster backend %d/%d on %s: %d of %d edges, fingerprint %s, %d shards\n",
-			f.index, f.size, f.addr, len(bcaps), len(caps), be.Fingerprint(), be.Engine().Shards())
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		fail(err)
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "acserve: %v — draining\n", s)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), f.drainT)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acserve: http shutdown: %v\n", err)
-	}
-	if err := srv.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "acserve: pipeline drain: %v\n", err)
-	}
-	finishLog("cluster", cluLog, be.StateDigest)
-	st := be.Stats()
-	_ = be.Close()
-	fmt.Fprintf(os.Stderr,
-		"acserve: final cluster stats: %d operations applied, %d accepted, %d open transactions, rejected cost %g\n",
-		st.Requests, st.Accepted, be.OpenTxs(), st.Objective)
-}
-
-// reportRecovery prints one startup line summarizing what a workload's WAL
-// recovery replayed.
-func reportRecovery(name string, log *wal.Log, info server.RecoveryInfo) {
-	fmt.Fprintf(os.Stderr,
-		"acserve: %s wal: recovered %d decisions (%d snapshot + %d tail) in %v, next seq %d",
-		name, info.SnapshotSeq+info.TailRecords, info.SnapshotSeq, info.TailRecords,
-		info.Duration.Round(time.Millisecond), log.NextSeq())
-	if info.TornBytes > 0 {
-		fmt.Fprintf(os.Stderr, " (truncated a %d-byte torn final record)", info.TornBytes)
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
-// finishLog writes the shutdown snapshot (when decisions were logged since
-// the last one) and closes the log. Safe to call with a nil log.
-func finishLog(name string, log *wal.Log, digest func() uint64) {
-	if log == nil {
-		return
-	}
-	if log.RecordsSinceSnapshot() > 0 {
-		if err := log.WriteSnapshot(digest()); err != nil {
-			fmt.Fprintf(os.Stderr, "acserve: %s wal: shutdown snapshot: %v\n", name, err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "acserve: %s wal: close: %v\n", name, err)
-	}
-}
-
-// buildCover constructs the cover engine from a named set-cover workload.
-func buildCover(name string, seed uint64, shards int, mode string, eps float64) (*coverengine.Engine, error) {
-	w, err := workload.BuildNamedCover(name, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := coverengine.Config{Shards: shards, Seed: seed, Eps: eps}
-	switch mode {
-	case "reduction":
-		cfg.Mode = coverengine.ModeReduction
-	case "bicriteria":
-		cfg.Mode = coverengine.ModeBicriteria
-	default:
-		return nil, fmt.Errorf("acserve: unknown cover mode %q (want reduction|bicriteria)", mode)
-	}
-	return coverengine.New(w.Instance, cfg)
-}
-
-// buildCapacities derives the capacity vector: from a named workload's
-// generated topology, or a flat vector of `edges` copies of `capacity`.
-func buildCapacities(wl string, edges, capacity int, seed uint64) ([]int, error) {
-	if wl != "" {
-		ins, err := workload.BuildNamed(wl, workload.CostUnit, capacity, 0, seed)
-		if err != nil {
-			return nil, err
-		}
-		return ins.Capacities, nil
-	}
-	if edges <= 0 || capacity <= 0 {
-		return nil, fmt.Errorf("acserve: need -edges > 0 and -cap > 0")
-	}
-	caps := make([]int, edges)
-	for i := range caps {
-		caps[i] = capacity
-	}
-	return caps, nil
-}
-
-func maxOf(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 func fail(err error) {

@@ -119,6 +119,19 @@ func UnweightedConfig() Config {
 	}
 }
 
+// SeededConfig returns the unweighted-case constants if unweighted, the
+// weighted-case ones otherwise, with the given seed: the derivation behind
+// the serving binaries' -unweighted and -seed flags, on which their engine
+// fingerprints agree.
+func SeededConfig(unweighted bool, seed uint64) Config {
+	c := DefaultConfig()
+	if unweighted {
+		c = UnweightedConfig()
+	}
+	c.Seed = seed
+	return c
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.LogBase <= 1 {

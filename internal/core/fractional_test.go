@@ -48,6 +48,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestSeededConfig(t *testing.T) {
+	want := UnweightedConfig()
+	want.Seed = 9
+	if got := SeededConfig(true, 9); got != want {
+		t.Fatalf("SeededConfig(true, 9) = %+v, want %+v", got, want)
+	}
+	want = DefaultConfig()
+	want.Seed = 3
+	if got := SeededConfig(false, 3); got != want {
+		t.Fatalf("SeededConfig(false, 3) = %+v, want %+v", got, want)
+	}
+}
+
 func TestAlphaModeString(t *testing.T) {
 	if AlphaDoubling.String() != "doubling" || AlphaOracle.String() != "oracle" {
 		t.Fatal("mode strings wrong")

@@ -107,3 +107,14 @@ func TestFingerprintPinnedCore(t *testing.T) {
 		t.Fatal("pinned-core fingerprint is not deterministic")
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeReduction, ModeBicriteria} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("greedy"); err == nil {
+		t.Fatal("ParseMode accepted an unknown mode")
+	}
+}

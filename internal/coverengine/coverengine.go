@@ -83,6 +83,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode maps the CLI spelling of a mode (Mode.String's) to its value.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "reduction":
+		return ModeReduction, nil
+	case "bicriteria":
+		return ModeBicriteria, nil
+	default:
+		return 0, fmt.Errorf("coverengine: unknown cover mode %q (want reduction|bicriteria)", s)
+	}
+}
+
 // Config configures the cover engine.
 type Config struct {
 	// Shards is the number of element-partition shards K (default 1,

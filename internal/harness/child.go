@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"admission/internal/problem"
 	"admission/internal/rng"
 	"admission/internal/server"
-	"admission/internal/wal"
 	"admission/internal/workload"
 )
 
@@ -61,21 +61,9 @@ func childInstance(seed uint64, m int) (*problem.Instance, error) {
 	return ins, err
 }
 
-// durableNode is a spec's fresh engine or backend together with what
-// differs between the roles: its WAL kind, recover function and durable
-// registration.
-type durableNode struct {
-	kind        wal.Kind
-	fingerprint string
-	recover     func(*wal.Log) (server.RecoveryInfo, error)
-	mount       func(*wal.Log, server.DurableOptions) server.Registration
-	digest      func() uint64
-	close       func() error
-}
-
 // node builds the spec's engine (admission) or ring-partition backend
 // (cluster) with the deterministic configuration its experiment uses.
-func (s childSpec) node() (*durableNode, error) {
+func (s childSpec) node() (*server.Node, error) {
 	ins, err := childInstance(s.Seed, s.Edges)
 	if err != nil {
 		return nil, err
@@ -86,16 +74,7 @@ func (s childSpec) node() (*durableNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &durableNode{
-			kind:        wal.KindAdmission,
-			fingerprint: eng.Fingerprint(),
-			recover:     func(log *wal.Log) (server.RecoveryInfo, error) { return server.RecoverAdmission(log, eng) },
-			mount: func(log *wal.Log, opts server.DurableOptions) server.Registration {
-				return server.AdmissionDurable(eng, log, opts)
-			},
-			digest: eng.StateDigest,
-			close:  eng.Close,
-		}, nil
+		return server.AdmissionNode(eng), nil
 	case roleCluster:
 		ring, err := cluster.NewRing(s.Edges, s.Backends, 0)
 		if err != nil {
@@ -109,40 +88,26 @@ func (s childSpec) node() (*durableNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &durableNode{
-			kind:        wal.KindCluster,
-			fingerprint: be.Fingerprint(),
-			recover:     func(log *wal.Log) (server.RecoveryInfo, error) { return server.RecoverCluster(log, be) },
-			mount: func(log *wal.Log, opts server.DurableOptions) server.Registration {
-				return server.ClusterBackendDurable(be, log, opts)
-			},
-			digest: be.StateDigest,
-			close:  be.Close,
-		}, nil
+		return server.ClusterNode(be), nil
 	}
 	return nil, fmt.Errorf("unknown child role %q", s.Role)
 }
 
-// open builds the spec's node and replays its WAL directory into it. The
-// child opens the log for appending; a parent's offline fsck opens it
-// read-only. On success the caller closes the log, then the node.
-func (s childSpec) open(readOnly bool) (*durableNode, *wal.Log, server.RecoveryInfo, error) {
+// fsck is E17's and E19's offline check of a stopped child's WAL: it
+// replays the spec's directory read-only into a fresh node and returns the
+// node's state digest afterwards and what the replay covered.
+func (s childSpec) fsck() (uint64, server.RecoveryInfo, error) {
 	n, err := s.node()
 	if err != nil {
-		return nil, nil, server.RecoveryInfo{}, err
+		return 0, server.RecoveryInfo{}, err
 	}
-	log, err := wal.Open(s.Dir, wal.Options{Kind: n.kind, Fingerprint: n.fingerprint, ReadOnly: readOnly})
+	defer n.Close()
+	log, info, err := n.Open(s.Dir, true)
 	if err != nil {
-		n.close()
-		return nil, nil, server.RecoveryInfo{}, err
+		return 0, server.RecoveryInfo{}, err
 	}
-	info, err := n.recover(log)
-	if err != nil {
-		log.Close()
-		n.close()
-		return nil, nil, server.RecoveryInfo{}, err
-	}
-	return n, log, info, nil
+	log.Close()
+	return n.StateDigest(), info, nil
 }
 
 // RunChild is the body of a durable-server child: the engine or cluster
@@ -151,7 +116,8 @@ func (s childSpec) open(readOnly bool) (*durableNode, *wal.Log, server.RecoveryI
 // re-verifies every logged decision, so coming up at all certifies
 // decision-identical recovery), prints one READY line with its address and
 // recovered count, and serves until SIGTERM, then drains, snapshots and
-// closes. It never returns: SIGKILL is part of its job.
+// closes; a drain that fails exits 1 without the snapshot. It never
+// returns: SIGKILL is part of its job.
 func RunChild() {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "acbench child:", err)
@@ -161,12 +127,16 @@ func RunChild() {
 	if err := json.Unmarshal([]byte(os.Getenv(ChildEnv)), &spec); err != nil {
 		die(fmt.Errorf("bad %s: %w", ChildEnv, err))
 	}
-	node, log, info, err := spec.open(false)
+	node, err := spec.node()
+	if err != nil {
+		die(err)
+	}
+	log, info, err := node.Open(spec.Dir, false)
 	if err != nil {
 		die(err)
 	}
 	srv, err := server.New(server.Config{},
-		node.mount(log, server.DurableOptions{SnapshotEvery: spec.SnapEvery, Replay: info}))
+		node.Mount(log, server.DurableOptions{SnapshotEvery: spec.SnapEvery, Replay: info}))
 	if err != nil {
 		die(err)
 	}
@@ -176,30 +146,16 @@ func RunChild() {
 	if err != nil {
 		die(err)
 	}
-	hs := srv.HTTPServer(ln.Addr().String())
-	go func() { _ = hs.Serve(ln) }()
-
 	// spawnChild parses this line; keep the formats in sync.
 	fmt.Printf("CHILD READY addr=%s recovered=%d\n", ln.Addr(), log.NextSeq())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM)
-	<-sig
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = hs.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
+	defer stop()
+	drainErr := srv.Run(ctx, ln, 30*time.Second)
+	if err := errors.Join(drainErr, node.Finish(log, drainErr)); err != nil {
 		die(err)
 	}
-	if log.RecordsSinceSnapshot() > 0 {
-		if err := log.WriteSnapshot(node.digest()); err != nil {
-			die(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		die(err)
-	}
-	node.close()
+	node.Close()
 	os.Exit(0)
 }
 

@@ -436,14 +436,11 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	if err := c2.stop(); err != nil {
 		return res, fmt.Errorf("child shutdown after SIGTERM: %w", err)
 	}
-	node, log, _, err := spec.open(true)
+	digest, _, err := spec.fsck()
 	if err != nil {
 		return res, fmt.Errorf("fsck: %w", err)
 	}
-	fsckDigest := fmt.Sprintf("%016x", node.digest())
-	log.Close()
-	node.close()
-	if fsckDigest != res.digest {
+	if fsckDigest := fmt.Sprintf("%016x", digest); fsckDigest != res.digest {
 		return res, fmt.Errorf("fsck digest %s, live backend reported %s", fsckDigest, res.digest)
 	}
 	return res, nil

@@ -129,13 +129,10 @@ func runE17(cfg Config) ([]*Table, error) {
 
 	// Offline fsck: replay the whole log read-only into a fresh engine;
 	// its digest must land exactly on the golden run's.
-	node, log, info, err := spec.open(true)
+	fsckDigest, info, err := spec.fsck()
 	if err != nil {
 		return nil, fmt.Errorf("E17: fsck: %w", err)
 	}
-	fsckDigest := node.digest()
-	log.Close()
-	node.close()
 	if total := info.SnapshotSeq + info.TailRecords; total != int64(n) {
 		return nil, fmt.Errorf("E17: fsck replayed %d decisions, served %d", total, n)
 	}

@@ -19,7 +19,9 @@
 // stream against the sequential reference. E17 and E19 SIGKILL a durable
 // server child that re-executes the host binary, so binaries hosting the
 // suite must install the one child hook: call RunChild when ChildEnv is
-// set.
+// set. The child runs the same server.Node and Server.Run path as acserve
+// -wal-dir, and the experiments' offline fsck opens that node's log
+// read-only.
 //
 // The paper has no empirical section, so these experiments *are* the
 // reproduction targets: each checks that the measured ratio of the §2/§3/§5

@@ -22,13 +22,7 @@ const WorkloadAdmission = "admission"
 // engine is also recorded as the admin control plane's capacity-resize
 // target (effective when Config.AdminToken mounts the /admin/v1/* group).
 func Admission(eng *engine.Engine) Registration {
-	return func(s *Server) error {
-		if err := Register(WorkloadAdmission, eng, admissionCodec(eng))(s); err != nil {
-			return err
-		}
-		s.setAdminEngine(eng, false)
-		return nil
-	}
+	return mountAdmission(eng, admissionCodec(eng))
 }
 
 // AdmissionDurable mounts the admission workload with its decisions logged
@@ -43,26 +37,28 @@ func Admission(eng *engine.Engine) Registration {
 // WAL-logged, and a recovery replay into the constructed capacity vector
 // would silently diverge from the resized history.
 func AdmissionDurable(eng *engine.Engine, log *wal.Log, opts DurableOptions) Registration {
-	codec := admissionCodec(eng)
-	codec.Durability = &Durability[problem.Request, engine.Decision]{
-		Log:           log,
-		StateDigest:   eng.StateDigest,
-		SnapshotEvery: opts.SnapshotEvery,
-		Replay:        opts.Replay,
-		Record: func(r problem.Request, d engine.Decision, rec *wal.Record) {
-			*rec = wal.Record{
-				Kind:         wal.KindAdmission,
-				AdmissionReq: wire.AdmissionRequest{Edges: r.Edges, Cost: r.Cost},
-				AdmissionDec: admissionLine(d),
-			}
-		},
-	}
+	return mountAdmission(eng, logged(admissionCodec(eng), log, opts, eng.StateDigest, recordAdmission))
+}
+
+// mountAdmission mounts codec over eng as the admission workload and
+// records eng as the admin plane's resize target, marked durable when the
+// codec is.
+func mountAdmission(eng *engine.Engine, codec Codec[problem.Request, engine.Decision]) Registration {
 	return func(s *Server) error {
 		if err := Register(WorkloadAdmission, eng, codec)(s); err != nil {
 			return err
 		}
-		s.setAdminEngine(eng, true)
+		s.setAdminEngine(eng, codec.Durability != nil)
 		return nil
+	}
+}
+
+// recordAdmission fills rec with the WAL record of one admission decision.
+func recordAdmission(r problem.Request, d engine.Decision, rec *wal.Record) {
+	*rec = wal.Record{
+		Kind:         wal.KindAdmission,
+		AdmissionReq: wire.AdmissionRequest{Edges: r.Edges, Cost: r.Cost},
+		AdmissionDec: admissionLine(d),
 	}
 }
 

@@ -24,33 +24,25 @@ func ClusterBackend(b *cluster.Backend) Registration {
 	return Register(cluster.Workload, b, clusterCodec(b))
 }
 
-// ClusterBackendDurable mounts the cluster workload with its decisions
+// clusterBackendDurable mounts the cluster workload with its decisions
 // logged through the write-ahead log (wal.KindCluster): every applied
 // operation — offers, reserves, settles, including no-op settles — is
 // appended and fsynced before its decision is released, which is what
 // makes the backend's Requests counter a durable applied watermark the
-// router can reconcile against after a crash. The log must be open with
-// the backend engine's Fingerprint and, when the directory held prior
-// state, already replayed into b with RecoverCluster.
-func ClusterBackendDurable(b *cluster.Backend, log *wal.Log, opts DurableOptions) Registration {
-	codec := clusterCodec(b)
-	codec.Durability = &Durability[cluster.Op, engine.Decision]{
-		Log:           log,
-		StateDigest:   b.StateDigest,
-		SnapshotEvery: opts.SnapshotEvery,
-		Replay:        opts.Replay,
-		Record: func(op cluster.Op, d engine.Decision, rec *wal.Record) {
-			*rec = wal.Record{
-				Kind:         wal.KindCluster,
-				ClusterOp:    clusterOpCode(op.Kind),
-				ClusterTx:    op.Tx,
-				AdmissionDec: admissionLine(d),
-			}
-			if op.Kind == cluster.OpOffer || op.Kind == cluster.OpReserve {
-				rec.AdmissionReq = wire.AdmissionRequest{Edges: op.Edges, Cost: op.Cost}
-			}
-		},
-	}
+// router can reconcile against after a crash. ClusterNode opens the log
+// with the backend engine's Fingerprint and replays it into b first.
+func clusterBackendDurable(b *cluster.Backend, log *wal.Log, opts DurableOptions) Registration {
+	codec := logged(clusterCodec(b), log, opts, b.StateDigest, func(op cluster.Op, d engine.Decision, rec *wal.Record) {
+		*rec = wal.Record{
+			Kind:         wal.KindCluster,
+			ClusterOp:    clusterOpCode(op.Kind),
+			ClusterTx:    op.Tx,
+			AdmissionDec: admissionLine(d),
+		}
+		if op.Kind == cluster.OpOffer || op.Kind == cluster.OpReserve {
+			rec.AdmissionReq = wire.AdmissionRequest{Edges: op.Edges, Cost: op.Cost}
+		}
+	})
 	return Register(cluster.Workload, b, codec)
 }
 
@@ -110,34 +102,16 @@ func clusterOpKind(code byte) cluster.OpKind {
 	}
 }
 
-// RecoverCluster replays a cluster decision log into b, which must be
-// freshly built with exactly the configuration the log was recorded under
-// (wal.Open already enforces the fingerprint). The snapshot prefix is
-// replayed and checked against the stored state digest; every tail
-// record's regenerated decision is verified against the logged one. On
+// recoverCluster is RecoverAdmission for a cluster decision log. On
 // success the backend holds exactly the pre-crash state — engine and
 // transaction table both, the table being a pure function of the replayed
-// stream — and the log is ready for ClusterBackendDurable.
-func RecoverCluster(log *wal.Log, b *cluster.Backend) (RecoveryInfo, error) {
+// stream.
+func recoverCluster(log *wal.Log, b *cluster.Backend) (RecoveryInfo, error) {
 	ctx := context.Background()
 	w := &walReplay[cluster.Op, engine.Decision]{
-		log: log,
-		fromRequest: func(q wal.Request) cluster.Op {
-			return cluster.Op{
-				Kind:  clusterOpKind(q.ClusterOp),
-				Tx:    q.ClusterTx,
-				Edges: q.Admission.Edges,
-				Cost:  q.Admission.Cost,
-			}
-		},
-		fromRecord: func(rec *wal.Record) cluster.Op {
-			return cluster.Op{
-				Kind:  clusterOpKind(rec.ClusterOp),
-				Tx:    rec.ClusterTx,
-				Edges: rec.AdmissionReq.Edges,
-				Cost:  rec.AdmissionReq.Cost,
-			}
-		},
+		log:         log,
+		fromRequest: func(q wal.Request) cluster.Op { return loggedOp(q.ClusterOp, q.ClusterTx, q.Admission) },
+		fromRecord:  func(rec *wal.Record) cluster.Op { return loggedOp(rec.ClusterOp, rec.ClusterTx, rec.AdmissionReq) },
 		submit: func(ops []cluster.Op) ([]engine.Decision, error) {
 			return b.SubmitBatch(ctx, ops)
 		},
@@ -145,6 +119,16 @@ func RecoverCluster(log *wal.Log, b *cluster.Backend) (RecoveryInfo, error) {
 		digest: b.StateDigest,
 	}
 	return w.run()
+}
+
+// loggedOp rebuilds a cluster operation from its logged fields.
+func loggedOp(code byte, tx uint64, req wire.AdmissionRequest) cluster.Op {
+	return cluster.Op{
+		Kind:  clusterOpKind(code),
+		Tx:    tx,
+		Edges: req.Edges,
+		Cost:  req.Cost,
+	}
 }
 
 // clusterMetrics registers the cluster-specific collectors and returns the

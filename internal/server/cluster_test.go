@@ -182,14 +182,14 @@ func TestClusterBackendDurableRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := RecoverCluster(log1, b1)
+	info, err := recoverCluster(log1, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.SnapshotSeq != 0 || info.TailRecords != 0 {
 		t.Fatalf("fresh log replayed %+v, want nothing", info)
 	}
-	s1, err := New(Config{}, ClusterBackendDurable(b1, log1, DurableOptions{SnapshotEvery: 64, Replay: info}))
+	s1, err := New(Config{}, clusterBackendDurable(b1, log1, DurableOptions{SnapshotEvery: 64, Replay: info}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestClusterBackendDurableRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info2, err := RecoverCluster(log2, b2)
+	info2, err := recoverCluster(log2, b2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClusterBackendDurableRecovery(t *testing.T) {
 		t.Fatalf("recovered %d open txs, want %d", b2.OpenTxs(), wantOpen)
 	}
 
-	s2, err := New(Config{}, ClusterBackendDurable(b2, log2, DurableOptions{SnapshotEvery: 64, Replay: info2}))
+	s2, err := New(Config{}, clusterBackendDurable(b2, log2, DurableOptions{SnapshotEvery: 64, Replay: info2}))
 	if err != nil {
 		t.Fatal(err)
 	}

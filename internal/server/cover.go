@@ -23,22 +23,13 @@ func Cover(cov *coverengine.Engine) Registration {
 	return Register(WorkloadCover, cov, coverCodec(cov))
 }
 
-// CoverDurable mounts the set cover workload with its decisions logged
+// coverDurable mounts the set cover workload with its decisions logged
 // through the write-ahead log, exactly as AdmissionDurable does for the
-// admission workload: open the log with cov.Fingerprint(), recover prior
-// state with RecoverCover, and route all engine traffic through the
-// server.
-func CoverDurable(cov *coverengine.Engine, log *wal.Log, opts DurableOptions) Registration {
-	codec := coverCodec(cov)
-	codec.Durability = &Durability[int, coverengine.Decision]{
-		Log:           log,
-		StateDigest:   cov.StateDigest,
-		SnapshotEvery: opts.SnapshotEvery,
-		Replay:        opts.Replay,
-		Record: func(element int, d coverengine.Decision, rec *wal.Record) {
-			*rec = wal.Record{Kind: wal.KindCover, Element: element, CoverDec: coverLine(d)}
-		},
-	}
+// admission workload; CoverNode opens and recovers the log first.
+func coverDurable(cov *coverengine.Engine, log *wal.Log, opts DurableOptions) Registration {
+	codec := logged(coverCodec(cov), log, opts, cov.StateDigest, func(element int, d coverengine.Decision, rec *wal.Record) {
+		*rec = wal.Record{Kind: wal.KindCover, Element: element, CoverDec: coverLine(d)}
+	})
 	return Register(WorkloadCover, cov, codec)
 }
 

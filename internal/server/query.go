@@ -23,24 +23,46 @@ func Query(eng *lca.Engine) Registration {
 	return Register(WorkloadQuery, eng, queryCodec(eng))
 }
 
+// QueryLine maps a query engine answer onto its NDJSON line: its wire
+// decision rendered as a client renders a decoded frame. It is the one
+// mapping behind the served JSON lines and binary frames, the clients'
+// decoded lines and acquery's local answers, so none of them can drift.
+func QueryLine(a lca.Answer) QueryDecisionJSON { return queryJSON(queryDecision(a)) }
+
+// queryDecision maps a query engine answer onto its wire decision.
+func queryDecision(a lca.Answer) wire.QueryDecision {
+	wd := wire.QueryDecision{
+		Pos:          a.Pos,
+		Accepted:     a.Accepted,
+		Neighborhood: a.Fidelity == lca.FidelityNeighborhood,
+		Preempted:    a.Preempted,
+		Replayed:     a.Replayed,
+	}
+	if a.Err != nil {
+		wd.Error = a.Err.Error()
+	}
+	return wd
+}
+
+// queryJSON renders a wire query decision as its NDJSON line.
+func queryJSON(wd wire.QueryDecision) QueryDecisionJSON {
+	line := QueryDecisionJSON{
+		Pos:       wd.Pos,
+		Accepted:  wd.Accepted,
+		Preempted: wd.Preempted,
+		Replayed:  wd.Replayed,
+		Error:     wd.Error,
+	}
+	if wd.Neighborhood {
+		line.Fidelity = lca.FidelityNeighborhood.String()
+	}
+	return line
+}
+
 // queryCodec is the query workload's codec.
 func queryCodec(eng *lca.Engine) Codec[lca.Query, lca.Answer] {
 	return Codec[lca.Query, lca.Answer]{
-		Encode: func(a lca.Answer) any {
-			line := QueryDecisionJSON{
-				Pos:       a.Pos,
-				Accepted:  a.Accepted,
-				Preempted: a.Preempted,
-				Replayed:  a.Replayed,
-			}
-			if a.Fidelity != lca.FidelityExact {
-				line.Fidelity = a.Fidelity.String()
-			}
-			if a.Err != nil {
-				line.Error = a.Err.Error()
-			}
-			return line
-		},
+		Encode:  func(a lca.Answer) any { return QueryLine(a) },
 		Stats:   func(q QueueState) any { return queryStats(eng, q) },
 		Metrics: func(reg *metrics.Registry) func(lca.Answer) { return queryMetrics(reg, eng) },
 		Wire: &WireCodec[lca.Query, lca.Answer]{
@@ -54,16 +76,7 @@ func queryCodec(eng *lca.Engine) Codec[lca.Query, lca.Answer] {
 				return lca.Query{Pos: wq.Pos, Fidelity: lca.Fidelity(wq.Fidelity)}, nil
 			},
 			AppendDecision: func(buf []byte, a lca.Answer) []byte {
-				wd := wire.QueryDecision{
-					Pos:          a.Pos,
-					Accepted:     a.Accepted,
-					Neighborhood: a.Fidelity == lca.FidelityNeighborhood,
-					Preempted:    a.Preempted,
-					Replayed:     a.Replayed,
-				}
-				if a.Err != nil {
-					wd.Error = a.Err.Error()
-				}
+				wd := queryDecision(a)
 				return wire.AppendQueryDecision(buf, &wd)
 			},
 		},
@@ -94,17 +107,7 @@ func QueryClientWire() ClientWire[lca.Query, QueryDecisionJSON] {
 			if err := wire.DecodeQueryDecision(payload, &wd); err != nil {
 				return QueryDecisionJSON{}, err
 			}
-			line := QueryDecisionJSON{
-				Pos:       wd.Pos,
-				Accepted:  wd.Accepted,
-				Preempted: wd.Preempted,
-				Replayed:  wd.Replayed,
-				Error:     wd.Error,
-			}
-			if wd.Neighborhood {
-				line.Fidelity = lca.FidelityNeighborhood.String()
-			}
-			return line, nil
+			return queryJSON(wd), nil
 		},
 	}
 }

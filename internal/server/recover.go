@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"admission/internal/coverengine"
@@ -13,9 +14,9 @@ import (
 
 // RecoveryInfo summarizes one completed WAL recovery: how the recovered
 // history split between the snapshot and the segment tail, whether a torn
-// final record was discarded, and how long the replay took. Pass it to
-// AdmissionDurable/CoverDurable via DurableOptions so /metrics exposes the
-// startup replay.
+// final record was discarded, and how long the replay took. Node.Open
+// returns it; pass it to Node.Mount via DurableOptions so /metrics exposes
+// the startup replay.
 type RecoveryInfo struct {
 	// SnapshotSeq is the number of decisions replayed from the compacted
 	// snapshot prefix (0 when there was none).
@@ -36,8 +37,8 @@ type DurableOptions struct {
 	// snapshots (0 disables automatic snapshotting; the log then grows
 	// until the operator snapshots explicitly, e.g. on shutdown).
 	SnapshotEvery int64
-	// Replay carries the RecoveryInfo returned by RecoverAdmission or
-	// RecoverCover, exposed on /metrics as the startup replay gauges.
+	// Replay carries the RecoveryInfo returned by Node.Open (or
+	// RecoverAdmission), exposed on /metrics as the startup replay gauges.
 	Replay RecoveryInfo
 }
 
@@ -167,8 +168,8 @@ func RecoverAdmission(log *wal.Log, eng *engine.Engine) (RecoveryInfo, error) {
 	return w.run()
 }
 
-// RecoverCover is RecoverAdmission for a set cover decision log.
-func RecoverCover(log *wal.Log, cov *coverengine.Engine) (RecoveryInfo, error) {
+// recoverCover is RecoverAdmission for a set cover decision log.
+func recoverCover(log *wal.Log, cov *coverengine.Engine) (RecoveryInfo, error) {
 	ctx := context.Background()
 	w := &walReplay[int, coverengine.Decision]{
 		log:         log,
@@ -188,7 +189,7 @@ func RecoverCover(log *wal.Log, cov *coverengine.Engine) (RecoveryInfo, error) {
 func matchAdmission(rec *wal.Record, d engine.Decision) error {
 	w := &rec.AdmissionDec
 	if d.ID == w.ID && d.Accepted == w.Accepted && d.CrossShard == w.CrossShard &&
-		equalInts(d.Preempted, w.Preempted) && errText(d.Err) == w.Error {
+		slices.Equal(d.Preempted, w.Preempted) && errText(d.Err) == w.Error {
 		return nil
 	}
 	return fmt.Errorf("wal: recovery diverged at decision %d: engine replayed %+v, log holds %+v", w.ID, d, *w)
@@ -198,24 +199,10 @@ func matchAdmission(rec *wal.Record, d engine.Decision) error {
 func matchCover(rec *wal.Record, d coverengine.Decision) error {
 	w := &rec.CoverDec
 	if d.Seq == w.Seq && d.Element == w.Element && d.Arrival == w.Arrival &&
-		equalInts(d.NewSets, w.NewSets) && d.AddedCost == w.AddedCost && errText(d.Err) == w.Error {
+		slices.Equal(d.NewSets, w.NewSets) && d.AddedCost == w.AddedCost && errText(d.Err) == w.Error {
 		return nil
 	}
 	return fmt.Errorf("wal: recovery diverged at decision %d: engine replayed %+v, log holds %+v", w.Seq, d, *w)
-}
-
-// equalInts compares two id lists, treating nil and empty alike (the wire
-// codec does not distinguish them).
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // errText renders a per-item failure the way the log stores it.

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"sort"
@@ -189,9 +190,9 @@ type Codec[Req any, Dec service.Decision] struct {
 // decided item is appended to Log before its decision is released to the
 // client (group-commit fsync batching keeps the fsync off the per-decision
 // path — see pipe.ackLoop), and the pipeline snapshots the log every
-// SnapshotEvery decisions. The caller opens the Log (and runs
-// RecoverAdmission/RecoverCover first when the directory is non-empty);
-// AdmissionDurable and CoverDurable build this for the built-in workloads.
+// SnapshotEvery decisions. The caller opens the Log and replays it into
+// the engine first; for the built-in workloads a Node's Open and Mount do
+// both and build this.
 //
 // A durable workload requires that all engine traffic flows through the
 // server: a Submit that bypasses the pipeline would consume a sequence
@@ -212,6 +213,19 @@ type Durability[Req any, Dec service.Decision] struct {
 	SnapshotEvery int64
 	// Replay carries the startup recovery summary for /metrics.
 	Replay RecoveryInfo
+}
+
+// logged returns codec with its workload routed through log: digest
+// stamps its snapshots and record maps each decided item onto its record.
+func logged[Req any, Dec service.Decision](codec Codec[Req, Dec], log *wal.Log, opts DurableOptions, digest func() uint64, record func(Req, Dec, *wal.Record)) Codec[Req, Dec] {
+	codec.Durability = &Durability[Req, Dec]{
+		Log:           log,
+		Record:        record,
+		StateDigest:   digest,
+		SnapshotEvery: opts.SnapshotEvery,
+		Replay:        opts.Replay,
+	}
+	return codec
 }
 
 // WireCodec maps one workload's request and decision types onto the binary
@@ -497,6 +511,33 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
+}
+
+// Run serves the Server on ln, with HTTPServer's connection limits, until
+// ctx is done or the listener fails. It then stops accepting connections
+// and drains in-flight requests and every pipeline within the drain
+// budget. It returns nil only when the listener did not fail and the drain
+// completed, the condition Node.Finish needs before it writes a shutdown
+// snapshot. Callers build ctx with signal.NotifyContext over their own
+// signal set.
+func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) error {
+	hs := s.HTTPServer(ln.Addr().String())
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case <-ctx.Done():
+	case err = <-served:
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if shutErr := hs.Shutdown(dctx); shutErr != nil {
+		err = errors.Join(err, fmt.Errorf("http shutdown: %w", shutErr))
+	}
+	if drainErr := s.Drain(dctx); drainErr != nil {
+		err = errors.Join(err, fmt.Errorf("pipeline drain: %w", drainErr))
+	}
+	return err
 }
 
 // errorJSON is the body of a non-200 response and of per-item error lines

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,7 +101,7 @@ func checkAdmissionLines(t *testing.T, got, want []DecisionJSON, what string) {
 	for i := range got {
 		g, w := got[i], want[i]
 		if g.ID != w.ID || g.Accepted != w.Accepted || g.CrossShard != w.CrossShard ||
-			!equalInts(g.Preempted, w.Preempted) || g.Error != w.Error {
+			!slices.Equal(g.Preempted, w.Preempted) || g.Error != w.Error {
 			t.Fatalf("%s: line %d diverged: got %+v, want %+v", what, i, g, w)
 		}
 	}
@@ -345,11 +346,11 @@ func TestDurableCoverRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := RecoverCover(log, cov)
+		info, err := recoverCover(log, cov)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{}, CoverDurable(cov, log, DurableOptions{SnapshotEvery: 100, Replay: info}))
+		s, err := New(Config{}, coverDurable(cov, log, DurableOptions{SnapshotEvery: 100, Replay: info}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +363,7 @@ func TestDurableCoverRecovery(t *testing.T) {
 	for i := range got {
 		w := want[i]
 		if got[i].Seq != w.Seq || got[i].Element != w.Element || got[i].Arrival != w.Arrival ||
-			!equalInts(got[i].NewSets, w.NewSets) || got[i].AddedCost != w.AddedCost || got[i].Error != w.Error {
+			!slices.Equal(got[i].NewSets, w.NewSets) || got[i].AddedCost != w.AddedCost || got[i].Error != w.Error {
 			t.Fatalf("first run line %d diverged: got %+v, want %+v", i, got[i], w)
 		}
 	}
@@ -390,7 +391,7 @@ func TestDurableCoverRecovery(t *testing.T) {
 	for i := range got {
 		w := want[half+i]
 		if got[i].Seq != w.Seq || got[i].Element != w.Element || got[i].Arrival != w.Arrival ||
-			!equalInts(got[i].NewSets, w.NewSets) || got[i].AddedCost != w.AddedCost || got[i].Error != w.Error {
+			!slices.Equal(got[i].NewSets, w.NewSets) || got[i].AddedCost != w.AddedCost || got[i].Error != w.Error {
 			t.Fatalf("recovered run line %d diverged: got %+v, want %+v", half+i, got[i], w)
 		}
 	}

@@ -97,6 +97,29 @@ func Names() []string {
 	return out
 }
 
+// Capacities derives a serving binary's capacity vector from its
+// -workload, -edges and -cap flags: the named workload's topology at the
+// given capacity or, with no name, edges copies of capacity. acserve,
+// acrouter and acreplay all derive it here, so a router, its backends and
+// an offline fsck agree on it.
+func Capacities(name string, edges, capacity int, seed uint64) ([]int, error) {
+	if name != "" {
+		ins, err := BuildNamed(name, CostUnit, capacity, 0, seed)
+		if err != nil {
+			return nil, err
+		}
+		return ins.Capacities, nil
+	}
+	if edges <= 0 || capacity <= 0 {
+		return nil, fmt.Errorf("workload: need -edges > 0 and -cap > 0")
+	}
+	caps := make([]int, edges)
+	for i := range caps {
+		caps[i] = capacity
+	}
+	return caps, nil
+}
+
 // BuildNamed constructs the named workload with the given cost model,
 // per-edge capacity, request count and seed. It is the single source of
 // truth for the workload names exposed by acsim and acgen.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"admission/internal/graph"
@@ -253,5 +254,23 @@ func TestNamesSortedNonEmpty(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatal("names not sorted")
 		}
+	}
+}
+
+func TestCapacities(t *testing.T) {
+	flat, err := Capacities("", 3, 5, 1)
+	if err != nil || len(flat) != 3 || flat[0] != 5 || flat[2] != 5 {
+		t.Fatalf("flat capacities = %v, %v; want [5 5 5]", flat, err)
+	}
+	ins, err := BuildNamed("grid", CostUnit, 4, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := Capacities("grid", 3, 4, 7)
+	if err != nil || !slices.Equal(named, ins.Capacities) {
+		t.Fatalf("named capacities = %v, %v; want the grid workload's %v", named, err, ins.Capacities)
+	}
+	if _, err := Capacities("", 0, 5, 1); err == nil {
+		t.Fatal("Capacities accepted zero edges")
 	}
 }
