@@ -1,8 +1,14 @@
 // Benchmarks: one per reproduction experiment E1–E15 and E18 (see DESIGN.md
 // §4 and EXPERIMENTS.md; E16, E17, E19 and E20 run only under acbench and
-// the harness tests), micro-benchmarks of the individual algorithms, and
-// throughput benchmarks of the sharded concurrent engines (DESIGN.md §5 and
-// §9) and the HTTP serving layer over loopback (DESIGN.md §7).
+// the harness tests), micro-benchmarks of the individual algorithms and
+// offline optima, throughput of the two sharded engines fed directly
+// (DESIGN.md §5 and §9), the admin plane's resize round trip (DESIGN.md
+// §15), and the replay audit.
+//
+// The served paths (HTTP pipeline, both codecs, the WAL, the query tier and
+// the router hop) are measured by the bench module instead: `bash
+// bench/run.sh` reports medians and quartiles over seeded sessions together
+// with the host they ran on (bench/README.md), and E14–E20 gate them.
 //
 // The experiment benchmarks execute the same code paths as `acbench -exp
 // <id>` at a reduced scale so `go test -bench=.` terminates in minutes; the
@@ -15,9 +21,7 @@ package admission_test
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
-	"path/filepath"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,13 +30,11 @@ import (
 
 	"admission"
 	"admission/internal/baseline"
-	"admission/internal/cluster"
 	"admission/internal/core"
 	"admission/internal/coverengine"
 	"admission/internal/engine"
 	"admission/internal/graph"
 	"admission/internal/harness"
-	"admission/internal/lca"
 	"admission/internal/lp"
 	"admission/internal/ops"
 	"admission/internal/opt"
@@ -41,7 +43,6 @@ import (
 	"admission/internal/server"
 	"admission/internal/setcover"
 	"admission/internal/trace"
-	"admission/internal/wal"
 	"admission/internal/workload"
 )
 
@@ -492,71 +493,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServerLoopback measures end-to-end throughput of the full
-// serving stack — acload's load generator driving acserve's HTTP batching
-// pipeline over a real loopback TCP listener — at 1 and 8 client
-// connections. The decisions/s metric is the committed acceptance figure
-// for the serving layer (target: ≥ 50k decisions/s at conns=8 on one
-// machine); requests/op stays constant so ns/op is comparable across
-// runs.
-func BenchmarkServerLoopback(b *testing.B) {
-	ins := benchInstance(b, false)
-	for _, conns := range []int{1, 8} {
-		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			var thru float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				acfg := core.DefaultConfig()
-				acfg.Seed = uint64(i)
-				eng, err := engine.New(ins.Capacities, engine.Config{Shards: 4, Algorithm: acfg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := server.New(server.Config{}, server.Admission(eng))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				httpSrv := &http.Server{Handler: srv.Handler()}
-				go func() { _ = httpSrv.Serve(ln) }()
-				base := "http://" + ln.Addr().String()
-				if err := server.NewAdmissionClient(base, 1).WaitHealthy(5 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-					BaseURL: base,
-					Items:   ins.Requests,
-					Conns:   conns,
-					Batch:   256,
-				})
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Decided != int64(len(ins.Requests)) || report.Errors != 0 {
-					b.Fatalf("decided %d of %d, %d errors", report.Decided, len(ins.Requests), report.Errors)
-				}
-				thru = report.Throughput
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if err := srv.Drain(ctx); err != nil {
-					b.Fatal(err)
-				}
-				cancel()
-				_ = httpSrv.Close()
-				eng.Close()
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(thru, "decisions/s")
-			b.ReportMetric(float64(len(ins.Requests)), "requests/op")
-		})
-	}
-}
-
 // BenchmarkAdminResize measures the live-operations control plane's
 // capacity-resize round trip (DESIGN.md §15) over loopback HTTP: each op
 // is one grow plus one shrink-back through POST /admin/v1/capacity, so
@@ -577,22 +513,13 @@ func BenchmarkAdminResize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	admin := ops.NewAdminClient(base, token)
-	if err := admin.WaitHealthy(5 * time.Second); err != nil {
-		b.Fatal(err)
-	}
+	ts := httptest.NewServer(srv.Handler())
+	admin := ops.NewAdminClient(ts.URL, token)
 	defer func() {
-		_ = httpSrv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Drain(ctx)
+		ts.Close()
 		eng.Close()
 	}()
 	// Load the engine so resizes run against live occupancy, not an idle
@@ -616,202 +543,6 @@ func BenchmarkAdminResize(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// wireBenchInstance builds the serving-bound workload for the codec
-// benchmarks: 16k single-edge unit-cost requests over 64 edges behind a
-// 4-shard engine. Every request takes the single-shard fast path and the
-// unweighted algorithm decides it in well under a microsecond, so the
-// engine sustains ≥ 1M decisions/s on this instance and the measured
-// throughput is the serving layer's — codec, HTTP, and pipeline — not the
-// admission algorithm's. (BenchmarkServerLoopback deliberately keeps the
-// E14 multi-edge workload, where the algorithm dominates; that figure
-// tracks the whole stack, this one isolates the hot path the §11 binary
-// protocol exists to speed up.)
-func wireBenchInstance() *problem.Instance {
-	const edges, capacity, n = 64, 8, 16000
-	ins := &problem.Instance{Capacities: make([]int, edges)}
-	for i := range ins.Capacities {
-		ins.Capacities[i] = capacity
-	}
-	ins.Requests = make([]problem.Request, n)
-	for i := range ins.Requests {
-		ins.Requests[i] = problem.Request{Edges: []int{i % edges}, Cost: 1}
-	}
-	return ins
-}
-
-// BenchmarkWireLoopback measures the serving hot path over both codecs on
-// the serving-bound workload: the same server, load generator, batch size,
-// and engine seed, with only the negotiated Content-Type differing. The
-// decisions/s metric at codec=wire/conns=8 is the committed acceptance
-// figure for the binary protocol (target: ≥ 5× the BENCH_5
-// BenchmarkServerLoopback conns=8 figure, i.e. ≥ 565k decisions/s);
-// codec=json on the identical workload isolates what the binary framing
-// buys over NDJSON.
-func BenchmarkWireLoopback(b *testing.B) {
-	ins := wireBenchInstance()
-	for _, codec := range []string{"json", "wire"} {
-		for _, conns := range []int{1, 8} {
-			b.Run(fmt.Sprintf("codec=%s/conns=%d", codec, conns), func(b *testing.B) {
-				// Throughput is aggregated across every iteration (total
-				// decisions over total load-generator wall time) rather
-				// than reported from the last one: iterations run ~25ms
-				// each, short enough that a single GC cycle or scheduler
-				// hiccup would otherwise swing the committed figure.
-				var decided int64
-				var elapsed time.Duration
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					acfg := core.UnweightedConfig()
-					acfg.Seed = uint64(i)
-					eng, err := engine.New(ins.Capacities, engine.Config{Shards: 4, Algorithm: acfg})
-					if err != nil {
-						b.Fatal(err)
-					}
-					srv, err := server.New(server.Config{}, server.Admission(eng))
-					if err != nil {
-						b.Fatal(err)
-					}
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					httpSrv := &http.Server{Handler: srv.Handler()}
-					go func() { _ = httpSrv.Serve(ln) }()
-					base := "http://" + ln.Addr().String()
-					if err := server.NewAdmissionClient(base, 1).WaitHealthy(5 * time.Second); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					start := time.Now()
-					report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-						BaseURL: base,
-						Items:   ins.Requests,
-						Conns:   conns,
-						Batch:   1024,
-						Wire:    codec == "wire",
-					})
-					elapsed += time.Since(start)
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if report.Decided != int64(len(ins.Requests)) || report.Errors != 0 {
-						b.Fatalf("decided %d of %d, %d errors", report.Decided, len(ins.Requests), report.Errors)
-					}
-					decided += report.Decided
-					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-					if err := srv.Drain(ctx); err != nil {
-						b.Fatal(err)
-					}
-					cancel()
-					_ = httpSrv.Close()
-					eng.Close()
-					b.StartTimer()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(decided)/elapsed.Seconds(), "decisions/s")
-				b.ReportMetric(float64(len(ins.Requests)), "requests/op")
-			})
-		}
-	}
-}
-
-// BenchmarkWALLoopback measures what durability costs on the serving hot
-// path: the BenchmarkWireLoopback conns=8 binary-codec run repeated with
-// the decision WAL off and on (DESIGN.md §12). The wal=on run appends and
-// group-commit-fsyncs every decision before its response frame is
-// released, so the gap between the two decisions/s figures is the whole
-// price of crash durability. The committed acceptance figure is wal=on ≥
-// 50% of the BENCH_6 wire conns=8 throughput.
-func BenchmarkWALLoopback(b *testing.B) {
-	ins := wireBenchInstance()
-	const conns = 8
-	for _, durable := range []bool{false, true} {
-		name := "wal=off"
-		if durable {
-			name = "wal=on"
-		}
-		b.Run(fmt.Sprintf("%s/conns=%d", name, conns), func(b *testing.B) {
-			// Aggregate throughput across iterations, as in
-			// BenchmarkWireLoopback.
-			var decided int64
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				acfg := core.UnweightedConfig()
-				acfg.Seed = uint64(i)
-				eng, err := engine.New(ins.Capacities, engine.Config{Shards: 4, Algorithm: acfg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reg := server.Admission(eng)
-				var log *wal.Log
-				if durable {
-					// A fresh directory per iteration: the engine seed
-					// varies with i, so the fingerprints would not match.
-					log, err = wal.Open(filepath.Join(b.TempDir(), strconv.Itoa(i)),
-						wal.Options{Kind: wal.KindAdmission, Fingerprint: eng.Fingerprint()})
-					if err != nil {
-						b.Fatal(err)
-					}
-					reg = server.AdmissionDurable(eng, log, server.DurableOptions{})
-				}
-				srv, err := server.New(server.Config{}, reg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				httpSrv := &http.Server{Handler: srv.Handler()}
-				go func() { _ = httpSrv.Serve(ln) }()
-				base := "http://" + ln.Addr().String()
-				if err := server.NewAdmissionClient(base, 1).WaitHealthy(5 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				start := time.Now()
-				report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-					BaseURL: base,
-					Items:   ins.Requests,
-					Conns:   conns,
-					Batch:   1024,
-					Wire:    true,
-				})
-				elapsed += time.Since(start)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Decided != int64(len(ins.Requests)) || report.Errors != 0 {
-					b.Fatalf("decided %d of %d, %d errors", report.Decided, len(ins.Requests), report.Errors)
-				}
-				decided += report.Decided
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if err := srv.Drain(ctx); err != nil {
-					b.Fatal(err)
-				}
-				cancel()
-				_ = httpSrv.Close()
-				if log != nil {
-					if log.DurableSeq() != int64(len(ins.Requests)) {
-						b.Fatalf("durable seq %d, want %d", log.DurableSeq(), len(ins.Requests))
-					}
-					if err := log.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				eng.Close()
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(decided)/elapsed.Seconds(), "decisions/s")
-			b.ReportMetric(float64(len(ins.Requests)), "requests/op")
 		})
 	}
 }
@@ -856,269 +587,6 @@ func BenchmarkCoverEngineThroughput(b *testing.B) {
 				cov.Close()
 			}
 			b.ReportMetric(float64(len(arrivals)), "arrivals/op")
-		})
-	}
-}
-
-// BenchmarkCoverLoopback measures end-to-end throughput of the set cover
-// serving stack — the cover load generator driving acserve's /v1/cover
-// path over a real loopback TCP listener — at 1 and 8 client connections.
-// The arrivals/s metric is the committed acceptance figure for the cover
-// serving path (target: ≥ 20k element-arrivals/s on one machine).
-func BenchmarkCoverLoopback(b *testing.B) {
-	ins, arrivals := benchCoverWorkload(b)
-	for _, conns := range []int{1, 8} {
-		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			var thru float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cov, err := coverengine.New(ins, coverengine.Config{Shards: 4, Seed: uint64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := server.New(server.Config{}, server.Cover(cov))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				httpSrv := &http.Server{Handler: srv.Handler()}
-				go func() { _ = httpSrv.Serve(ln) }()
-				base := "http://" + ln.Addr().String()
-				if err := server.NewCoverClient(base, 1).WaitHealthy(5 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				report, err := server.RunCoverLoad(context.Background(), server.LoadConfig[int]{
-					BaseURL: base,
-					Items:   arrivals,
-					Conns:   conns,
-					Batch:   256,
-				})
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Decided != int64(len(arrivals)) || report.Errors != 0 {
-					b.Fatalf("decided %d of %d, %d errors", report.Decided, len(arrivals), report.Errors)
-				}
-				thru = report.Throughput
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if err := srv.Drain(ctx); err != nil {
-					b.Fatal(err)
-				}
-				cancel()
-				_ = httpSrv.Close()
-				cov.Close()
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(thru, "arrivals/s")
-			b.ReportMetric(float64(len(arrivals)), "arrivals/op")
-		})
-	}
-}
-
-// BenchmarkQueryLoopback measures end-to-end throughput of the
-// local-computation query tier (DESIGN.md §13) — the query load generator
-// driving acserve's /v1/query path over a real loopback TCP listener with
-// the binary codec — at several concurrent-query bounds. Exact queries
-// share the engine's decided prefix and serialize on it, so the worker
-// sweep is informational: each iteration's fresh engine simulates every
-// arrival once, whatever the bound. Eight client connections keep the
-// HTTP side saturated at every worker count.
-func BenchmarkQueryLoopback(b *testing.B) {
-	src := lca.Source{Workload: "random", Model: workload.CostUniform, Capacity: 4, N: 512, Seed: 7}
-	qs := make([]lca.Query, src.N)
-	for i := range qs {
-		qs[i] = lca.Query{Pos: i}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			// Aggregate throughput across iterations, as in
-			// BenchmarkWireLoopback.
-			var decided int64
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				acfg := core.DefaultConfig()
-				acfg.Seed = 1
-				qeng, err := lca.New(lca.Config{Source: src, Algorithm: acfg, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := server.New(server.Config{}, server.Query(qeng))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				httpSrv := &http.Server{Handler: srv.Handler()}
-				go func() { _ = httpSrv.Serve(ln) }()
-				base := "http://" + ln.Addr().String()
-				if err := server.NewQueryClient(base, 1).WaitHealthy(5 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				start := time.Now()
-				report, err := server.RunQueryLoad(context.Background(), server.LoadConfig[lca.Query]{
-					BaseURL: base,
-					Items:   qs,
-					Conns:   8,
-					Batch:   128,
-					Wire:    true,
-				})
-				elapsed += time.Since(start)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Decided != int64(len(qs)) || report.Errors != 0 {
-					b.Fatalf("decided %d of %d, %d errors", report.Decided, len(qs), report.Errors)
-				}
-				decided += report.Decided
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if err := srv.Drain(ctx); err != nil {
-					b.Fatal(err)
-				}
-				cancel()
-				_ = httpSrv.Close()
-				qeng.Close()
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(decided)/elapsed.Seconds(), "queries/s")
-			b.ReportMetric(float64(len(qs)), "requests/op")
-		})
-	}
-}
-
-// BenchmarkClusterLoopback measures the cluster tier end to end on the
-// routing-bound workload: an admission load stream of single-edge offers
-// (with a 1-in-16 cross-partition pair mix) through the acrouter path —
-// load client → router HTTP server → consistent-hash router → cluster RPC
-// → backends — against the same stream into a plain single-node acserve.
-// backends=1 prices the pure protocol overhead of the extra tier;
-// backends=3 adds partitioned fan-out and two-phase settles. The
-// decisions/s metric at backends=3 is the committed BENCH_9 figure, held
-// by E19 to within 2x of the single-node path on the same machine.
-func BenchmarkClusterLoopback(b *testing.B) {
-	const m, capacity = 48, 4
-	caps := make([]int, m)
-	for e := range caps {
-		caps[e] = capacity
-	}
-	r := rng.New(9)
-	reqs := make([]problem.Request, 4096)
-	for i := range reqs {
-		e := r.Intn(m)
-		reqs[i] = problem.Request{Edges: []int{e}, Cost: 1}
-		if i%16 == 15 {
-			reqs[i].Edges = []int{e, (e + 1 + r.Intn(m-1)) % m}
-		}
-	}
-	ecfg := func() engine.Config {
-		acfg := core.UnweightedConfig()
-		acfg.Seed = 9
-		return engine.Config{Shards: 2, Algorithm: acfg}
-	}
-
-	serve := func(b *testing.B, reg server.Registration) (string, func()) {
-		srv, err := server.New(server.Config{}, reg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		return "http://" + ln.Addr().String(), func() { _ = httpSrv.Close() }
-	}
-
-	for _, backends := range []int{0, 1, 3} {
-		name := fmt.Sprintf("backends=%d", backends)
-		if backends == 0 {
-			name = "single-node"
-		}
-		b.Run(name, func(b *testing.B) {
-			var decided int64
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				var base string
-				var cleanup []func()
-				if backends == 0 {
-					eng, err := engine.New(caps, ecfg())
-					if err != nil {
-						b.Fatal(err)
-					}
-					url, stop := serve(b, server.Admission(eng))
-					base = url
-					cleanup = append(cleanup, stop, func() { eng.Close() })
-				} else {
-					ring, err := cluster.NewRing(m, backends, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients := make([]*cluster.Client, backends)
-					for bi := 0; bi < backends; bi++ {
-						bcaps, err := ring.Caps(caps, bi)
-						if err != nil {
-							b.Fatal(err)
-						}
-						be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg()})
-						if err != nil {
-							b.Fatal(err)
-						}
-						url, stop := serve(b, server.ClusterBackend(be))
-						clients[bi] = cluster.NewClient(url, cluster.RetryPolicy{MaxAttempts: 2})
-						cleanup = append(cleanup, stop, func() { be.Close() })
-					}
-					router, err := cluster.NewRouter(caps, clients,
-						cluster.RouterConfig{Backend: cluster.BackendConfig{Engine: ecfg()}, ResyncEvery: time.Hour})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-					if err := router.WaitReady(ctx); err != nil {
-						b.Fatal(err)
-					}
-					cancel()
-					url, stop := serve(b, server.RouterAdmission(router))
-					base = url
-					cleanup = append(cleanup, stop, func() { _ = router.Close() })
-				}
-				b.StartTimer()
-				start := time.Now()
-				report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-					BaseURL: base,
-					Items:   reqs,
-					Conns:   4,
-					Batch:   256,
-				})
-				elapsed += time.Since(start)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.Decided != int64(len(reqs)) || report.Errors != 0 {
-					b.Fatalf("decided %d of %d, %d errors", report.Decided, len(reqs), report.Errors)
-				}
-				decided += report.Decided
-				for j := len(cleanup) - 1; j >= 0; j-- {
-					cleanup[j]()
-				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(decided)/elapsed.Seconds(), "decisions/s")
-			b.ReportMetric(float64(len(reqs)), "requests/op")
 		})
 	}
 }

@@ -9,8 +9,8 @@
 //	acload -url http://127.0.0.1:8080 -workload grid -n 20000 -conns 8 -batch 256
 //	acload -url http://127.0.0.1:8080 -workload single-edge -n 5000 -rps 10000
 //
-// -wire switches steady-state and cover submissions to the binary wire
-// protocol (DESIGN.md §11) — decision-identical to JSON, built for
+// -wire switches steady-state, cover and query submissions to the binary
+// wire protocol (DESIGN.md §11) — decision-identical to JSON, built for
 // throughput:
 //
 //	acload -url http://127.0.0.1:8080 -workload grid -n 20000 -conns 8 -wire
@@ -70,10 +70,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -81,7 +79,6 @@ import (
 	"admission/internal/lca"
 	"admission/internal/ops"
 	"admission/internal/ops/scenario"
-	"admission/internal/problem"
 	"admission/internal/rng"
 	"admission/internal/server"
 	"admission/internal/workload"
@@ -99,7 +96,7 @@ func main() {
 		batch    = flag.Int("batch", 128, "requests per HTTP submission")
 		rps      = flag.Float64("rps", 0, "target requests/sec over all connections (0 = unthrottled)")
 		repeat   = flag.Int("repeat", 1, "times to cycle the sequence")
-		wireOn   = flag.Bool("wire", false, "submit over the binary wire protocol (steady-state and cover modes)")
+		wireOn   = flag.Bool("wire", false, "submit over the binary wire protocol (steady-state, cover and query modes)")
 		advName  = flag.String("adversary", "", "adaptive adversary mode: weighted-trap | path-trap | repeated-trap")
 		advW     = flag.Float64("W", 1000, "adversary: expensive-request cost")
 		advK     = flag.Int("K", 8, "adversary: path length (path-trap)")
@@ -124,17 +121,18 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	lf := loadFlags{url: *url, conns: *conns, batch: *batch, rps: *rps, repeat: *repeat, wire: *wireOn}
 
 	if *advName != "" {
 		runAdversary(ctx, *url, *advName, *advW, *advK, *advR)
 		return
 	}
 	if *cover {
-		runCover(ctx, *url, *coverWl, *coverSeed, *n, *conns, *batch, *rps, *wireOn)
+		runCover(ctx, lf, *coverWl, *coverSeed, *n)
 		return
 	}
 	if *query {
-		runQuery(ctx, *url, *queryN, *querySeed, *queryFidel, *n, *conns, *batch, *rps, *wireOn)
+		runQuery(ctx, lf, *queryN, *querySeed, *queryFidel, *n)
 		return
 	}
 	if *scName != "" {
@@ -150,18 +148,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	report, err := server.RunAdmissionLoad(ctx, server.LoadConfig[problem.Request]{
-		BaseURL: *url,
-		Items:   ins.Requests,
-		Conns:   *conns,
-		Batch:   *batch,
-		RPS:     *rps,
-		Repeat:  *repeat,
-		Wire:    *wireOn,
-	})
-	if err != nil {
-		fail(err)
-	}
+	report := runLoad(ctx, lf, ins.Requests, server.NewAdmissionClient, server.NewAdmissionWireClient)
 	fmt.Println(report)
 	fmt.Printf("admission:   %d accepted, %d preemptions\n", report.Accepted, report.Preempted)
 	if *clusterOn {
@@ -171,25 +158,45 @@ func main() {
 	}
 }
 
+// loadFlags are the flags every load mode shares.
+type loadFlags struct {
+	url                  string
+	conns, batch, repeat int
+	rps                  float64
+	wire                 bool
+}
+
+// runLoad sends items through server.RunLoad with the shared flags, over
+// the JSON client or, with -wire, the binary one, and returns the report.
+func runLoad[Req any, Dec server.WireDecision](ctx context.Context, lf loadFlags, items []Req,
+	jsonClient, wireClient func(baseURL string, maxConns int) *server.Client[Req, Dec]) *server.LoadReport {
+	newClient := jsonClient
+	if lf.wire {
+		newClient = wireClient
+	}
+	report, err := server.RunLoad(ctx, newClient, server.LoadConfig[Req]{
+		BaseURL: lf.url,
+		Items:   items,
+		Conns:   lf.conns,
+		Batch:   lf.batch,
+		RPS:     lf.rps,
+		Repeat:  lf.repeat,
+	})
+	if err != nil {
+		fail(err)
+	}
+	return report
+}
+
 // printLedger fetches the acrouter reconciliation ledger from the stats
 // endpoint and prints one line per backend. It fails when a backend is
 // down or its journal holds unsettled operations — after a drained run
 // the router's account of every backend must be exact.
 func printLedger(ctx context.Context, url string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/admission/stats", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("router stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("router stats: %s", resp.Status)
-	}
+	client := server.NewAdmissionClient(url, 1)
+	defer client.CloseIdle()
 	var st server.RouterStatsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := client.Stats(ctx, &st); err != nil {
 		return fmt.Errorf("router stats: %w", err)
 	}
 	if len(st.Backends) == 0 {
@@ -243,22 +250,12 @@ func runAdversary(ctx context.Context, url, name string, w float64, k, rounds in
 
 // runCover drives /v1/cover with a named set-cover workload's arrivals and
 // prints the throughput/latency summary.
-func runCover(ctx context.Context, url, name string, seed uint64, n, conns, batch int, rps float64, wire bool) {
+func runCover(ctx context.Context, lf loadFlags, name string, seed uint64, n int) {
 	w, err := workload.BuildNamedCover(name, n, seed)
 	if err != nil {
 		fail(err)
 	}
-	report, err := server.RunCoverLoad(ctx, server.LoadConfig[int]{
-		BaseURL: url,
-		Items:   w.Arrivals,
-		Conns:   conns,
-		Batch:   batch,
-		RPS:     rps,
-		Wire:    wire,
-	})
-	if err != nil {
-		fail(err)
-	}
+	report := runLoad(ctx, lf, w.Arrivals, server.NewCoverClient, server.NewCoverWireClient)
 	fmt.Printf("cover workload: %s (n=%d elements, m=%d sets)\n", w.Name, w.Instance.N, w.Instance.M())
 	fmt.Println(report)
 	fmt.Printf("cover:       %d sets bought, cost %g\n", report.SetsBought, report.CostAdded)
@@ -332,7 +329,7 @@ func runScenario(ctx context.Context, url, name, token string, edges, capacity i
 
 // runQuery drives /v1/query with n seeded random positions in [0, posN)
 // and prints the throughput/latency summary.
-func runQuery(ctx context.Context, url string, posN int, posSeed uint64, fidelity string, n, conns, batch int, rps float64, wire bool) {
+func runQuery(ctx context.Context, lf loadFlags, posN int, posSeed uint64, fidelity string, n int) {
 	fid, err := lca.ParseFidelity(fidelity)
 	if err != nil {
 		fail(err)
@@ -345,17 +342,7 @@ func runQuery(ctx context.Context, url string, posN int, posSeed uint64, fidelit
 	for i := range qs {
 		qs[i] = lca.Query{Pos: int(r.Uint64() % uint64(posN)), Fidelity: fid}
 	}
-	report, err := server.RunQueryLoad(ctx, server.LoadConfig[lca.Query]{
-		BaseURL: url,
-		Items:   qs,
-		Conns:   conns,
-		Batch:   batch,
-		RPS:     rps,
-		Wire:    wire,
-	})
-	if err != nil {
-		fail(err)
-	}
+	report := runLoad(ctx, lf, qs, server.NewQueryClient, server.NewQueryWireClient)
 	fmt.Printf("query tier:  %d positions, %s fidelity\n", posN, fid)
 	fmt.Println(report)
 	fmt.Printf("queries:     %d accepted, %d preempted positions\n", report.Accepted, report.Preempted)

@@ -256,7 +256,7 @@ func e19Throughput(ins *problem.Instance, ecfg engine.Config, reqs []problem.Req
 		defer tc.close()
 		base = tc.base
 	}
-	return server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
+	return server.RunLoad(context.Background(), server.NewAdmissionClient, server.LoadConfig[problem.Request]{
 		BaseURL: base,
 		Items:   reqs,
 		Conns:   e19ThruConns,

@@ -231,7 +231,7 @@ func e15Load(ins *setcover.Instance, arrivals []int, seed uint64, sc e15Scenario
 	if err != nil {
 		return 0, 0, err
 	}
-	report, err := server.RunCoverLoad(context.Background(), server.LoadConfig[int]{
+	report, err := server.RunLoad(context.Background(), server.NewCoverClient, server.LoadConfig[int]{
 		BaseURL: lb.URL,
 		Items:   arrivals,
 		Conns:   sc.conns,

@@ -161,17 +161,17 @@ func runAdmissionLegs(cfg Config, t *Table, legs []admissionLeg, wsalt, asalt ui
 // accounting must reconcile exactly with the engine's.
 func decideLeg(eng *engine.Engine, reqs []problem.Request, leg admissionLeg, direct *[]server.DecisionJSON) (float64, time.Duration, error) {
 	defer eng.Close()
-	switch leg.conns {
-	case 0:
+	if leg.conns == 0 {
 		start := time.Now()
 		lines, err := directLines(eng, reqs)
 		*direct = lines
 		return float64(len(reqs)) / time.Since(start).Seconds(), 0, err
-	case 1:
-		newClient := server.NewAdmissionClient
-		if leg.wire {
-			newClient = server.NewAdmissionWireClient
-		}
+	}
+	newClient := server.NewAdmissionClient
+	if leg.wire {
+		newClient = server.NewAdmissionWireClient
+	}
+	if leg.conns == 1 {
 		elapsed, p99, err := serveStream(server.Admission(eng), newClient, reqs, *direct, sameAdmission)
 		return float64(len(reqs)) / elapsed.Seconds(), p99, err
 	}
@@ -179,12 +179,11 @@ func decideLeg(eng *engine.Engine, reqs []problem.Request, leg admissionLeg, dir
 	if err != nil {
 		return 0, 0, err
 	}
-	report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
+	report, err := server.RunLoad(context.Background(), newClient, server.LoadConfig[problem.Request]{
 		BaseURL: lb.URL,
 		Items:   reqs,
 		Conns:   leg.conns,
 		Batch:   64,
-		Wire:    leg.wire,
 	})
 	if err := errors.Join(err, lb.close()); err != nil {
 		return 0, 0, err

@@ -17,7 +17,7 @@ import (
 //
 // E14–E20 stand their servers up with serve, drive one-connection
 // identity legs with stream and diff them against the sequential
-// reference with sameLines; load legs run server.Run*Load against a
+// reference with sameLines; load legs run server.RunLoad against a
 // loopback's URL.
 
 // loopback is one server.Server behind an httptest listener on 127.0.0.1.

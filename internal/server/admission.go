@@ -158,6 +158,13 @@ type DecisionJSON struct {
 // wire-decision contract.
 func (d DecisionJSON) ErrorText() string { return d.Error }
 
+func (d DecisionJSON) addTo(r *LoadReport) {
+	if d.Accepted {
+		r.Accepted++
+	}
+	r.Preempted += int64(len(d.Preempted))
+}
+
 // StatsJSON is the /v1/admission/stats response body.
 type StatsJSON struct {
 	// Requests .. RejectedCost mirror engine.Stats.

@@ -17,11 +17,12 @@ import (
 )
 
 // Client is the generic HTTP client for one workload of a Server, used by
-// cmd/acload, the loopback benchmarks, and the E14/E15 experiments. It
+// RunLoad, cmd/acload, the served experiments and the bench module. It
 // batches items into one POST /v1/<workload> and decodes the streamed
-// NDJSON decisions. Req is the workload's request wire type and Dec its
-// decision line type (problem.Request/DecisionJSON for admission,
-// int/CoverDecisionJSON for cover).
+// decisions, NDJSON or (built by NewWireClient) binary frames. Req is the
+// workload's request wire type and Dec its decision line type
+// (problem.Request/DecisionJSON for admission, int/CoverDecisionJSON for
+// cover).
 //
 // Concurrency contract: a Client is safe for concurrent use; the
 // underlying http.Client pools connections per host.
@@ -106,15 +107,9 @@ func NewCoverWireClient(baseURL string, maxConns int) *Client[int, CoverDecision
 	return NewWireClient(baseURL, WorkloadCover, maxConns, CoverClientWire())
 }
 
-// Wire reports whether the client submits over the binary wire protocol.
-func (c *Client[Req, Dec]) Wire() bool { return c.wire != nil }
-
-// Workload returns the workload name the client submits to.
-func (c *Client[Req, Dec]) Workload() string { return c.workload }
-
 // Submit posts a batch of items and returns one decision line per item, in
-// item order. A non-2xx status or transport failure is returned as an
-// error; per-item failures arrive in the corresponding decision line.
+// item order. A status other than 200 or a transport failure is returned
+// as an error; per-item failures arrive in the corresponding decision line.
 //
 // Cancellation is wired through the whole exchange including the NDJSON
 // read loop: when ctx is done the streaming response body is closed, so a
@@ -129,24 +124,11 @@ func (c *Client[Req, Dec]) Submit(ctx context.Context, items []Req) ([]Dec, erro
 	if err != nil {
 		return nil, err
 	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+c.workload, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hr)
+	resp, err := c.post(ctx, "application/json", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		if e.Error == "" {
-			e.Error = resp.Status
-		}
-		return nil, fmt.Errorf("server: %s", e.Error)
-	}
 	// Tie the streaming read loop to ctx explicitly: closing the body
 	// unblocks a Scan stuck on a stalled stream the moment ctx fires,
 	// independent of transport internals.
@@ -198,24 +180,11 @@ func (c *Client[Req, Dec]) submitWire(ctx context.Context, items []Req) ([]Dec, 
 	for _, it := range items {
 		wb.B = c.wire.AppendRequest(wb.B, it)
 	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+c.workload, bytes.NewReader(wb.B))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", wire.ContentType)
-	resp, err := c.hc.Do(hr)
+	resp, err := c.post(ctx, wire.ContentType, wb.B)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e errorJSON
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		if e.Error == "" {
-			e.Error = resp.Status
-		}
-		return nil, fmt.Errorf("server: %s", e.Error)
-	}
 	stop := context.AfterFunc(ctx, func() { resp.Body.Close() })
 	defer stop()
 
@@ -249,6 +218,32 @@ func (c *Client[Req, Dec]) submitWire(ctx context.Context, items []Req) ([]Dec, 
 		return out, err
 	}
 	return out, nil
+}
+
+// post sends one submission body to the workload's route and returns the
+// response once the server has answered 200. Any other status is closed
+// and returned as the server's error text (the errorJSON body, else the
+// status line).
+func (c *Client[Req, Dec]) post(ctx context.Context, contentType string, body []byte) (*http.Response, error) {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+c.workload, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hr.Header.Set("Content-Type", contentType)
+	resp, err := c.hc.Do(hr)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		var e errorJSON
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		if e.Error == "" {
+			e.Error = resp.Status
+		}
+		return nil, fmt.Errorf("server: %s", e.Error)
+	}
+	return resp, nil
 }
 
 // Stats fetches /v1/<workload>/stats and decodes it into out (a pointer to
@@ -294,8 +289,7 @@ func (c *Client[Req, Dec]) Metrics(ctx context.Context) (string, error) {
 func (c *Client[Req, Dec]) CloseIdle() { c.hc.CloseIdleConnections() }
 
 // WaitHealthy polls /healthz until it answers 200 or the deadline passes;
-// used against freshly started listeners by acload, the loopback
-// benchmarks, and E14/E15.
+// used against freshly started listeners.
 func (c *Client[Req, Dec]) WaitHealthy(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

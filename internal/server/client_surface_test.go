@@ -7,17 +7,13 @@ import (
 	"time"
 )
 
-// TestClientWaitHealthyAndWorkload covers the client's startup helpers:
-// WaitHealthy polling a live listener to success, timing out against a
-// dead address, and the Workload accessor the load generator labels its
-// reports with.
-func TestClientWaitHealthyAndWorkload(t *testing.T) {
+// TestClientWaitHealthy covers the client's startup helper: WaitHealthy
+// polling a live listener to success and timing out against a dead
+// address.
+func TestClientWaitHealthy(t *testing.T) {
 	_, _, ts := newTestServer(t, []int{2, 2, 2}, 1, Config{})
 	client := NewAdmissionClient(ts.URL, 1)
 	defer client.CloseIdle()
-	if client.Workload() != WorkloadAdmission {
-		t.Fatalf("Workload() = %q, want %q", client.Workload(), WorkloadAdmission)
-	}
 	if err := client.WaitHealthy(2 * time.Second); err != nil {
 		t.Fatalf("healthy listener reported unhealthy: %v", err)
 	}

@@ -110,6 +110,11 @@ type CoverDecisionJSON struct {
 // wire-decision contract.
 func (d CoverDecisionJSON) ErrorText() string { return d.Error }
 
+func (d CoverDecisionJSON) addTo(r *LoadReport) {
+	r.SetsBought += int64(len(d.NewSets))
+	r.CostAdded += d.AddedCost
+}
+
 // CoverStatsJSON is the /v1/cover/stats response body.
 type CoverStatsJSON struct {
 	// Mode names the per-shard algorithm ("reduction" or "bicriteria").

@@ -60,7 +60,7 @@ func TestCoverLoopbackReconciles(t *testing.T) {
 	client := NewCoverClient(ts.URL, 2)
 	defer client.CloseIdle()
 
-	report, err := RunCoverLoad(context.Background(), LoadConfig[int]{
+	report, err := RunLoad(context.Background(), NewCoverClient, LoadConfig[int]{
 		BaseURL: ts.URL,
 		Items:   arrivals,
 		Conns:   2,

@@ -7,27 +7,26 @@ import (
 	"sync"
 	"time"
 
-	"admission/internal/lca"
 	"admission/internal/problem"
 	"admission/internal/workload"
 )
 
-// WireDecision is the constraint the generic load generator places on
-// decision line types: a line can report a per-item failure as text.
-// DecisionJSON and CoverDecisionJSON satisfy it.
+// WireDecision is the constraint the load generator places on decision
+// line types: a line reports a per-item failure as text and adds a clean
+// decision into a LoadReport's workload aggregates. DecisionJSON,
+// CoverDecisionJSON and QueryDecisionJSON satisfy it.
 type WireDecision interface {
 	// ErrorText returns the per-line failure, or "" for a clean decision.
 	ErrorText() string
+	// addTo folds a clean decision into r's workload aggregates.
+	addTo(r *LoadReport)
 }
 
-// LoadConfig configures one load-generation run against a Server workload
-// (the engine behind cmd/acload and the E14/E15 loopback experiments).
+// LoadConfig configures one RunLoad run (the engine behind cmd/acload and
+// the load legs of E14, E15 and E19).
 type LoadConfig[Req any] struct {
 	// BaseURL is the target server.
 	BaseURL string
-	// Workload is the route name to submit to (WorkloadAdmission,
-	// WorkloadCover, or any registered name).
-	Workload string
 	// Items is the sequence to send, in order (split round-robin by batch
 	// across connections when Conns > 1).
 	Items []Req
@@ -41,11 +40,6 @@ type LoadConfig[Req any] struct {
 	RPS float64
 	// Repeat cycles the item sequence this many times (default 1).
 	Repeat int
-	// Wire submits over the binary wire protocol instead of JSON. Honored
-	// by the built-in RunAdmissionLoad/RunCoverLoad wrappers (which know
-	// their workload's frame hooks); RunLoadWith callers choose the
-	// protocol by the client they construct.
-	Wire bool
 }
 
 func (c LoadConfig[Req]) conns() int {
@@ -71,9 +65,9 @@ func (c LoadConfig[Req]) repeat() int {
 
 // LoadReport summarizes one load run, for any workload. Latencies are
 // per-batch round trips (submit-to-last-decision as seen by the client),
-// so they include the server's coalescing delay. The workload-specific
-// aggregates (Accepted/Preempted for admission, SetsBought/CostAdded for
-// cover) are filled by the observer the run was started with; the rest is
+// so they include the server's coalescing delay. Each clean decision line
+// adds itself into the workload-specific aggregates (Accepted/Preempted
+// for admission and query, SetsBought/CostAdded for cover); the rest is
 // generic.
 type LoadReport struct {
 	// Sent counts items submitted; Decided counts decision lines received
@@ -83,7 +77,8 @@ type LoadReport struct {
 	Errors int64
 	// Batches counts HTTP submissions.
 	Batches int64
-	// Accepted and Preempted aggregate an admission decision stream.
+	// Accepted and Preempted aggregate an admission or query decision
+	// stream.
 	Accepted, Preempted int64
 	// SetsBought and CostAdded aggregate a cover decision stream (each set
 	// is reported bought exactly once across the whole run).
@@ -111,30 +106,24 @@ func (r *LoadReport) String() string {
 		r.LatencyP50, r.LatencyP90, r.LatencyP99, r.LatencyMax)
 }
 
-// RunLoad drives one server workload with cfg.Items and collects a
-// LoadReport — the one load-generator loop every workload shares. It fails
-// fast on transport-level errors; per-item failures are counted and do not
-// stop the run. The context cancels the run early. observe (optional)
-// folds each clean decision line into the report's workload-specific
-// aggregates under the run's lock.
-func RunLoad[Req any, Dec WireDecision](ctx context.Context, cfg LoadConfig[Req], observe func(Dec, *LoadReport)) (*LoadReport, error) {
-	if cfg.Workload == "" {
-		return nil, fmt.Errorf("loadgen: no workload name")
-	}
-	client := NewClient[Req, Dec](cfg.BaseURL, cfg.Workload, cfg.conns())
-	defer client.CloseIdle()
-	return RunLoadWith(ctx, client, cfg, observe)
-}
-
-// RunLoadWith is RunLoad over a caller-constructed client — the hook that
-// lets the same load loop drive either protocol (pass a NewWireClient for
-// binary submissions). The caller retains ownership of the client.
-func RunLoadWith[Req any, Dec WireDecision](ctx context.Context, client *Client[Req, Dec], cfg LoadConfig[Req], observe func(Dec, *LoadReport)) (*LoadReport, error) {
+// RunLoad drives one served workload with cfg.Items and collects a
+// LoadReport — the one load-generator loop every workload shares. newClient
+// builds the client, and so names the workload and the codec (e.g.
+// NewAdmissionWireClient); RunLoad sizes its connection pool from
+// cfg.Conns and releases it when done. It fails fast: the first
+// transport-level error cancels every connection's remaining batches and
+// is returned. Per-item failures are counted and do not stop the run. The
+// context cancels the run early.
+func RunLoad[Req any, Dec WireDecision](ctx context.Context, newClient func(baseURL string, maxConns int) *Client[Req, Dec], cfg LoadConfig[Req]) (*LoadReport, error) {
 	if len(cfg.Items) == 0 {
 		return nil, fmt.Errorf("loadgen: no items")
 	}
 	conns := cfg.conns()
 	batchSize := cfg.batch()
+	client := newClient(cfg.BaseURL, conns)
+	defer client.CloseIdle()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	// Pre-chunk the repeated sequence into batches, assigned round-robin
 	// to workers so each connection sends a similar share.
@@ -191,6 +180,7 @@ func RunLoadWith[Req any, Dec WireDecision](ctx context.Context, client *Client[
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("loadgen: conn %d batch %d: %w", w, bi, err)
+						cancel()
 					}
 					mu.Unlock()
 					break
@@ -204,9 +194,7 @@ func RunLoadWith[Req any, Dec WireDecision](ctx context.Context, client *Client[
 						local.Errors++
 						continue
 					}
-					if observe != nil {
-						observe(d, &local)
-					}
+					d.addTo(&local)
 				}
 			}
 			mu.Lock()
@@ -232,78 +220,6 @@ func RunLoadWith[Req any, Dec WireDecision](ctx context.Context, client *Client[
 	}
 	report.LatencyP50, report.LatencyP90, report.LatencyP99, report.LatencyMax = latencyQuantiles(allLats)
 	return &report, nil
-}
-
-// ObserveAdmission folds one admission decision line into a LoadReport's
-// admission aggregates (the observer RunAdmissionLoad installs).
-func ObserveAdmission(d DecisionJSON, r *LoadReport) {
-	if d.Accepted {
-		r.Accepted++
-	}
-	r.Preempted += int64(len(d.Preempted))
-}
-
-// ObserveCover folds one cover decision line into a LoadReport's cover
-// aggregates (the observer RunCoverLoad installs).
-func ObserveCover(d CoverDecisionJSON, r *LoadReport) {
-	r.SetsBought += int64(len(d.NewSets))
-	r.CostAdded += d.AddedCost
-}
-
-// RunAdmissionLoad runs the generic load loop against the built-in
-// admission workload with the admission observer installed, over the
-// protocol cfg.Wire selects.
-func RunAdmissionLoad(ctx context.Context, cfg LoadConfig[problem.Request]) (*LoadReport, error) {
-	if cfg.Workload == "" {
-		cfg.Workload = WorkloadAdmission
-	}
-	if cfg.Wire {
-		client := NewWireClient(cfg.BaseURL, cfg.Workload, cfg.conns(), AdmissionClientWire())
-		defer client.CloseIdle()
-		return RunLoadWith(ctx, client, cfg, ObserveAdmission)
-	}
-	return RunLoad(ctx, cfg, ObserveAdmission)
-}
-
-// ObserveQuery folds one query decision line into a LoadReport's
-// admission-style aggregates (the observer RunQueryLoad installs):
-// accepted answers and preempted positions count exactly like their
-// streaming counterparts.
-func ObserveQuery(d QueryDecisionJSON, r *LoadReport) {
-	if d.Accepted {
-		r.Accepted++
-	}
-	r.Preempted += int64(len(d.Preempted))
-}
-
-// RunQueryLoad runs the generic load loop against the built-in
-// local-computation query workload with the query observer installed, over
-// the protocol cfg.Wire selects.
-func RunQueryLoad(ctx context.Context, cfg LoadConfig[lca.Query]) (*LoadReport, error) {
-	if cfg.Workload == "" {
-		cfg.Workload = WorkloadQuery
-	}
-	if cfg.Wire {
-		client := NewWireClient(cfg.BaseURL, cfg.Workload, cfg.conns(), QueryClientWire())
-		defer client.CloseIdle()
-		return RunLoadWith(ctx, client, cfg, ObserveQuery)
-	}
-	return RunLoad(ctx, cfg, ObserveQuery)
-}
-
-// RunCoverLoad runs the generic load loop against the built-in set cover
-// workload with the cover observer installed, over the protocol cfg.Wire
-// selects.
-func RunCoverLoad(ctx context.Context, cfg LoadConfig[int]) (*LoadReport, error) {
-	if cfg.Workload == "" {
-		cfg.Workload = WorkloadCover
-	}
-	if cfg.Wire {
-		client := NewWireClient(cfg.BaseURL, cfg.Workload, cfg.conns(), CoverClientWire())
-		defer client.CloseIdle()
-		return RunLoadWith(ctx, client, cfg, ObserveCover)
-	}
-	return RunLoad(ctx, cfg, ObserveCover)
 }
 
 // latencyQuantiles sorts the collected batch round trips and returns the

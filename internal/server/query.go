@@ -135,6 +135,15 @@ type QueryDecisionJSON struct {
 // wire-decision contract.
 func (d QueryDecisionJSON) ErrorText() string { return d.Error }
 
+// addTo counts accepted answers and preempted positions exactly like their
+// streaming counterparts.
+func (d QueryDecisionJSON) addTo(r *LoadReport) {
+	if d.Accepted {
+		r.Accepted++
+	}
+	r.Preempted += int64(len(d.Preempted))
+}
+
 // QueryStatsJSON is the /v1/query/stats response body.
 type QueryStatsJSON struct {
 	// Workload .. Seed give the source arrival-order spec, so a client can

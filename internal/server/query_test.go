@@ -178,12 +178,15 @@ func TestQueryLoadBothProtocols(t *testing.T) {
 		qs[i] = lca.Query{Pos: i}
 	}
 	for _, wire := range []bool{false, true} {
-		report, err := RunQueryLoad(context.Background(), LoadConfig[lca.Query]{
+		newClient := NewQueryClient
+		if wire {
+			newClient = NewQueryWireClient
+		}
+		report, err := RunLoad(context.Background(), newClient, LoadConfig[lca.Query]{
 			BaseURL: ts.URL,
 			Items:   qs,
 			Conns:   2,
 			Batch:   8,
-			Wire:    wire,
 		})
 		if err != nil {
 			t.Fatal(err)

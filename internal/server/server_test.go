@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -508,7 +509,7 @@ func TestLoadgenLoopback(t *testing.T) {
 	ins := testInstance(t, 13, 1200)
 	eng, s, ts := newTestServer(t, ins.Capacities, 4, Config{})
 	_ = s
-	report, err := RunAdmissionLoad(context.Background(), LoadConfig[problem.Request]{
+	report, err := RunLoad(context.Background(), NewAdmissionClient, LoadConfig[problem.Request]{
 		BaseURL: ts.URL,
 		Items:   ins.Requests,
 		Conns:   4,
@@ -549,7 +550,7 @@ func TestRPSPacing(t *testing.T) {
 	ins := testInstance(t, 17, 200)
 	_, _, ts := newTestServer(t, ins.Capacities, 1, Config{})
 	start := time.Now()
-	report, err := RunAdmissionLoad(context.Background(), LoadConfig[problem.Request]{
+	report, err := RunLoad(context.Background(), NewAdmissionClient, LoadConfig[problem.Request]{
 		BaseURL: ts.URL,
 		Items:   ins.Requests,
 		Conns:   2,
@@ -568,6 +569,39 @@ func TestRPSPacing(t *testing.T) {
 	}
 	if report.Decided != 200 {
 		t.Fatalf("decided %d, want 200", report.Decided)
+	}
+}
+
+// TestRunLoadFailsFast checks that the first transport-level error stops
+// every connection, not only the one that saw it: after the server fails
+// one submission with a 500, each of the other connections may still have
+// one submission in flight and one about to start, and no more.
+func TestRunLoadFailsFast(t *testing.T) {
+	const conns, batch, batches, failAt = 4, 10, 400, 3
+	ins := testInstance(t, 19, batch*batches)
+	_, s, _ := newTestServer(t, ins.Capacities, 2, Config{})
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && posts.Add(1) == failAt {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			_, _ = io.WriteString(w, `{"error":"injected failure"}`)
+			return
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	_, err := RunLoad(context.Background(), NewAdmissionClient, LoadConfig[problem.Request]{
+		BaseURL: ts.URL,
+		Items:   ins.Requests,
+		Conns:   conns,
+		Batch:   batch,
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("RunLoad error %v, want the injected failure", err)
+	}
+	if after := posts.Load() - failAt; after > 2*conns {
+		t.Fatalf("%d submissions reached the server after the failed one, want ≤ %d", after, 2*conns)
 	}
 }
 
@@ -629,7 +663,7 @@ func TestDeterministicLoopback(t *testing.T) {
 		_ = s.Drain(context.Background())
 		eng.Close()
 	}()
-	report, err := RunAdmissionLoad(context.Background(), LoadConfig[problem.Request]{
+	report, err := RunLoad(context.Background(), NewAdmissionClient, LoadConfig[problem.Request]{
 		BaseURL: ts.URL,
 		Items:   ins.Requests,
 		Conns:   1,

@@ -44,14 +44,14 @@ func submitRaw(t *testing.T, url, workload, contentType string, body []byte) (in
 // change a decision.
 func TestWireAdmissionCrossCodecIdentical(t *testing.T) {
 	ins := testInstance(t, 77, 400)
-	_, _, tsJSON := newTestServer(t, ins.Capacities, 2, Config{})
+	// The JSON side refuses wire bodies, so every JSON-client submission
+	// it answers went over NDJSON; TestWireContentTypeNegotiation shows
+	// the wire client is refused by such a server.
+	_, _, tsJSON := newTestServer(t, ins.Capacities, 2, Config{JSONOnly: true})
 	_, _, tsWire := newTestServer(t, ins.Capacities, 2, Config{})
 
 	jc := NewAdmissionClient(tsJSON.URL, 1)
 	wc := NewAdmissionWireClient(tsWire.URL, 1)
-	if !wc.Wire() || jc.Wire() {
-		t.Fatal("client protocol selection is wrong")
-	}
 	ctx := context.Background()
 	const batch = 32
 	for lo := 0; lo < len(ins.Requests); lo += batch {

@@ -12,8 +12,8 @@ import (
 // Named set-cover workloads: deterministic (instance, arrival sequence)
 // pairs shared by acserve (which registers the instance) and acload (which
 // generates the matching arrivals), keyed by name and seed so the two
-// binaries agree on the set system without shipping it over the wire. The
-// harness's E15 and the cover loopback benchmark use the same registry.
+// binaries agree on the set system without shipping it over the wire;
+// acreplay rebuilds the same instance to audit a cover log.
 
 // CoverWorkload is one named online-set-cover workload: the set system to
 // register with the cover engine, and an arrival sequence (with
