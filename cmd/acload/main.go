@@ -37,14 +37,12 @@
 //	acload -url http://127.0.0.1:8080 -cover -cover-workload cover-repeat -conns 8
 //
 // Query mode drives the server's local-computation query tier (/v1/query)
-// with seeded random positions, optionally at neighborhood fidelity. The
-// server must have been started with -query and a matching
-// -query-workload/-query-seed pair (plus cost model, capacity and length)
-// so both sides derive the same arrival order; -query-n must not exceed
-// the server's:
+// with seeded random positions. The server must have been started with
+// -query and a matching -query-workload/-query-seed pair (plus cost model,
+// capacity and length) so both sides derive the same arrival order;
+// -query-n must not exceed the server's:
 //
 //	acload -url http://127.0.0.1:8080 -query -query-n 4096 -n 20000 -conns 8 -wire
-//	acload -url http://127.0.0.1:8080 -query -query-fidelity neighborhood -n 5000
 //
 // Scenario mode replays a named, seeded churn script from the
 // live-operations registry (internal/ops/scenario, DESIGN.md §15) —
@@ -112,10 +110,9 @@ func main() {
 		scEdges    = flag.Int("edges", 32, "scenario mode: number of edges the server was started with (ignored with -admin-token, which learns it from occupancy)")
 		adminToken = flag.String("admin-token", "", "server admin token; required by scenarios with admin actions and for the post-run ledger reconciliation")
 
-		query      = flag.Bool("query", false, "drive the local-computation query tier (/v1/query) instead of /v1/admission")
-		queryN     = flag.Int("query-n", 4096, "positions of the server's query arrival order (must not exceed the server's -query-n)")
-		querySeed  = flag.Uint64("query-pos-seed", 1, "seed for the random query positions")
-		queryFidel = flag.String("query-fidelity", "exact", "query replay layer: exact | neighborhood")
+		query     = flag.Bool("query", false, "drive the local-computation query tier (/v1/query) instead of /v1/admission")
+		queryN    = flag.Int("query-n", 4096, "positions of the server's query arrival order (must not exceed the server's -query-n)")
+		querySeed = flag.Uint64("query-pos-seed", 1, "seed for the random query positions")
 	)
 	flag.Parse()
 
@@ -132,7 +129,7 @@ func main() {
 		return
 	}
 	if *query {
-		runQuery(ctx, lf, *queryN, *querySeed, *queryFidel, *n)
+		runQuery(ctx, lf, *queryN, *querySeed, *n)
 		return
 	}
 	if *scName != "" {
@@ -329,21 +326,17 @@ func runScenario(ctx context.Context, url, name, token string, edges, capacity i
 
 // runQuery drives /v1/query with n seeded random positions in [0, posN)
 // and prints the throughput/latency summary.
-func runQuery(ctx context.Context, lf loadFlags, posN int, posSeed uint64, fidelity string, n int) {
-	fid, err := lca.ParseFidelity(fidelity)
-	if err != nil {
-		fail(err)
-	}
+func runQuery(ctx context.Context, lf loadFlags, posN int, posSeed uint64, n int) {
 	if posN <= 0 || n <= 0 {
 		fail(fmt.Errorf("need -query-n > 0 and -n > 0"))
 	}
 	r := rng.New(posSeed)
 	qs := make([]lca.Query, n)
 	for i := range qs {
-		qs[i] = lca.Query{Pos: int(r.Uint64() % uint64(posN)), Fidelity: fid}
+		qs[i] = lca.Query{Pos: int(r.Uint64() % uint64(posN))}
 	}
 	report := runLoad(ctx, lf, qs, server.NewQueryClient, server.NewQueryWireClient)
-	fmt.Printf("query tier:  %d positions, %s fidelity\n", posN, fid)
+	fmt.Printf("query tier:  %d positions\n", posN)
 	fmt.Println(report)
 	fmt.Printf("queries:     %d accepted, %d preempted positions\n", report.Accepted, report.Preempted)
 }

@@ -3,11 +3,11 @@
 // arrival order, without streaming the sequence through a stateful engine.
 //
 // By default it answers locally — it builds the query engine in-process
-// from the same flags acserve's -query mode takes and replays only what
-// each query needs:
+// from the same flags acserve's -query mode takes and decides the prefix
+// up to the last queried position once:
 //
 //	acquery -workload random -seed 7 -n 4096 -pos 17
-//	acquery -workload random -seed 7 -n 4096 -from 0 -to 100 -fidelity neighborhood
+//	acquery -workload random -seed 7 -n 4096 -from 0 -to 100
 //
 // With -url it submits the same queries to a running acserve instance
 // instead (started with -query and a matching arrival-order spec), over
@@ -45,8 +45,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "arrival-order seed")
 		algSeed    = flag.Uint64("alg-seed", 1, "algorithm seed (must match the streaming engine's for line-identity)")
 		unweighted = flag.Bool("unweighted", false, "use the paper's unweighted constants (requires -costs unit)")
-		workers    = flag.Int("workers", 0, "concurrent query simulations (0 = GOMAXPROCS)")
-		fidelity   = flag.String("fidelity", "exact", "replay layer: exact | neighborhood")
 		pos        = flag.Int("pos", -1, "single position to query (overrides -from/-to)")
 		from       = flag.Int("from", 0, "first position of a range query")
 		to         = flag.Int("to", 0, "one past the last position of a range query")
@@ -55,10 +53,6 @@ func main() {
 	)
 	flag.Parse()
 
-	fid, err := lca.ParseFidelity(*fidelity)
-	if err != nil {
-		fail(err)
-	}
 	var positions []int
 	switch {
 	case *pos >= 0:
@@ -72,7 +66,7 @@ func main() {
 	}
 	qs := make([]lca.Query, len(positions))
 	for i, p := range positions {
-		qs[i] = lca.Query{Pos: p, Fidelity: fid}
+		qs[i] = lca.Query{Pos: p}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -92,7 +86,6 @@ func main() {
 	eng, err := lca.New(lca.Config{
 		Source:    lca.Source{Workload: *wl, Model: model, Capacity: *capacity, N: *n, Seed: *seed},
 		Algorithm: core.SeededConfig(*unweighted, *algSeed),
-		Workers:   *workers,
 	})
 	if err != nil {
 		fail(err)

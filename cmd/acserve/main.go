@@ -28,8 +28,8 @@
 // tier (internal/lca, DESIGN.md §13): stateless "what would the decision
 // at position r be?" queries over a seeded arrival order that server and
 // client both derive from the -query-workload/-query-seed pair — the
-// sequence itself is never transmitted. Exact queries share one decided
-// prefix, extended on demand; -query-workers bounds concurrent queries:
+// sequence itself is never transmitted. Queries share one decided prefix,
+// extended on demand:
 //
 //	acserve -addr :8080 -query -query-workload random -query-seed 7 -query-n 4096
 //
@@ -41,9 +41,8 @@
 //	POST /v1/cover           element id(s), e.g. 3 or [0,4,4]; one NDJSON
 //	                         "sets chosen" decision line per arrival
 //	GET  /v1/cover/stats     cover engine statistics (JSON)
-//	POST /v1/query           one query {"pos":17} (optionally with
-//	                         "fidelity":"neighborhood") or an array; one
-//	                         NDJSON reconstructed-decision line per query
+//	POST /v1/query           one query {"pos":17} or an array; one NDJSON
+//	                         reconstructed-decision line per query
 //	GET  /v1/query/stats     query engine statistics (JSON)
 //	GET  /metrics            Prometheus text format
 //	GET  /healthz            liveness; 503 while draining
@@ -143,13 +142,12 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "directory for per-workload decision WALs; enables durability and crash recovery (empty = in-memory only)")
 		snapEvery  = flag.Int64("snapshot-every", 100000, "logged decisions between automatic WAL snapshots (0 = only the shutdown snapshot)")
 
-		query        = flag.Bool("query", false, "also serve local-computation decision queries (/v1/query)")
-		queryWl      = flag.String("query-workload", "random", "named workload supplying the query tier's seeded arrival order")
-		queryCosts   = flag.String("query-costs", "uniform", "query arrival-order cost model: unit | uniform | pareto")
-		queryCap     = flag.Int("query-cap", 8, "per-edge capacity of the query arrival order")
-		queryN       = flag.Int("query-n", 4096, "query arrival-order length (queryable positions)")
-		querySeed    = flag.Uint64("query-seed", 1, "query arrival-order seed (must match the client's)")
-		queryWorkers = flag.Int("query-workers", 0, "concurrent query computations (0 = GOMAXPROCS)")
+		query      = flag.Bool("query", false, "also serve local-computation decision queries (/v1/query)")
+		queryWl    = flag.String("query-workload", "random", "named workload supplying the query tier's seeded arrival order")
+		queryCosts = flag.String("query-costs", "uniform", "query arrival-order cost model: unit | uniform | pareto")
+		queryCap   = flag.Int("query-cap", 8, "per-edge capacity of the query arrival order")
+		queryN     = flag.Int("query-n", 4096, "query arrival-order length (queryable positions)")
+		querySeed  = flag.Uint64("query-seed", 1, "query arrival-order seed (must match the client's)")
 
 		cover     = flag.Bool("cover", false, "also serve online set cover (/v1/cover)")
 		coverWl   = flag.String("cover-workload", "cover-random", "named set-cover workload supplying the set system")
@@ -261,15 +259,14 @@ func main() {
 				Seed:     *querySeed,
 			},
 			Algorithm: acfg,
-			Workers:   *queryWorkers,
 		})
 		if err != nil {
 			fail(err)
 		}
 		regs = append(regs, server.Query(qeng))
 		src := qeng.Source()
-		fmt.Fprintf(os.Stderr, "acserve: query: %s/%s seed %d, %d positions, %d workers\n",
-			src.Workload, src.Model, src.Seed, qeng.Positions(), qeng.Workers())
+		fmt.Fprintf(os.Stderr, "acserve: query: %s/%s seed %d, %d positions\n",
+			src.Workload, src.Model, src.Seed, qeng.Positions())
 	}
 	srv, err := server.New(server.Config{
 		BatchSize:  *batch,

@@ -21,9 +21,9 @@ import (
 // E18 validates the query tier (internal/lca, DESIGN.md §13): the same
 // seeded arrival order is decided four ways — streamed sequentially
 // through a 1-shard engine (the reference), answered position by position
-// by the lca engine at exact fidelity, and served through /v1/query with
-// one connection over both codecs, each served leg on a fresh engine so
-// the served path extends the shared frontier rather than looking it up.
+// by the lca engine, and served through /v1/query with one connection over
+// both codecs, each served leg on a fresh engine so the served path
+// extends the shared frontier rather than looking it up.
 // All four decision streams must be line-identical (position/ID, accepted,
 // preempted) at every position: the shared decided prefix must not be able
 // to disagree with the stateful streaming run it reconstructs. The worker

@@ -58,8 +58,13 @@ func runE14(cfg Config) ([]*Table, error) {
 	t.AddNote("direct = sequential Submit against the same 4-shard engine; loopback = acserve HTTP batching pipeline on 127.0.0.1")
 	t.AddNote("conns=1 is FIFO end to end: its decision stream was compared line by line (id, accepted, cross-shard, preempted) and is identical to direct; conns=4 reorders arrivals")
 	t.AddNote("acceptance: loopback ratio within 2x of direct — worst observed %.2fx: %s; conns=4 client/engine decision accounting reconciled exactly", worst, verdict)
+	t.AddNote(legsThroughputNote)
 	return []*Table{t}, nil
 }
+
+// legsThroughputNote says why E14's and E16's throughput columns carry no
+// claim.
+const legsThroughputNote = "throughput is informational: each repetition decides one overloaded instance of a few hundred requests per leg (150–290 at full scale), and repetitions run concurrently, so the legs time each other's load"
 
 // admissionLeg is one way E14 and E16 decide their workload.
 type admissionLeg struct {

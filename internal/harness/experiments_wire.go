@@ -44,5 +44,6 @@ func runE16(cfg Config) ([]*Table, error) {
 	t.AddNote("direct = sequential Submit against the same 4-shard engine; json/wire = acserve on 127.0.0.1 over the named codec")
 	t.AddNote("both conns=1 streams were compared line by line (id, accepted, cross-shard, preempted) and are identical to direct")
 	t.AddNote("acceptance: loopback ratio within 2x of direct — worst observed %.2fx: %s; wire conns=8 accounting reconciled exactly", worst, verdict)
+	t.AddNote(legsThroughputNote + "; the codec's throughput gain is DESIGN.md §11's ten-seed wire/json ratio (median 1.97x, quartiles 1.81–2.21x)")
 	return []*Table{t}, nil
 }

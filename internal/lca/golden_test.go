@@ -14,9 +14,8 @@ import (
 )
 
 // The golden query trace pins the tier's observable behaviour end to end:
-// a fixed engine configuration, queried at every position (exact) plus a
-// neighborhood sample, must keep producing byte-identical NDJSON answer
-// lines. Any drift in the workload generators, the §3 algorithm, or the
+// a fixed engine configuration, queried at every position, must keep
+// producing byte-identical NDJSON answer lines. Any drift in the workload generators, the §3 algorithm, or the
 // replay path fails here loudly. Regenerate deliberately with
 //
 //	go test ./internal/lca -run TestGoldenQueryTrace -update-golden
@@ -27,11 +26,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden query t
 // goldenLine is the trace spelling of one answer (a stable subset of the
 // serving layer's QueryDecisionJSON).
 type goldenLine struct {
-	Pos       int    `json:"pos"`
-	Accepted  bool   `json:"accepted"`
-	Preempted []int  `json:"preempted,omitempty"`
-	Replayed  int    `json:"replayed"`
-	Fidelity  string `json:"fidelity"`
+	Pos       int   `json:"pos"`
+	Accepted  bool  `json:"accepted"`
+	Preempted []int `json:"preempted,omitempty"`
+	Replayed  int   `json:"replayed"`
 }
 
 func TestGoldenQueryTrace(t *testing.T) {
@@ -50,9 +48,6 @@ func TestGoldenQueryTrace(t *testing.T) {
 	var qs []Query
 	for pos := 0; pos < eng.Positions(); pos++ {
 		qs = append(qs, Query{Pos: pos})
-		if pos%8 == 0 {
-			qs = append(qs, Query{Pos: pos, Fidelity: FidelityNeighborhood})
-		}
 	}
 	answers, err := eng.SubmitBatch(context.Background(), qs)
 	if err != nil {
@@ -69,7 +64,6 @@ func TestGoldenQueryTrace(t *testing.T) {
 			Accepted:  a.Accepted,
 			Preempted: a.Preempted,
 			Replayed:  a.Replayed,
-			Fidelity:  a.Fidelity.String(),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,41 +5,29 @@
 //
 // The arrival order is not transmitted: server and client both derive it
 // from a (workload name, seed) pair through internal/workload's named
-// generators, so a query is just a position (plus a fidelity selector) and
-// the engine reconstructs whatever part of the sequence determines that
-// position's outcome. Following the local-computation-algorithms framing
-// of the paper's setting ("Converting Online Algorithms to Local
-// Computation Algorithms", Mansour et al.; space-efficient LCAs per Alon,
-// Rubinfeld, Vardi & Xie), an exact answer needs the online run's prefix —
-// but nothing requires that prefix to be recomputed per query.
+// generators, so a query is just a position. Following the
+// local-computation-algorithms framing of the paper's setting ("Converting
+// Online Algorithms to Local Computation Algorithms", Mansour et al.;
+// space-efficient LCAs per Alon, Rubinfeld, Vardi & Xie), an answer needs
+// the online run's prefix — but nothing requires that prefix to be
+// recomputed per query.
 //
-// Two fidelity layers trade replay work against global exactness:
-//
-//   - FidelityExact (the default) answers from the engine's shared
-//     frontier: one §3 instance, seeded with the engine's algorithm seed,
-//     that has decided positions [0, k) and recorded each outcome. A query
-//     at r < k is a table lookup; a query at r ≥ k extends the frontier to
-//     r+1 first, so an engine asked about all N positions simulates N
-//     arrivals in total, not N(N+1)/2. Because the single-shard streaming
-//     engine is bit-identical to the unsharded algorithm under the same
-//     seed, an exact answer is line-identical to the decision the
-//     streaming engine emits at position r — the guarantee experiment E18
-//     and this package's property suite assert.
-//   - FidelityNeighborhood replays only r's conflict component: the
-//     prefix requests connected to r through chains of shared edges.
-//     Requests outside the component cannot contend for r's capacity, so
-//     the local simulation is self-consistent and deterministic (the same
-//     query always returns the same answer), but the §3 coin-flip stream
-//     and the §2 α-doubling phases are global in the streaming run, so a
-//     neighborhood answer is a documented approximation — exact whenever
-//     the component spans the whole prefix (e.g. the single-edge
-//     workload).
+// Every query is answered from the engine's shared frontier: one §3
+// instance, seeded with the engine's algorithm seed, that has decided
+// positions [0, k) and recorded each outcome. A query at r < k is a table
+// lookup; a query at r ≥ k extends the frontier to r+1 first, so an engine
+// asked about all N positions simulates N arrivals in total, not
+// N(N+1)/2. Because the single-shard streaming engine is bit-identical to
+// the unsharded algorithm under the same seed, an answer is line-identical
+// to the decision the streaming engine emits at position r — the guarantee
+// experiment E18 and this package's property suite assert.
 //
 // Concurrency contract: an Engine is safe for concurrent use by any
-// number of goroutines. Exact queries serialize on the frontier's mutex;
-// neighborhood queries run on private state. A semaphore bounds concurrent
-// query computations at Config.Workers. Statistics are atomically
-// aggregated and exact after Close.
+// number of goroutines. Queries serialize on the frontier's mutex, so
+// Config.Workers — the semaphore bound and SubmitBatch's fan-out — scales
+// nothing; it stays because the bench module prices lca.ns_per_query at 1
+// and 2 workers. Statistics are atomically aggregated and exact after
+// Close.
 package lca
 
 import (
@@ -59,72 +47,6 @@ import (
 
 // ErrClosed is returned by submissions after Close.
 var ErrClosed = errors.New("lca: engine closed")
-
-// Fidelity selects how much of the arrival order a query replays.
-type Fidelity uint8
-
-const (
-	// FidelityExact answers from the shared decided prefix [0, r]; the
-	// answer is line-identical to the streaming engine's decision at
-	// position r.
-	FidelityExact Fidelity = iota
-	// FidelityNeighborhood replays only r's edge-conflict component of the
-	// prefix: deterministic and self-consistent, but an approximation of
-	// the global streaming run (exact when the component spans the prefix).
-	FidelityNeighborhood
-
-	numFidelities
-)
-
-// String returns the CLI/JSON spelling of the fidelity.
-func (f Fidelity) String() string {
-	switch f {
-	case FidelityExact:
-		return "exact"
-	case FidelityNeighborhood:
-		return "neighborhood"
-	default:
-		return fmt.Sprintf("Fidelity(%d)", uint8(f))
-	}
-}
-
-// Valid reports whether f names a known fidelity layer.
-func (f Fidelity) Valid() bool { return f < numFidelities }
-
-// ParseFidelity maps the CLI/JSON spelling of a fidelity to its value; the
-// empty string means FidelityExact.
-func ParseFidelity(s string) (Fidelity, error) {
-	switch s {
-	case "", "exact":
-		return FidelityExact, nil
-	case "neighborhood":
-		return FidelityNeighborhood, nil
-	default:
-		return 0, fmt.Errorf("lca: unknown fidelity %q (want exact|neighborhood)", s)
-	}
-}
-
-// MarshalJSON renders the fidelity as its string spelling.
-func (f Fidelity) MarshalJSON() ([]byte, error) {
-	if !f.Valid() {
-		return nil, fmt.Errorf("lca: cannot marshal %s", f)
-	}
-	return []byte(`"` + f.String() + `"`), nil
-}
-
-// UnmarshalJSON parses the string spelling (or the empty string, meaning
-// exact).
-func (f *Fidelity) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("lca: fidelity must be a JSON string, got %s", b)
-	}
-	v, err := ParseFidelity(string(b[1 : len(b)-1]))
-	if err != nil {
-		return err
-	}
-	*f = v
-	return nil
-}
 
 // Source names the seeded arrival order the engine answers queries about.
 // Server and client agree on the sequence by exchanging only this spec
@@ -147,11 +69,12 @@ type Source struct {
 type Config struct {
 	// Source is the seeded arrival order (required).
 	Source Source
-	// Algorithm configures the §2/§3 instances queries replay; its Seed
-	// must match the streaming engine's for exact answers to be
-	// line-identical to it.
+	// Algorithm configures the frontier's §3 instance; its Seed must match
+	// the streaming engine's for answers to be line-identical to it.
 	Algorithm core.Config
-	// Workers bounds concurrent query computations (default GOMAXPROCS).
+	// Workers bounds concurrent query computations and SubmitBatch's
+	// fan-out (default GOMAXPROCS). Queries serialize on the frontier, so
+	// the bound scales nothing.
 	Workers int
 }
 
@@ -159,8 +82,6 @@ type Config struct {
 type Query struct {
 	// Pos is the arrival position in [0, N).
 	Pos int `json:"pos"`
-	// Fidelity selects the replay layer (omitted/empty means exact).
-	Fidelity Fidelity `json:"fidelity,omitempty"`
 }
 
 // Answer is the decision reconstructed for one query.
@@ -173,13 +94,10 @@ type Answer struct {
 	// Preempted lists the global positions of previously accepted arrivals
 	// this decision evicts.
 	Preempted []int
-	// Replayed is the length of the arrival prefix the answer reflects:
-	// Pos+1 for exact answers, whether computed or looked up, and the
-	// conflict component's size for neighborhood answers. The arrivals
-	// actually simulated are counted by Engine.Simulated.
+	// Replayed is the length of the arrival prefix the answer reflects,
+	// always Pos+1, whether computed or looked up. The arrivals actually
+	// simulated are counted by Engine.Simulated.
 	Replayed int
-	// Fidelity echoes the replay layer that produced the answer.
-	Fidelity Fidelity
 	// Err carries a per-query failure; an Answer with Err set has no other
 	// meaningful fields beyond Pos.
 	Err error
@@ -210,7 +128,7 @@ type Engine struct {
 	simulated atomic.Int64
 }
 
-// frontier is the shared exact-fidelity prefix: one §3 instance that has
+// frontier is the shared decided prefix: one §3 instance that has
 // decided positions [0, len(out)) and recorded each outcome. A replay
 // failure at position len(out) is sticky: every query at or past it
 // reports err, as an independent replay of its prefix would.
@@ -225,7 +143,7 @@ var _ service.Service[Query, Answer] = (*Engine)(nil)
 
 // New builds a query engine: it generates the source sequence once (held
 // immutable thereafter), validates that the algorithm configuration can
-// replay it, and keeps the validating §3 instance as the exact frontier.
+// replay it, and keeps the validating §3 instance as the frontier.
 func New(cfg Config) (*Engine, error) {
 	ins, err := workload.BuildNamed(cfg.Source.Workload, cfg.Source.Model,
 		cfg.Source.Capacity, cfg.Source.N, cfg.Source.Seed)
@@ -265,7 +183,7 @@ func New(cfg Config) (*Engine, error) {
 // Source returns the arrival-order spec the engine serves.
 func (e *Engine) Source() Source { return e.cfg.Source }
 
-// Algorithm returns the per-query replay configuration.
+// Algorithm returns the frontier's algorithm configuration.
 func (e *Engine) Algorithm() core.Config { return e.cfg.Algorithm }
 
 // Workers returns the concurrent-computation bound.
@@ -283,9 +201,6 @@ func (e *Engine) Instance() *problem.Instance { return e.ins }
 func (e *Engine) Validate(q Query) error {
 	if q.Pos < 0 || q.Pos >= len(e.ins.Requests) {
 		return fmt.Errorf("lca: position %d out of range [0, %d)", q.Pos, len(e.ins.Requests))
-	}
-	if !q.Fidelity.Valid() {
-		return fmt.Errorf("lca: unknown fidelity %d", q.Fidelity)
 	}
 	return nil
 }
@@ -320,7 +235,7 @@ func (e *Engine) account(a *Answer) {
 // compute answers one query under the worker semaphore and accounts it.
 func (e *Engine) compute(q Query) Answer {
 	e.sema <- struct{}{}
-	a := e.answer(q)
+	a := e.answer(q.Pos)
 	<-e.sema
 	e.account(&a)
 	return a
@@ -416,8 +331,8 @@ func (e *Engine) Stats() service.Stats {
 }
 
 // Simulated returns the number of arrivals the engine has actually
-// offered to a §3 instance: frontier extensions plus neighborhood replays.
-// An engine answering every position exactly simulates each arrival once.
+// offered to the frontier's §3 instance: an engine answering every
+// position simulates each arrival once.
 func (e *Engine) Simulated() int64 { return e.simulated.Load() }
 
 // Drain blocks until no queries are in flight or ctx is done.
@@ -438,23 +353,10 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// answer reconstructs the decision for one validated query.
-func (e *Engine) answer(q Query) Answer {
-	a := Answer{Pos: q.Pos, Fidelity: q.Fidelity}
-	switch q.Fidelity {
-	case FidelityExact:
-		e.exact(q.Pos, &a)
-	case FidelityNeighborhood:
-		e.replay(e.component(q.Pos), &a)
-	default:
-		a.Err = fmt.Errorf("lca: unknown fidelity %d", q.Fidelity)
-	}
-	return a
-}
-
-// exact answers position pos from the shared frontier, first extending it
-// to pos+1 when pos is not yet decided.
-func (e *Engine) exact(pos int, a *Answer) {
+// answer answers position pos from the shared frontier, first extending
+// it to pos+1 when pos is not yet decided.
+func (e *Engine) answer(pos int) Answer {
+	a := Answer{Pos: pos}
 	f := &e.front
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -470,70 +372,10 @@ func (e *Engine) exact(pos int, a *Answer) {
 	}
 	if pos >= len(f.out) {
 		a.Err = f.err
-		return
+		return a
 	}
 	a.Accepted = f.out[pos].Accepted
 	a.Preempted = slices.Clone(f.out[pos].Preempted)
 	a.Replayed = pos + 1
-}
-
-// replay offers the arrivals at the ascending global positions ps — as
-// local ids 0, 1, … — to a fresh §3 instance and records the final offer's
-// outcome in a, with preempted local ids mapped back to global positions.
-func (e *Engine) replay(ps []int, a *Answer) {
-	alg, err := core.NewRandomized(e.ins.Capacities, e.cfg.Algorithm)
-	if err != nil {
-		a.Err = err
-		return
-	}
-	for i, pos := range ps {
-		out, err := alg.Offer(i, e.ins.Requests[pos])
-		e.simulated.Add(1)
-		if err != nil {
-			a.Err = fmt.Errorf("lca: replay failed at position %d: %w", pos, err)
-			return
-		}
-		if i == len(ps)-1 {
-			a.Accepted = out.Accepted
-			for _, local := range out.Preempted {
-				a.Preempted = append(a.Preempted, ps[local])
-			}
-		}
-	}
-	a.Replayed = len(ps)
-}
-
-// component returns the ascending positions of the prefix [0, pos] whose
-// requests are edge-connected to position pos: a union-find over the edge
-// set merges each prefix request's edges, and the component containing
-// pos's edges is collected. Requests outside it share no capacity chain
-// with pos, so the neighborhood replay drops them.
-func (e *Engine) component(pos int) []int {
-	parent := make([]int, len(e.ins.Capacities))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for j := 0; j <= pos; j++ {
-		edges := e.ins.Requests[j].Edges
-		r0 := find(edges[0])
-		for _, ed := range edges[1:] {
-			parent[find(ed)] = r0
-		}
-	}
-	root := find(e.ins.Requests[pos].Edges[0])
-	ps := make([]int, 0, pos+1)
-	for j := 0; j <= pos; j++ {
-		if find(e.ins.Requests[j].Edges[0]) == root {
-			ps = append(ps, j)
-		}
-	}
-	return ps
+	return a
 }

@@ -2,7 +2,6 @@ package lca
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,57 +23,6 @@ func testEngine(t *testing.T, name string, model workload.CostModel, n int, seed
 		t.Fatalf("New(%s): %v", name, err)
 	}
 	return eng
-}
-
-func TestFidelityParseAndJSON(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Fidelity
-	}{
-		{"", FidelityExact},
-		{"exact", FidelityExact},
-		{"neighborhood", FidelityNeighborhood},
-	}
-	for _, c := range cases {
-		got, err := ParseFidelity(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseFidelity(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseFidelity("bogus"); err == nil {
-		t.Fatal("ParseFidelity accepted an unknown layer")
-	}
-	if !FidelityExact.Valid() || !FidelityNeighborhood.Valid() || Fidelity(7).Valid() {
-		t.Fatal("Valid misclassifies a fidelity")
-	}
-	if FidelityExact.String() != "exact" || FidelityNeighborhood.String() != "neighborhood" {
-		t.Fatal("String spelling drifted")
-	}
-
-	// JSON round trip, including the query struct it rides in.
-	for _, f := range []Fidelity{FidelityExact, FidelityNeighborhood} {
-		b, err := json.Marshal(Query{Pos: 3, Fidelity: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var q Query
-		if err := json.Unmarshal(b, &q); err != nil {
-			t.Fatal(err)
-		}
-		if q.Pos != 3 || q.Fidelity != f {
-			t.Fatalf("JSON round trip: got %+v, want fidelity %v", q, f)
-		}
-	}
-	var q Query
-	if err := json.Unmarshal([]byte(`{"pos":1,"fidelity":"bogus"}`), &q); err == nil {
-		t.Fatal("unmarshal accepted an unknown fidelity")
-	}
-	if err := json.Unmarshal([]byte(`{"pos":1,"fidelity":7}`), &q); err == nil {
-		t.Fatal("unmarshal accepted a numeric fidelity")
-	}
-	if _, err := Fidelity(9).MarshalJSON(); err == nil {
-		t.Fatal("marshal accepted an invalid fidelity")
-	}
 }
 
 func TestNewRejectsBadConfigs(t *testing.T) {
@@ -104,10 +52,10 @@ func TestValidate(t *testing.T) {
 	if err := eng.Validate(Query{Pos: 0}); err != nil {
 		t.Fatalf("valid query rejected: %v", err)
 	}
-	if err := eng.Validate(Query{Pos: 15, Fidelity: FidelityNeighborhood}); err != nil {
+	if err := eng.Validate(Query{Pos: 15}); err != nil {
 		t.Fatalf("valid query rejected: %v", err)
 	}
-	for _, q := range []Query{{Pos: -1}, {Pos: 16}, {Pos: 3, Fidelity: Fidelity(9)}} {
+	for _, q := range []Query{{Pos: -1}, {Pos: 16}} {
 		if err := eng.Validate(q); err == nil {
 			t.Fatalf("Validate accepted %+v", q)
 		}
@@ -179,55 +127,6 @@ func TestBatchStreamSubmitAgree(t *testing.T) {
 		}
 		if fmt.Sprint(a) != fmt.Sprint(batch[i]) {
 			t.Fatalf("submit answer %d = %+v, batch = %+v", i, a, batch[i])
-		}
-	}
-}
-
-// TestNeighborhoodFidelity checks the approximation layer's contract:
-// deterministic (same query, same answer), strictly less replay work when
-// the component is a strict subset, and exact on the single-edge workload
-// where the component spans the whole prefix.
-func TestNeighborhoodFidelity(t *testing.T) {
-	ctx := context.Background()
-
-	eng := testEngine(t, "blocks", workload.CostUniform, 40, 11, core.DefaultConfig(), 2)
-	defer eng.Close()
-	last := eng.Positions() - 1
-	a1, err := eng.Submit(ctx, Query{Pos: last, Fidelity: FidelityNeighborhood})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := eng.Submit(ctx, Query{Pos: last, Fidelity: FidelityNeighborhood})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(a1) != fmt.Sprint(a2) {
-		t.Fatalf("neighborhood answers differ across identical queries:\n  %+v\n  %+v", a1, a2)
-	}
-	if a1.Fidelity != FidelityNeighborhood {
-		t.Fatalf("answer fidelity = %v", a1.Fidelity)
-	}
-	// The blocks workload has 4 disjoint blocks, so the component is a
-	// strict subset of the prefix.
-	if a1.Replayed >= last+1 {
-		t.Fatalf("neighborhood replayed %d of %d — no pruning happened", a1.Replayed, last+1)
-	}
-
-	// Single edge: every request conflicts, the component is the whole
-	// prefix, and neighborhood must equal exact at every position.
-	se := testEngine(t, "single-edge", workload.CostUniform, 32, 3, core.DefaultConfig(), 2)
-	defer se.Close()
-	for pos := 0; pos < se.Positions(); pos++ {
-		ex, err := se.Submit(ctx, Query{Pos: pos})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb, err := se.Submit(ctx, Query{Pos: pos, Fidelity: FidelityNeighborhood})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Accepted != nb.Accepted || fmt.Sprint(ex.Preempted) != fmt.Sprint(nb.Preempted) || nb.Replayed != pos+1 {
-			t.Fatalf("pos %d: neighborhood %+v != exact %+v on a single edge", pos, nb, ex)
 		}
 	}
 }

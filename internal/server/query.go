@@ -12,13 +12,12 @@ const WorkloadQuery = "query"
 
 // Query mounts a local-computation query engine (internal/lca, DESIGN.md
 // §13) as the "query" workload: POST /v1/query takes one query
-// {"pos":17} (optionally {"pos":17,"fidelity":"neighborhood"}) or an array
-// of them and streams one NDJSON reconstructed-decision line per query;
-// GET /v1/query/stats reports query engine statistics. The caller retains
-// ownership of the engine. Unlike the streaming workloads the engine
-// answers positions in any order: exact answers come from its shared
-// decided prefix, extended on demand, so a query never changes another
-// query's answer.
+// {"pos":17} or an array of them and streams one NDJSON
+// reconstructed-decision line per query; GET /v1/query/stats reports query
+// engine statistics. The caller retains ownership of the engine. Unlike
+// the streaming workloads the engine answers positions in any order:
+// answers come from its shared decided prefix, extended on demand, so a
+// query never changes another query's answer.
 func Query(eng *lca.Engine) Registration {
 	return Register(WorkloadQuery, eng, queryCodec(eng))
 }
@@ -32,11 +31,10 @@ func QueryLine(a lca.Answer) QueryDecisionJSON { return queryJSON(queryDecision(
 // queryDecision maps a query engine answer onto its wire decision.
 func queryDecision(a lca.Answer) wire.QueryDecision {
 	wd := wire.QueryDecision{
-		Pos:          a.Pos,
-		Accepted:     a.Accepted,
-		Neighborhood: a.Fidelity == lca.FidelityNeighborhood,
-		Preempted:    a.Preempted,
-		Replayed:     a.Replayed,
+		Pos:       a.Pos,
+		Accepted:  a.Accepted,
+		Preempted: a.Preempted,
+		Replayed:  a.Replayed,
 	}
 	if a.Err != nil {
 		wd.Error = a.Err.Error()
@@ -46,17 +44,13 @@ func queryDecision(a lca.Answer) wire.QueryDecision {
 
 // queryJSON renders a wire query decision as its NDJSON line.
 func queryJSON(wd wire.QueryDecision) QueryDecisionJSON {
-	line := QueryDecisionJSON{
+	return QueryDecisionJSON{
 		Pos:       wd.Pos,
 		Accepted:  wd.Accepted,
 		Preempted: wd.Preempted,
 		Replayed:  wd.Replayed,
 		Error:     wd.Error,
 	}
-	if wd.Neighborhood {
-		line.Fidelity = lca.FidelityNeighborhood.String()
-	}
-	return line
 }
 
 // queryCodec is the query workload's codec.
@@ -71,9 +65,7 @@ func queryCodec(eng *lca.Engine) Codec[lca.Query, lca.Answer] {
 				if err := wire.DecodeQueryRequest(payload, &wq); err != nil {
 					return lca.Query{}, err
 				}
-				// The wire fidelity bytes are defined to match lca's values;
-				// DecodeQueryRequest already rejected unknown bytes.
-				return lca.Query{Pos: wq.Pos, Fidelity: lca.Fidelity(wq.Fidelity)}, nil
+				return lca.Query{Pos: wq.Pos}, nil
 			},
 			AppendDecision: func(buf []byte, a lca.Answer) []byte {
 				wd := queryDecision(a)
@@ -90,7 +82,7 @@ func queryCodec(eng *lca.Engine) Codec[lca.Query, lca.Answer] {
 func QueryClientWire() ClientWire[lca.Query, QueryDecisionJSON] {
 	return ClientWire[lca.Query, QueryDecisionJSON]{
 		AppendRequest: func(buf []byte, q lca.Query) []byte {
-			wq := wire.QueryRequest{Pos: q.Pos, Fidelity: byte(q.Fidelity)}
+			wq := wire.QueryRequest{Pos: q.Pos}
 			return wire.AppendQueryRequest(buf, &wq)
 		},
 		DecodeDecision: func(payload []byte) (QueryDecisionJSON, error) {
@@ -123,10 +115,9 @@ type QueryDecisionJSON struct {
 	Accepted bool `json:"accepted"`
 	// Preempted lists global positions evicted by this decision.
 	Preempted []int `json:"preempted,omitempty"`
-	// Replayed is the length of the arrival prefix the answer reflects.
+	// Replayed is the length of the arrival prefix the answer reflects
+	// (Pos+1).
 	Replayed int `json:"replayed,omitempty"`
-	// Fidelity names a non-default replay layer ("" means exact).
-	Fidelity string `json:"fidelity,omitempty"`
 	// Error carries a per-query failure.
 	Error string `json:"error,omitempty"`
 }
@@ -193,8 +184,11 @@ func queryMetrics(reg *metrics.Registry, eng *lca.Engine) func(lca.Answer) {
 		"Queries answered with an accepted decision.")
 	rejects := reg.NewCounter("acserve_query_reject_total",
 		"Queries answered with a rejected decision.")
-	replayed := reg.NewCounter("acserve_query_replayed_arrivals_total",
-		"Arrivals simulated to answer queries (the tier's local-computation cost).")
+	reg.NewGaugeFunc("acserve_query_simulated_arrivals",
+		"Arrivals the lca engine has simulated to answer queries (the tier's local-computation cost).",
+		func() []metrics.Sample {
+			return []metrics.Sample{{Value: float64(eng.Simulated())}}
+		})
 	reg.NewGaugeFunc("acserve_query_workers",
 		"Concurrent query-simulation bound of the lca engine.",
 		func() []metrics.Sample {
@@ -206,6 +200,5 @@ func queryMetrics(reg *metrics.Registry, eng *lca.Engine) func(lca.Answer) {
 		} else {
 			rejects.Inc()
 		}
-		replayed.Add(float64(a.Replayed))
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,13 +17,14 @@ import (
 	"admission/internal/workload"
 )
 
-// newQueryServer stands up a query engine behind a registry-based Server.
-func newQueryServer(t testing.TB, n int, seed uint64, workers int) (*lca.Engine, *httptest.Server) {
+// newQueryServer stands up a query engine over the named workload behind a
+// registry-based Server.
+func newQueryServer(t testing.TB, name string, n int, seed uint64, workers int) (*lca.Engine, *httptest.Server) {
 	t.Helper()
 	alg := core.DefaultConfig()
 	alg.Seed = seed
 	eng, err := lca.New(lca.Config{
-		Source:    lca.Source{Workload: "random", Model: workload.CostUniform, Capacity: 3, N: n, Seed: seed},
+		Source:    lca.Source{Workload: name, Model: workload.CostUniform, Capacity: 3, N: n, Seed: seed},
 		Algorithm: alg,
 		Workers:   workers,
 	})
@@ -47,15 +49,12 @@ func newQueryServer(t testing.TB, n int, seed uint64, workers int) (*lca.Engine,
 // other and to direct engine answers — the serving-layer half of the E18
 // consistency guarantee.
 func TestQueryLoopbackBothProtocols(t *testing.T) {
-	eng, ts := newQueryServer(t, 48, 7, 4)
+	eng, ts := newQueryServer(t, "random", 48, 7, 4)
 	ctx := context.Background()
 
 	qs := make([]lca.Query, eng.Positions())
 	for i := range qs {
 		qs[i] = lca.Query{Pos: i}
-		if i%5 == 0 {
-			qs[i].Fidelity = lca.FidelityNeighborhood
-		}
 	}
 	jsonClient := NewQueryClient(ts.URL, 2)
 	defer jsonClient.CloseIdle()
@@ -86,13 +85,6 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 			fmt.Sprint(got.Preempted) != fmt.Sprint(direct.Preempted) || got.Replayed != direct.Replayed {
 			t.Fatalf("query %d: served line %+v != direct answer %+v", i, got, direct)
 		}
-		wantFid := ""
-		if qs[i].Fidelity == lca.FidelityNeighborhood {
-			wantFid = "neighborhood"
-		}
-		if got.Fidelity != wantFid {
-			t.Fatalf("query %d: fidelity %q, want %q", i, got.Fidelity, wantFid)
-		}
 	}
 
 	// Stats reflect the engine and the source spec.
@@ -113,13 +105,12 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 
 	// Metrics reconcile with the decisions that passed through the server
 	// (the direct eng.Submit calls above bypass the serving observer).
-	var servedAccepts, servedReplayed float64
+	var servedAccepts float64
 	for _, lines := range [][]QueryDecisionJSON{viaJSON, viaWire} {
 		for _, d := range lines {
 			if d.Accepted {
 				servedAccepts++
 			}
-			servedReplayed += float64(d.Replayed)
 		}
 	}
 	metricsText, err := jsonClient.Metrics(ctx)
@@ -129,8 +120,10 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 	if got := metricValue(t, metricsText, "acserve_query_accept_total"); got != servedAccepts {
 		t.Fatalf("accept metric %v, served lines accepted %v", got, servedAccepts)
 	}
-	if got := metricValue(t, metricsText, "acserve_query_replayed_arrivals_total"); got != servedReplayed {
-		t.Fatalf("replayed metric %v, served lines replayed %v", got, servedReplayed)
+	// The cost gauge reads the arrivals the engine simulated: every
+	// position once, however often it was asked.
+	if got := metricValue(t, metricsText, "acserve_query_simulated_arrivals"); got != float64(eng.Simulated()) || got != float64(eng.Positions()) {
+		t.Fatalf("simulated metric %v, engine simulated %d of %d positions", got, eng.Simulated(), eng.Positions())
 	}
 	if got := metricValue(t, metricsText, "acserve_query_workers"); got != float64(eng.Workers()) {
 		t.Fatalf("workers metric %v, engine %d", got, eng.Workers())
@@ -172,7 +165,7 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 // TestQueryLoadBothProtocols drives the generic load loop against the
 // query workload over both protocols and reconciles the reports.
 func TestQueryLoadBothProtocols(t *testing.T) {
-	eng, ts := newQueryServer(t, 40, 3, 4)
+	eng, ts := newQueryServer(t, "random", 40, 3, 4)
 	qs := make([]lca.Query, eng.Positions())
 	for i := range qs {
 		qs[i] = lca.Query{Pos: i}
@@ -203,7 +196,7 @@ func TestQueryLoadBothProtocols(t *testing.T) {
 // TestQueryMalformed checks malformed and invalid query submissions map to
 // 4xx without reaching the engine.
 func TestQueryMalformed(t *testing.T) {
-	eng, ts := newQueryServer(t, 16, 5, 2)
+	eng, ts := newQueryServer(t, "random", 16, 5, 2)
 	before := eng.Stats()
 	cases := []struct {
 		name, body string
@@ -213,8 +206,6 @@ func TestQueryMalformed(t *testing.T) {
 		{"empty array", "[]"},
 		{"negative position", `[{"pos":-1}]`},
 		{"position out of range", `[{"pos":16}]`},
-		{"unknown fidelity", `[{"pos":1,"fidelity":"bogus"}]`},
-		{"numeric fidelity", `[{"pos":1,"fidelity":1}]`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -245,6 +236,61 @@ func TestQueryMalformed(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("single-query form: status %d", resp.StatusCode)
+	}
+}
+
+// TestQueryStaleClient pins what a client of the retired replay-layer
+// selector gets. A JSON query that still names "fidelity" is decoded like
+// any unknown key and gets the frontier's line, byte for byte. A binary
+// request that still carries the selector byte after the position is
+// refused, and so is a decision frame with the retired flag bit 0x02. On
+// this blocks source, position 39's edge component is smaller than its
+// prefix, so a component-only answer would read replayed < 40.
+func TestQueryStaleClient(t *testing.T) {
+	_, ts := newQueryServer(t, "blocks", 40, 11, 2)
+	const r = 39
+	post := func(contentType string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/query", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+
+	status, stale := post("application/json", []byte(fmt.Sprintf(`{"pos":%d,"fidelity":"neighborhood"}`, r)))
+	if status != http.StatusOK {
+		t.Fatalf("stale JSON query: status %d: %s", status, stale)
+	}
+	if _, plain := post("application/json", []byte(fmt.Sprintf(`{"pos":%d}`, r))); !bytes.Equal(stale, plain) {
+		t.Fatalf("stale JSON query answered %s, plain query %s", stale, plain)
+	}
+	var line map[string]any
+	if err := json.Unmarshal(stale, &line); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := line["fidelity"]; ok || line["replayed"] != float64(r+1) {
+		t.Fatalf("stale JSON query line %s: want no fidelity key and replayed %d", stale, r+1)
+	}
+
+	// The old request frame: pos 17 (zigzag 0x22) plus the selector byte.
+	body := append(wire.AppendSubmitHeader(nil, 1), 0x03, wire.TagQueryRequest, 0x22, 0x01)
+	if status, msg := post(wire.ContentType, body); status != http.StatusBadRequest {
+		t.Fatalf("stale binary query: status %d, want 400: %s", status, msg)
+	}
+
+	payload, _, err := wire.NextFrame(wire.AppendQueryDecision(nil, &wire.QueryDecision{Pos: r, Accepted: true, Replayed: r + 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[2] |= 0x02 // flags byte follows the tag and the 1-byte pos varint
+	if d, err := QueryClientWire().DecodeDecision(payload); err == nil {
+		t.Fatalf("client decoded a decision frame with flag 0x02: %+v", d)
 	}
 }
 

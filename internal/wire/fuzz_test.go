@@ -51,7 +51,7 @@ func FuzzWireDecodeSubmit(f *testing.F) {
 	f.Add(cov)
 	qry := AppendSubmitHeader(nil, 2)
 	qry = AppendQueryRequest(qry, &QueryRequest{Pos: 0})
-	qry = AppendQueryRequest(qry, &QueryRequest{Pos: 17, Fidelity: QueryFidelityNeighborhood})
+	qry = AppendQueryRequest(qry, &QueryRequest{Pos: 17})
 	f.Add(qry)
 	f.Add([]byte{})
 	f.Add([]byte{0x00})

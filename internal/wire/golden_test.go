@@ -40,8 +40,8 @@ func goldenFixtures(t *testing.T) []struct {
 	const streamMsg = "service closed"
 	clReserve := ClusterReserve{Tx: 9, Edges: []int{1, 4, 6}}
 	const clTx = 300
-	qryReq := QueryRequest{Pos: 17, Fidelity: QueryFidelityNeighborhood}
-	qryDec := QueryDecision{Pos: 17, Accepted: true, Neighborhood: true, Preempted: []int{4, 11}, Replayed: 9}
+	qryReq := QueryRequest{Pos: 17}
+	qryDec := QueryDecision{Pos: 17, Accepted: true, Preempted: []int{4, 11}, Replayed: 9}
 	qryErr := QueryDecision{Pos: 3, Replayed: 4, Error: "lca: replay failed at position 2: boom"}
 
 	payloadOf := func(t *testing.T, frame []byte) []byte {
@@ -161,7 +161,7 @@ func goldenFixtures(t *testing.T) []struct {
 				if err := DecodeQueryDecision(payloadOf(t, frame), &got); err != nil {
 					t.Fatal(err)
 				}
-				if got.Pos != qryDec.Pos || !got.Accepted || !got.Neighborhood ||
+				if got.Pos != qryDec.Pos || !got.Accepted ||
 					len(got.Preempted) != 2 || got.Replayed != qryDec.Replayed {
 					t.Fatalf("decoded %+v, want %+v", got, qryDec)
 				}

@@ -5,29 +5,14 @@ import (
 	"fmt"
 )
 
-// Query fidelity bytes (the wire spelling of internal/lca's Fidelity).
-// Decoders reject any other value, keeping the encoding canonical.
-const (
-	// QueryFidelityExact selects the full-prefix replay layer.
-	QueryFidelityExact byte = 0
-	// QueryFidelityNeighborhood selects the conflict-component replay
-	// layer.
-	QueryFidelityNeighborhood byte = 1
-)
-
-// Query decision flag bits.
-const (
-	flagQueryAccepted     byte = 1 << 0
-	flagQueryNeighborhood byte = 1 << 1
-)
+// flagQueryAccepted is the query decision's only flag bit; decoders
+// refuse any other.
+const flagQueryAccepted byte = 1 << 0
 
 // QueryRequest is the wire form of one decision query (DESIGN.md §13).
 type QueryRequest struct {
 	// Pos is the queried arrival position.
 	Pos int
-	// Fidelity is the replay layer byte (QueryFidelityExact or
-	// QueryFidelityNeighborhood).
-	Fidelity byte
 }
 
 // QueryDecision is the wire form of one reconstructed query decision line.
@@ -37,12 +22,10 @@ type QueryDecision struct {
 	Pos int
 	// Accepted reports admission at Pos.
 	Accepted bool
-	// Neighborhood reports the conflict-component replay layer (false
-	// means exact).
-	Neighborhood bool
 	// Preempted lists global positions evicted by this decision.
 	Preempted []int
-	// Replayed counts the arrivals simulated to answer the query.
+	// Replayed is the length of the arrival prefix the answer reflects
+	// (Pos+1).
 	Replayed int
 	// Error carries a per-query failure ("" for none).
 	Error string
@@ -54,7 +37,6 @@ func AppendQueryRequest(buf []byte, q *QueryRequest) []byte {
 	mark := len(buf)
 	buf = append(buf, TagQueryRequest)
 	buf = binary.AppendVarint(buf, int64(q.Pos))
-	buf = append(buf, q.Fidelity)
 	return sealFrame(buf, mark)
 }
 
@@ -68,9 +50,6 @@ func AppendQueryDecision(buf []byte, d *QueryDecision) []byte {
 	if d.Accepted {
 		flags |= flagQueryAccepted
 	}
-	if d.Neighborhood {
-		flags |= flagQueryNeighborhood
-	}
 	buf = append(buf, flags)
 	buf = appendInts(buf, d.Preempted)
 	buf = binary.AppendUvarint(buf, uint64(d.Replayed))
@@ -78,8 +57,8 @@ func AppendQueryDecision(buf []byte, d *QueryDecision) []byte {
 	return sealFrame(buf, mark)
 }
 
-// DecodeQueryRequest decodes one decision-query payload into q. Unknown
-// fidelity bytes are rejected (ErrNonMinimal), so accepted payloads
+// DecodeQueryRequest decodes one decision-query payload into q. Any byte
+// after the position is refused (ErrTrailingBytes), so accepted payloads
 // re-encode to identical bytes.
 func DecodeQueryRequest(payload []byte, q *QueryRequest) error {
 	r := reader{p: payload}
@@ -89,14 +68,6 @@ func DecodeQueryRequest(payload []byte, q *QueryRequest) error {
 	var err error
 	if q.Pos, err = r.varint(); err != nil {
 		return err
-	}
-	if r.off >= len(r.p) {
-		return ErrTruncated
-	}
-	q.Fidelity = r.p[r.off]
-	r.off++
-	if q.Fidelity > QueryFidelityNeighborhood {
-		return fmt.Errorf("%w: unknown fidelity byte 0x%02x", ErrNonMinimal, q.Fidelity)
 	}
 	return r.done()
 }
@@ -117,11 +88,10 @@ func DecodeQueryDecision(payload []byte, d *QueryDecision) error {
 	}
 	flags := r.p[r.off]
 	r.off++
-	if flags&^(flagQueryAccepted|flagQueryNeighborhood) != 0 {
+	if flags&^flagQueryAccepted != 0 {
 		return fmt.Errorf("%w: unknown flag bits 0x%02x", ErrNonMinimal, flags)
 	}
 	d.Accepted = flags&flagQueryAccepted != 0
-	d.Neighborhood = flags&flagQueryNeighborhood != 0
 	if d.Preempted, err = r.ints(d.Preempted); err != nil {
 		return err
 	}

@@ -12,9 +12,9 @@ import (
 func TestQueryRequestRoundTrip(t *testing.T) {
 	for _, q := range []QueryRequest{
 		{Pos: 0},
-		{Pos: 1, Fidelity: QueryFidelityNeighborhood},
+		{Pos: 1},
 		{Pos: 63},
-		{Pos: 64, Fidelity: QueryFidelityNeighborhood},
+		{Pos: 64},
 		{Pos: 1 << 30},
 	} {
 		frame := AppendQueryRequest(nil, &q)
@@ -37,11 +37,10 @@ func TestQueryDecisionRoundTrip(t *testing.T) {
 	var got QueryDecision // reused across iterations, like the client
 	for i := 0; i < 500; i++ {
 		d := QueryDecision{
-			Pos:          int(r.Uint64() % 1e6),
-			Accepted:     r.Uint64()%2 == 0,
-			Neighborhood: r.Uint64()%3 == 0,
-			Preempted:    randIntSlice(r, 8),
-			Replayed:     int(r.Uint64() % 1e6),
+			Pos:       int(r.Uint64() % 1e6),
+			Accepted:  r.Uint64()%2 == 0,
+			Preempted: randIntSlice(r, 8),
+			Replayed:  int(r.Uint64() % 1e6),
 		}
 		if r.Uint64()%5 == 0 {
 			d.Error = "lca: replay failed at position 7: boom"
@@ -51,8 +50,7 @@ func TestQueryDecisionRoundTrip(t *testing.T) {
 		if err := DecodeQueryDecision(payload, &got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if got.Pos != d.Pos || got.Accepted != d.Accepted || got.Neighborhood != d.Neighborhood ||
-			got.Replayed != d.Replayed || got.Error != d.Error ||
+		if got.Pos != d.Pos || got.Accepted != d.Accepted || got.Replayed != d.Replayed || got.Error != d.Error ||
 			!reflect.DeepEqual(normInts(got.Preempted), normInts(d.Preempted)) {
 			t.Fatalf("round trip: got %+v, want %+v", got, d)
 		}
@@ -63,7 +61,7 @@ func TestQueryDecisionRoundTrip(t *testing.T) {
 }
 
 func TestQueryDecodeRejectsTruncations(t *testing.T) {
-	q := QueryRequest{Pos: 300, Fidelity: QueryFidelityNeighborhood}
+	q := QueryRequest{Pos: 300}
 	qp, _, err := NextFrame(AppendQueryRequest(nil, &q))
 	if err != nil {
 		t.Fatal(err)
@@ -88,19 +86,22 @@ func TestQueryDecodeRejectsTruncations(t *testing.T) {
 }
 
 func TestQueryDecodeRejectsNonCanonical(t *testing.T) {
-	// Unknown fidelity bytes are refused.
-	bad := []byte{TagQueryRequest, 0x02 /* pos=1 zigzag */, 0x02 /* fidelity */}
+	// A stale request that still carries a byte after the position (the
+	// retired replay-layer selector) is refused.
+	stale := []byte{TagQueryRequest, 0x22 /* pos=17 zigzag */, 0x01}
 	var q QueryRequest
-	if err := DecodeQueryRequest(bad, &q); !errors.Is(err, ErrNonMinimal) {
-		t.Fatalf("unknown fidelity byte: got %v, want ErrNonMinimal", err)
+	if err := DecodeQueryRequest(stale, &q); !errors.Is(err, ErrTrailingBytes) {
+		t.Fatalf("stale selector byte: got %v, want ErrTrailingBytes", err)
 	}
-	// Unknown decision flag bits are refused.
+	// Unknown decision flag bits, the retired 0x02 included, are refused.
 	dp, _, _ := NextFrame(AppendQueryDecision(nil, &QueryDecision{Pos: 1}))
-	mangled := append([]byte{}, dp...)
-	mangled[2] |= 1 << 6 // flags byte follows tag + 1-byte pos varint
 	var d QueryDecision
-	if err := DecodeQueryDecision(mangled, &d); !errors.Is(err, ErrNonMinimal) {
-		t.Fatalf("unknown flag bits: got %v, want ErrNonMinimal", err)
+	for _, bit := range []byte{1 << 1, 1 << 6} {
+		mangled := append([]byte{}, dp...)
+		mangled[2] |= bit // flags byte follows tag + 1-byte pos varint
+		if err := DecodeQueryDecision(mangled, &d); !errors.Is(err, ErrNonMinimal) {
+			t.Fatalf("flag bit 0x%02x: got %v, want ErrNonMinimal", bit, err)
+		}
 	}
 	// Wrong tags and trailing garbage are refused.
 	if err := DecodeQueryRequest(dp, &q); !errors.Is(err, ErrBadTag) {
