@@ -24,7 +24,7 @@
 //     reproduces every theorem's scaling law (see EXPERIMENTS.md),
 //   - a sharded concurrent serving engine (NewEngine, configured with
 //     functional options like WithShards) that partitions the edge set and
-//     runs per-shard §2/§3 instances behind channel-based event loops, for
+//     runs per-shard §2/§3 instances behind per-shard locks, for
 //     concurrent traffic (see DESIGN.md §5),
 //   - a sharded concurrent set cover engine (NewCoverEngine) that
 //     partitions the ground set of elements and runs the §4 reduction (or

@@ -135,6 +135,10 @@ type Fractional struct {
 	augmentations int
 	phases        int // number of α doublings performed
 
+	// runMult is augmentRun's scratch: the current run's step multiplier
+	// per member, in list order.
+	runMult []float64
+
 	// allEdges is the cached [0, m) worklist augmentEdges switches to after
 	// a phase reset, which zeroes every alive weight and can therefore
 	// break the covering invariant on edges outside the caller's list.
@@ -647,13 +651,17 @@ func (f *Fractional) augmentEdges(edgeList []int, cs *Changeset) (reset bool, er
 // initialization (α is then fixed until the run ends), snapshots (epoch-
 // stamped, so repeats are no-ops), the zero-weight start (no weight is 0
 // after one step), dirtying the members' other edges (no edge but e is
-// refreshed during a run), and the phase budget K·α·log₂(2gc).
+// refreshed during a run), each member's step multiplier 1+1/(n_e·p̂)
+// (n_e and the normalized costs hold until the run ends), and the phase
+// budget K·α·log₂(2gc). The cost accumulators live in locals for the run
+// and are written back before doublePhase and on return.
 func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet, doubled bool) {
 	if f.needsAlpha() {
 		f.initAlpha(alive)
 		f.resetSnapshots()
 		alphaSet = true
 	}
+	mult := f.runMult[:0]
 	for _, id := range alive {
 		f.snapshot(id)
 		r := &f.reqs[id]
@@ -665,23 +673,36 @@ func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet
 				f.edgeDirty[e2] = true
 			}
 		}
+		mult = append(mult, 1+1/(float64(ne)*r.norm))
 	}
+	f.runMult = mult
 	budget := math.Inf(1)
 	if !f.cfg.Unweighted && f.cfg.AlphaMode == AlphaDoubling && f.alpha != 0 {
 		budget = f.cfg.DoublingBudgetFactor * f.alpha * f.log2GC
 	}
+	paid, phasePaid := f.paid, f.phasePaid
 	for {
 		f.augmentations++
 		// Multiply pass, fused with the next step's fresh sum: survivors are
 		// compacted in place and their new weights accumulated in list
 		// order, which is bit-identical to re-summing the compacted list
-		// afterwards. A death does not cut the pass short.
+		// afterwards. A death does not cut the pass short, and it ends the
+		// run, so mult never needs compacting.
 		w := 0
 		sum := 0.0
-		for _, id := range alive {
+		for i, id := range alive {
 			r := &f.reqs[id]
-			r.f *= 1 + 1/(float64(ne)*r.norm)
-			f.pay(id)
+			r.f *= mult[i]
+			// pay, on the run's accumulators.
+			wt := r.f
+			if wt > 1 {
+				wt = 1
+			}
+			if charge := wt * r.cost; charge > r.paid {
+				paid += charge - r.paid
+				phasePaid += charge - r.paid
+				r.paid = charge
+			}
 			if r.f >= 1 {
 				r.status = statusFullyRejected
 				f.dropAlive(id)
@@ -697,12 +718,14 @@ func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet
 		// reflects the survivors exactly.
 		f.edgeSum[e] = sum
 		f.edgeDirty[e] = false
-		if f.phasePaid > budget {
+		if phasePaid > budget {
+			f.paid, f.phasePaid = paid, phasePaid
 			f.doublePhase()
 			f.resetSnapshots()
 			return alphaSet, true
 		}
 		if w < len(alive) || sum >= float64(ne) {
+			f.paid, f.phasePaid = paid, phasePaid
 			return alphaSet, false
 		}
 	}

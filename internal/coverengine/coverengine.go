@@ -1,6 +1,6 @@
 // Package coverengine serves online set cover with repetitions (§§4–5 of
-// the paper) behind the same batched event-loop/shard architecture as the
-// admission engine (internal/engine, DESIGN.md §5 and §9): the set system
+// the paper) behind the same batched, sharded runtime as the admission
+// engine (internal/engine, DESIGN.md §5 and §9): the set system
 // is registered up front, element arrivals are submitted concurrently via
 // Submit/SubmitBatch, and each decision reports exactly which sets were
 // newly bought for that arrival.
@@ -22,11 +22,12 @@
 // mode).
 //
 // Concurrency model: the shard runtime both engines run on
-// (internal/shard). Each shard is a single goroutine owning all of its
-// algorithm state; a batch's arrivals for one shard travel to it as one
-// run, with one reply. The global chosen ledger is the only cross-shard
-// state and is guarded by a mutex touched once per bought set — not per
-// arrival.
+// (internal/shard). Each shard owns all of its algorithm state behind one
+// lock; a batch's arrivals for one shard are decided as one run — inline
+// when the batch touches one shard, else by the shards' event loops in
+// parallel — and snapshots are read under the locks. The global chosen
+// ledger is the only cross-shard state and is guarded by a mutex touched
+// once per bought set — not per arrival.
 //
 // Determinism: with one shard and one submitter the engine is
 // decision-for-decision identical to the sequential §4 reduction
@@ -185,7 +186,8 @@ type Engine struct {
 	coreCfg   *core.Config // Config.Core, kept for Fingerprint
 	elemShard []int32      // global element -> owning shard
 	elemLocal []int32      // global element -> index within the shard
-	rt        *shard.Runtime[item, struct{}, shardSnapshot]
+	shards    []*shardState
+	rt        *shard.Runtime[item]
 
 	// The global chosen ledger: which sets have been bought, their count
 	// and total cost. Guarded by mu; touched only when a shard reports a
@@ -202,7 +204,7 @@ type Engine struct {
 
 // batch is one batch submission's working memory, recycled through
 // batchPool.
-type batch = shard.Batch[item, struct{}, shardSnapshot]
+type batch = shard.Batch[item]
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
@@ -236,7 +238,7 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 		chosen:    make([]bool, ins.M()),
 	}
 	byElem := ins.SetsOf()
-	handlers := make([]shard.Handler[item, struct{}, shardSnapshot], len(parts))
+	handlers := make([]shard.Handler[item], len(parts))
 	for si, part := range parts {
 		for li, ge := range part {
 			e.elemShard[ge] = int32(si)
@@ -248,9 +250,10 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 		}
 		// Phase-1 rejections are bought before any arrival.
 		e.claim(s.initialChosen)
+		e.shards = append(e.shards, s)
 		handlers[si] = s
 	}
-	e.rt = shard.Start(handlers, struct{}{})
+	e.rt = shard.Start(handlers)
 	return e, nil
 }
 
@@ -301,9 +304,8 @@ func (e *Engine) claim(ids []int) (fresh []int, added float64) {
 
 // Submit serves one element arrival and blocks until it is decided:
 // Validate plus a batch of one. Safe for concurrent use; each call is
-// assigned a fresh global sequence number. Cancellation is honoured while
-// enqueueing into a full shard queue; once enqueued the arrival is served
-// and accounted. A per-arrival failure (a saturated element) is carried
+// assigned a fresh global sequence number. Cancellation is honoured as in
+// SubmitBatch. A per-arrival failure (a saturated element) is carried
 // on Decision.Err, not returned as the error.
 func (e *Engine) Submit(ctx context.Context, element int) (Decision, error) {
 	if err := e.Validate(element); err != nil {
@@ -329,14 +331,16 @@ func (e *Engine) finish(d *Decision) {
 
 // SubmitBatch serves a sequence of element arrivals in slice order and
 // returns one Decision per arrival, in the same order. Like the admission
-// engine's SubmitBatch it is pipelined: each shard receives the batch's
-// arrivals for it as one run, with one reply. Per-shard arrival order —
+// engine's SubmitBatch, each shard decides the batch's arrivals for it as
+// one run: inline when the batch touches one shard, else on the shards'
+// event loops in parallel. Per-shard arrival order —
 // and hence the decision stream — is identical to a sequential Submit
 // loop, and the ledger claims newly bought sets in batch order, so each
 // set is credited to the same decision. Validation is atomic: any
 // out-of-range element fails the whole batch before anything is
 // dispatched. Per-arrival failures (saturated elements) arrive as
-// Decision.Err instead; a ctx cancelled mid-dispatch fails the whole batch
+// Decision.Err instead; a ctx that fires before the runs are sent, or
+// while one waits for room in a full shard queue, fails the whole batch
 // (runs already enqueued are still served and accounted in the
 // background).
 func (e *Engine) SubmitBatch(ctx context.Context, elements []int) ([]Decision, error) {
@@ -369,12 +373,13 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 		out[i] = Decision{Seq: base + i, Element: j}
 		*b.Add(b.Owner(i)) = item{d: &out[i], elem: int(e.elemLocal[j])}
 	}
-	if _, err := b.Flush(ctx); err != nil {
+	if _, err := b.Finish(ctx); err != nil {
 		// Cancelled mid-dispatch: account the enqueued runs in the
 		// background, in batch order; an arrival whose run was never sent
 		// carries neither an arrival count nor an error.
 		e.rt.Go(func() {
 			b.Wait()
+			b.Release()
 			batchPool.Put(b)
 			for i := range out {
 				if out[i].Arrival > 0 || out[i].Err != nil {
@@ -384,7 +389,7 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 		})
 		return nil, err
 	}
-	b.Wait()
+	b.Release()
 	batchPool.Put(b)
 	for i := range out {
 		e.finish(&out[i])
@@ -458,9 +463,17 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard: live while the engine
-// is open, the final snapshots after Close.
-func (e *Engine) snapshots() []shardSnapshot { return e.rt.Snapshots() }
+// snapshots collects one state snapshot per shard, each read under the
+// shard's lock.
+func (e *Engine) snapshots() []shardSnapshot {
+	out := make([]shardSnapshot, len(e.shards))
+	for i, s := range e.shards {
+		e.rt.Lock(i)
+		out[i] = s.snapshot()
+		e.rt.Unlock(i)
+	}
+	return out
+}
 
 // Drain blocks until no submissions are in flight — including the
 // background accounting of cancellation-abandoned arrivals — or ctx is
@@ -469,10 +482,10 @@ func (e *Engine) snapshots() []shardSnapshot { return e.rt.Snapshots() }
 func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
-// in-flight submissions finish, and every shard loop exits after recording
-// its final snapshot. Chosen, Cost, Snapshot and Stats remain usable (and
-// exact) afterwards. Close is idempotent and always returns nil (the error
-// is part of the generic service contract).
+// in-flight submissions finish, and every shard loop exits; the shards'
+// state stays readable under their locks. Chosen, Cost, Snapshot and Stats
+// remain usable (and exact) afterwards. Close is idempotent and always
+// returns nil (the error is part of the generic service contract).
 func (e *Engine) Close() error {
 	e.rt.Close()
 	return nil

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"admission/internal/rng"
 	"admission/internal/setcover"
@@ -377,6 +378,30 @@ func TestLifecycle(t *testing.T) {
 	st := eng.Snapshot() // exact post-close stats must not hang
 	if st.Arrivals != 1 {
 		t.Fatalf("post-close arrivals %d, want 1", st.Arrivals)
+	}
+}
+
+// TestClosedEngineIsCollectable serves batches that end on the shard
+// loops, closes the engine and drops it: one garbage collection later its
+// shard state must be gone, though the batches went back to a
+// package-level pool (see the admission engine's test of the same name).
+func TestClosedEngineIsCollectable(t *testing.T) {
+	ins, arr := genInstance(t, 43, 64, 96, false, 256)
+	eng, err := New(ins, Config{Shards: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(arr); lo += 64 {
+		if _, err := eng.SubmitBatch(context.Background(), arr[lo:lo+64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := weak.Make(eng.shards[0])
+	eng.Close()
+	eng = nil
+	runtime.GC()
+	if state.Value() != nil {
+		t.Fatal("a closed, dropped engine's shard state survived a garbage collection")
 	}
 }
 

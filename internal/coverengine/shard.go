@@ -30,8 +30,8 @@ type shardSnapshot struct {
 
 // shardState owns one element partition and a full local instance of the
 // online algorithm over the set system restricted to its elements. After
-// construction its fields are touched only by the shard's event loop
-// (shard.Runtime).
+// construction its fields are touched only under the shard's lock
+// (shard.Runtime), by its event loop or by a submitter.
 type shardState struct {
 	idx int
 
@@ -152,9 +152,6 @@ func (s *shardState) Run(items []item) {
 		s.arrive(&items[i])
 	}
 }
-
-// Handle answers the stats op, the only single op a cover shard takes.
-func (s *shardState) Handle(struct{}) shardSnapshot { return s.snapshot() }
 
 // arrive serves one element arrival: guard the degree budget, advance the
 // local algorithm, and report the newly bought global sets.

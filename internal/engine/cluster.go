@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"admission/internal/core"
 	"admission/internal/shard"
@@ -11,8 +10,8 @@ import (
 
 // This file is the engine's face toward the cluster tier (DESIGN.md §14):
 // the two-phase reserve/commit protocol that internal/engine runs between
-// its own shards over channels, exposed as first-class submissions so a
-// router process can run the same protocol between whole engines over RPC.
+// its own shards, exposed as first-class submissions so a router process
+// can run the same protocol between whole engines over RPC.
 // Each call consumes one global ID, exactly like Submit, so a backend's
 // decision stream stays contiguous and WAL-appendable (internal/wal
 // enforces sequence contiguity).
@@ -45,7 +44,7 @@ func (e *Engine) SubmitReserve(ctx context.Context, edges []int) (Decision, erro
 		e.crossShard.Add(1)
 		return Decision{ID: id, CrossShard: true}, nil
 	}
-	return e.submitCross(ctx, id, e.groupByShard(edges), 0)
+	return e.decideCross(id, e.spans(nil, edges), 0)
 }
 
 // SubmitCommit makes a granted reservation permanent: each listed edge's
@@ -55,7 +54,7 @@ func (e *Engine) SubmitReserve(ctx context.Context, edges []int) (Decision, erro
 // an unreserved edge is an engine error. An empty edge list is a
 // deterministic no-op decision (Accepted false) consuming one ID.
 func (e *Engine) SubmitCommit(ctx context.Context, edges []int) (Decision, error) {
-	return e.settle(ctx, opCommit, edges)
+	return e.settle(ctx, (*shardState).commit, edges)
 }
 
 // SubmitRelease returns a granted reservation: each listed edge's reserved
@@ -63,14 +62,14 @@ func (e *Engine) SubmitCommit(ctx context.Context, edges []int) (Decision, error
 // edges must currently hold reservations. An empty edge list is a
 // deterministic no-op decision (Accepted false) consuming one ID.
 func (e *Engine) SubmitRelease(ctx context.Context, edges []int) (Decision, error) {
-	return e.settle(ctx, opRelease, edges)
+	return e.settle(ctx, (*shardState).release, edges)
 }
 
 // settle runs the shared phase-2 shape of commit and release: consume an
-// ID, then apply the ledger move on every involved shard. The per-shard
-// calls are context-free on purpose — once phase 2 starts it must run to
-// completion to keep the reservation ledgers consistent.
-func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision, error) {
+// ID, then apply the ledger move on every involved shard in ascending
+// order, each under its lock. Once started it runs to completion, to keep
+// the reservation ledgers consistent.
+func (e *Engine) settle(ctx context.Context, apply func(*shardState, []span) error, edges []int) (Decision, error) {
 	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
@@ -86,16 +85,16 @@ func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision
 	if len(edges) == 0 {
 		return Decision{ID: id, CrossShard: true}, nil
 	}
-	byShard := e.groupByShard(edges)
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-	for _, si := range order {
-		if rep := e.rt.Call(si, op{kind: kind, edges: byShard[si]}); rep.err != nil {
+	sp := e.spans(nil, edges)
+	for lo, hi := 0, 0; lo < len(sp); lo = hi {
+		hi = groupEnd(sp, lo)
+		s := e.shards[sp[lo].shard]
+		e.rt.Lock(s.idx)
+		err := apply(s, sp[lo:hi])
+		e.rt.Unlock(s.idx)
+		if err != nil {
 			e.errs.Add(1)
-			return Decision{}, rep.err
+			return Decision{}, err
 		}
 	}
 	return Decision{ID: id, Accepted: true, CrossShard: true}, nil

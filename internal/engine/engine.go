@@ -1,33 +1,37 @@
 // Package engine implements the sharded concurrent admission engine (see
 // DESIGN.md §5): a thread-safe serving layer that partitions the edge set
 // into K shards, runs an independent instance of the paper's §2/§3
-// algorithms inside each shard's event loop, and routes every incoming
-// request to the shard(s) owning its edges.
+// algorithms inside each shard, and routes every incoming request to the
+// shard(s) owning its edges.
 //
-// Concurrency model. Each shard is a single goroutine of the shard runtime
-// (internal/shard) that owns all of its state — the §3 randomized
-// algorithm over the shard's local capacity vector, the local→global ID
-// maps, and the cross-shard reservation counters. Shards communicate
-// exclusively over channels (no mutexes on the admission path) and decide
-// their queued work in arrival order. Shards never send to other shards,
-// so the topology is acyclic and deadlock-free.
+// Concurrency model. Each shard of the shard runtime (internal/shard) owns
+// all of its state — the §3 randomized algorithm over the shard's local
+// capacity vector, the local→global ID maps, and the cross-shard
+// reservation counters — behind one lock. The submitting goroutine decides
+// under those locks whatever it would otherwise wait for: a cross-shard
+// request, the pending items of the shards it involves, a batch that
+// touches one shard, settles, resizes and snapshots. Only a batch that
+// ends with items pending on two or more shards sends them to the shards'
+// event loops, which decide them in parallel. Locks are taken in
+// ascending shard order and never held across a send or a wait, so there
+// is no deadlock.
 //
 // Requests whose edges all live in one shard are offered to that shard's
 // §3 instance, preserving the paper's competitive guarantee within the
-// shard; a batch's consecutive single-shard requests for one shard travel
-// as one run, with one reply. Requests spanning shards take the
-// two-phase path: the submitting goroutine reserves one capacity unit per
-// edge on every involved shard (reserve = §4 capacity shrink, granted only
-// when the edge has a free integral slot and remaining fractional adjusted
-// capacity), then commits if every shard
-// granted, or aborts (grow back) if any refused. Cross-shard accepts are
-// permanent — they are never preempted — which is exactly the semantics the
-// §4 reduction gives a shrunk capacity unit.
+// shard; a batch's consecutive single-shard requests for one shard are
+// decided as one run. Requests spanning shards take the two-phase path:
+// the submitting goroutine locks the involved shards, reserves one
+// capacity unit per edge on each (reserve = §4 capacity shrink, granted
+// only when the edge has a free integral slot and remaining fractional
+// adjusted capacity), then commits if every shard granted, or aborts
+// (grow back) if any refused. Cross-shard accepts are permanent — they
+// are never preempted — which is exactly the semantics the §4 reduction
+// gives a shrunk capacity unit.
 //
 // Determinism: with a single submitting goroutine and one shard the engine
 // reproduces the unsharded §3 algorithm decision-for-decision given the same
 // seed (tested); with K shards each shard's decision stream is deterministic
-// in its own arrival order.
+// in its own arrival order, and a golden trace pins it.
 package engine
 
 import (
@@ -36,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,11 +58,12 @@ var _ service.Service[problem.Request, Decision] = (*Engine)(nil)
 var ErrClosed = errors.New("engine: closed")
 
 // batch is one batch submission's working memory, recycled through
-// batchPool: the shard runtime's run layout plus the flat buffer the
-// items' local edge indices live in.
+// batchPool: the shard runtime's run layout, the flat buffer the items'
+// local edge indices live in, and the current cross-shard request's spans.
 type batch struct {
-	shard.Batch[item, op, reply]
+	shard.Batch[item]
 	edges []int
+	spans []span
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
@@ -145,7 +149,7 @@ type Engine struct {
 	edgeShard []int32 // global edge -> owning shard
 	edgeLocal []int32 // global edge -> index within the shard
 	shards    []*shardState
-	rt        *shard.Runtime[item, op, reply]
+	rt        *shard.Runtime[item]
 
 	nextID        atomic.Int64
 	requests      atomic.Int64
@@ -180,7 +184,7 @@ func New(capacities []int, cfg Config) (*Engine, error) {
 		edgeShard: make([]int32, len(capacities)),
 		edgeLocal: make([]int32, len(capacities)),
 	}
-	handlers := make([]shard.Handler[item, op, reply], len(parts))
+	handlers := make([]shard.Handler[item], len(parts))
 	for si, part := range parts {
 		localCaps := make([]int, len(part))
 		globalEdges := make([]int, len(part))
@@ -206,7 +210,7 @@ func New(capacities []int, cfg Config) (*Engine, error) {
 		e.shards = append(e.shards, s)
 		handlers[si] = s
 	}
-	e.rt = shard.Start(handlers, op{kind: opStats})
+	e.rt = shard.Start(handlers)
 	return e, nil
 }
 
@@ -233,9 +237,8 @@ func (e *Engine) Validate(r problem.Request) error {
 
 // Submit offers one request to the engine and blocks until it is decided:
 // Validate plus a batch of one. It is safe for concurrent use; each call
-// is assigned a fresh global ID. Cancellation is honoured while enqueueing
-// into a full shard queue; once enqueued the request is decided and
-// accounted.
+// is assigned a fresh global ID. Cancellation is honoured as in
+// SubmitBatchPrevalidated.
 func (e *Engine) Submit(ctx context.Context, r problem.Request) (Decision, error) {
 	if err := e.Validate(r); err != nil {
 		return Decision{}, err
@@ -262,75 +265,37 @@ func (e *Engine) singleShardOf(edges []int) int {
 	return single
 }
 
-// groupByShard buckets the global edges by owning shard, as local indices.
-func (e *Engine) groupByShard(edges []int) map[int][]int {
-	byShard := map[int][]int{}
-	for _, ge := range edges {
-		si := int(e.edgeShard[ge])
-		byShard[si] = append(byShard[si], int(e.edgeLocal[ge]))
-	}
-	return byShard
-}
-
-// submitCross runs the two-phase cross-shard path: reserve on every involved
-// shard, then commit (keep the reservations) or abort (grow them back).
-// Cancellation is honoured while firing the reservations; once every
-// involved shard has the operation queued, the protocol runs to completion
-// (phase 2 restores invariants and must not be abandoned half-way).
-func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int, cost float64) (Decision, error) {
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-
-	// Phase 1: fire all reservations, then collect. Shards work in
-	// parallel; replies arrive on per-op buffered channels.
-	replies := make([]chan reply, len(order))
-	for i, si := range order {
-		ch, err := e.rt.Send(ctx, si, op{kind: opReserve, edges: byShard[si]})
-		if err != nil {
-			// Cancelled mid-fire: resolve the reservations already queued in
-			// the background (collect grants, then release them) so no
-			// capacity unit leaks.
-			fired, shards := replies[:i], order[:i]
-			e.rt.Go(func() {
-				for j, ch := range fired {
-					rep := e.rt.Recv(ch)
-					if rep.err == nil && rep.ok {
-						e.rt.Call(shards[j], op{kind: opRelease, edges: byShard[shards[j]]})
-					}
-				}
-			})
-			return Decision{}, err
-		}
-		replies[i] = ch
-	}
+// decideCross decides a request whose edges sp (sorted by shard) span
+// shards, on the caller: it locks the involved shards in ascending order,
+// reserves on each, releases the granted reservations if any shard
+// refused, and unlocks. Every involved shard is asked even after a
+// refusal: a granting shard's shrink draws coins and may preempt, and the
+// decision stream depends on it.
+func (e *Engine) decideCross(id int, sp []span, cost float64) (Decision, error) {
+	e.lock(sp)
+	defer e.unlock(sp)
 	e.crossShard.Add(1)
 	e.requests.Add(1)
-	granted := make([]int, 0, len(order))
+	var grantedBuf [8]int
+	granted := grantedBuf[:0] // group starts of the granting shards
+	groups := 0
 	var preempted []int
-	ok := true
 	var firstErr error
-	for i, si := range order {
-		rep := e.rt.Recv(replies[i])
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+	for lo := 0; lo < len(sp); lo = groupEnd(sp, lo) {
+		groups++
+		ok, pre, err := e.shards[sp[lo].shard].reserve(sp[lo:groupEnd(sp, lo)])
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		preempted = append(preempted, rep.preempted...)
-		if rep.err == nil && rep.ok {
-			granted = append(granted, si)
-		} else {
-			ok = false
+		preempted = append(preempted, pre...)
+		if ok {
+			granted = append(granted, lo)
 		}
 	}
-
-	// Phase 2: abort on any refusal, releasing the granted reservations.
-	if !ok {
-		for _, si := range granted {
-			rep := e.rt.Call(si, op{kind: opRelease, edges: byShard[si]})
-			if rep.err != nil && firstErr == nil {
-				firstErr = rep.err
+	if len(granted) < groups {
+		for _, lo := range granted {
+			if err := e.shards[sp[lo].shard].release(sp[lo:groupEnd(sp, lo)]); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		if firstErr != nil {
@@ -345,15 +310,29 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 	return Decision{ID: id, Accepted: true, CrossShard: true, Preempted: preempted}, nil
 }
 
+// lock locks the shards of sp (sorted by shard) in ascending order.
+func (e *Engine) lock(sp []span) {
+	for lo := 0; lo < len(sp); lo = groupEnd(sp, lo) {
+		e.rt.Lock(int(sp[lo].shard))
+	}
+}
+
+// unlock releases the locks lock took.
+func (e *Engine) unlock(sp []span) {
+	for lo := 0; lo < len(sp); lo = groupEnd(sp, lo) {
+		e.rt.Unlock(int(sp[lo].shard))
+	}
+}
+
 // SubmitBatch submits a sequence of requests in slice order and returns one
-// Decision per request, in the same order. The batch is pipelined: the
-// consecutive single-shard requests one shard owns travel to it as one
-// run, with one reply, so the channel round trip is paid per run rather
-// than per request. Before a cross-shard request reserves, every pending
-// run is sent, so each shard's arrival order — and therefore the decision
-// stream — is identical to submitting the same slice sequentially through
-// Submit. Cross-shard requests decide inline (the two-phase protocol needs
-// replies before it can commit), retaining their position in the order.
+// Decision per request, in the same order. The consecutive single-shard
+// requests one shard owns are decided as one run. A cross-shard request is
+// decided on the caller under its shards' locks, after those shards have
+// decided their pending items; at the end, the items still pending are
+// decided inline when one shard holds them all, else by the shards' event
+// loops in parallel. Each shard's arrival order — and therefore the
+// decision stream — is identical to submitting the same slice
+// sequentially through Submit.
 //
 // Validation is atomic: every request is checked before any is dispatched,
 // and a validation failure returns an error with no decisions made. The
@@ -378,9 +357,10 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []problem.Request) ([]Dec
 // otherwise pay the same scan twice per request on the hot path.
 // Submitting an unvalidated request through it is undefined behaviour.
 //
-// Cancellation is honoured while enqueueing: a run is enqueued whole or
-// not at all, and the runs already enqueued when ctx fires are decided
-// and accounted by a background drainer.
+// Cancellation: ctx is checked before each cross-shard request and before
+// the final runs are sent, and a run is enqueued whole or not at all. What
+// was decided before ctx fired stays decided and accounted; runs already
+// enqueued are accounted by a background drainer once decided.
 func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Request) ([]Decision, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -403,15 +383,6 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 	})
 	// Sized up front, so the items' edge subslices never move.
 	b.edges = slices.Grow(b.edges[:0], nEdges)
-	// abandon hands the runs already enqueued to a drainer that accounts
-	// them once decided and then recycles the batch.
-	abandon := func() {
-		e.rt.Go(func() {
-			b.Wait()
-			e.tally(b.Runs())
-			batchPool.Put(b)
-		})
-	}
 
 	for i := range reqs {
 		r := &reqs[i]
@@ -424,44 +395,45 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 			*b.Add(s) = item{d: &out[i], edges: b.edges[lo:len(b.edges):len(b.edges)], cost: r.Cost}
 			continue
 		}
-		if err := e.flush(ctx, b); err != nil {
-			abandon()
+		if err := ctx.Err(); err != nil {
+			// Nothing of the batch is queued yet: account what was decided
+			// inline and fail the batch.
+			e.finish(b)
 			return nil, err
 		}
-		d, err := e.submitCross(ctx, base+i, e.groupByShard(r.Edges), r.Cost)
+		// The involved shards decide their pending items first; the others
+		// keep accumulating.
+		b.spans = e.spans(b.spans, r.Edges)
+		for lo := 0; lo < len(b.spans); lo = groupEnd(b.spans, lo) {
+			e.requests.Add(int64(b.Decide(int(b.spans[lo].shard))))
+		}
+		d, err := e.decideCross(base+i, b.spans, r.Cost)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Cancelled mid-dispatch: whole-batch failure (submitCross
-				// has already scheduled its own cleanup).
-				abandon()
-				return nil, err
-			}
 			out[i].Err = err
 			continue
 		}
 		out[i] = d
 	}
-	if err := e.flush(ctx, b); err != nil {
-		abandon()
+	n, err := b.Finish(ctx)
+	e.requests.Add(int64(n))
+	if err != nil {
+		// Cancelled mid-send: a drainer accounts the runs already queued
+		// once they are decided.
+		e.rt.Go(func() {
+			b.Wait()
+			e.finish(b)
+		})
 		return nil, err
 	}
-	b.Wait()
-	e.tally(b.Runs())
-	batchPool.Put(b)
+	e.finish(b)
 	return out, nil
 }
 
-// flush sends every pending run, counting its requests.
-func (e *Engine) flush(ctx context.Context, b *batch) error {
-	n, err := b.Flush(ctx)
-	e.requests.Add(int64(n))
-	return err
-}
-
-// tally folds decided runs into the engine's counters.
-func (e *Engine) tally(runs [][]item) {
+// finish folds a batch's decided runs into the engine's counters and
+// recycles the batch.
+func (e *Engine) finish(b *batch) {
 	var accepted, errs int64
-	for _, run := range runs {
+	for _, run := range b.Runs() {
 		for _, it := range run {
 			switch {
 			case it.d.Err != nil:
@@ -473,6 +445,8 @@ func (e *Engine) tally(runs [][]item) {
 	}
 	e.accepted.Add(accepted)
 	e.errs.Add(errs)
+	b.Release()
+	batchPool.Put(b)
 }
 
 // ShardStat is a per-shard snapshot of load and accounting, the data
@@ -565,13 +539,14 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard: live while the engine
-// is open, the final snapshots after Close.
+// snapshots collects one state snapshot per shard, each read under the
+// shard's lock.
 func (e *Engine) snapshots() []shardSnapshot {
-	reps := e.rt.Snapshots()
-	out := make([]shardSnapshot, len(reps))
-	for i, rep := range reps {
-		out[i] = rep.stats
+	out := make([]shardSnapshot, len(e.shards))
+	for i, s := range e.shards {
+		e.rt.Lock(i)
+		out[i] = s.snapshot()
+		e.rt.Unlock(i)
 	}
 	return out
 }
@@ -583,10 +558,10 @@ func (e *Engine) snapshots() []shardSnapshot {
 func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
-// in-flight submissions finish, and every shard loop exits after recording
-// its final snapshot. Snapshot, Stats and RejectedCost remain usable (and
-// exact) afterwards. Close is idempotent and always returns nil (the error
-// is part of the generic service contract).
+// in-flight submissions finish, and every shard loop exits; the shards'
+// state stays readable under their locks. Snapshot, Stats and RejectedCost
+// remain usable (and exact) afterwards. Close is idempotent and always
+// returns nil (the error is part of the generic service contract).
 func (e *Engine) Close() error {
 	e.rt.Close()
 	return nil

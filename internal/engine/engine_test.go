@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"admission/internal/core"
 	"admission/internal/graph"
@@ -250,6 +252,31 @@ func TestCrossShardAbortReleases(t *testing.T) {
 	}
 	if !d.Accepted {
 		t.Fatalf("edge 0 still reserved after abort: %+v", d)
+	}
+}
+
+// TestClosedEngineIsCollectable serves batches that end on the shard
+// loops, closes the engine and drops it: one garbage collection later its
+// shard state must be gone. The batches go back to a package-level pool,
+// and a pooled batch that still pointed at the runtime would keep every
+// shard's state alive into the next engine's lifetime.
+func TestClosedEngineIsCollectable(t *testing.T) {
+	ins := testInstance(t, 5, 400, false)
+	eng, err := New(ins.Capacities, Config{Shards: 4, Algorithm: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(ins.Requests); lo += 100 {
+		if _, err := eng.SubmitBatch(context.Background(), ins.Requests[lo:lo+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := weak.Make(eng.shards[0])
+	eng.Close()
+	eng = nil
+	runtime.GC()
+	if state.Value() != nil {
+		t.Fatal("a closed, dropped engine's shard state survived a garbage collection")
 	}
 }
 

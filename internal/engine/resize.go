@@ -3,11 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 )
 
 // AllEdges selects every edge of the engine in GrowCapacity and
-// ShrinkCapacity, fanning one resize op out to each shard.
+// ShrinkCapacity.
 const AllEdges = -1
 
 // Resize reports the outcome of one engine-level capacity change.
@@ -28,14 +27,13 @@ type Resize struct {
 
 // GrowCapacity raises capacity by units fresh units on the given global
 // edge (or on every edge when edge is AllEdges) — the admin control
-// plane's scale-up. The op serializes through each owning shard's event
-// loop, so it lands at a well-defined point of the decision stream and
-// never races in-flight offers; growing never preempts. Cancellation is
-// honoured only while enqueueing: once an op is queued the resize runs to
-// completion and is waited for, keeping the engine's capacity accounting
-// exact.
+// plane's scale-up. Each owning shard applies it under its lock, so it
+// lands at a well-defined point of the shard's decision stream and never
+// races an offer; growing never preempts. ctx is checked once, before the
+// first shard: a resize that has started runs to completion, keeping the
+// engine's capacity accounting exact.
 func (e *Engine) GrowCapacity(ctx context.Context, edge, units int) (Resize, error) {
-	return e.resize(ctx, opGrow, edge, units)
+	return e.resize(ctx, (*shardState).grow, edge, units)
 }
 
 // ShrinkCapacity removes up to units capacity units from the given global
@@ -46,12 +44,12 @@ func (e *Engine) GrowCapacity(ctx context.Context, edge, units int) (Resize, err
 // fractional capacity consumed by permanent cross-shard accepts) are
 // skipped and reflected in Resize.Applied rather than failing the call.
 func (e *Engine) ShrinkCapacity(ctx context.Context, edge, units int) (Resize, error) {
-	return e.resize(ctx, opShrink, edge, units)
+	return e.resize(ctx, (*shardState).shrink, edge, units)
 }
 
-// resize validates and routes one capacity change, fanning out per shard
-// and merging the replies.
-func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resize, error) {
+// resize validates one capacity change and applies it on each owning
+// shard in ascending order, each under its lock, merging the outcomes.
+func (e *Engine) resize(ctx context.Context, apply func(*shardState, []span, int) (int, []int, error), edge, units int) (Resize, error) {
 	if units <= 0 {
 		return Resize{}, fmt.Errorf("engine: resize of %d units, want > 0", units)
 	}
@@ -62,49 +60,30 @@ func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resi
 		return Resize{}, ErrClosed
 	}
 	defer e.rt.Exit()
+	if err := ctx.Err(); err != nil {
+		return Resize{}, err
+	}
 
-	// Bucket the target edges by owning shard as local indices: one op per
-	// involved shard, shards working in parallel.
-	byShard := map[int][]int{}
+	edges := []int{edge}
 	if edge == AllEdges {
-		for ge := range e.caps {
-			si := int(e.edgeShard[ge])
-			byShard[si] = append(byShard[si], int(e.edgeLocal[ge]))
+		edges = make([]int, len(e.caps))
+		for ge := range edges {
+			edges[ge] = ge
 		}
-	} else {
-		byShard[int(e.edgeShard[edge])] = []int{int(e.edgeLocal[edge])}
 	}
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-
-	res := Resize{Edge: edge}
-	replies := make([]chan reply, len(order))
-	for i, si := range order {
-		ch, err := e.rt.Send(ctx, si, op{kind: kind, edges: byShard[si], units: units})
-		if err != nil {
-			// Cancelled mid-fire: the ops already queued still apply; await
-			// them in the background so the reply channels recycle.
-			fired := replies[:i]
-			e.rt.Go(func() {
-				for _, ch := range fired {
-					e.rt.Recv(ch)
-				}
-			})
-			return Resize{}, err
-		}
-		res.Requested += units * len(byShard[si])
-		replies[i] = ch
-	}
+	sp := e.spans(nil, edges)
+	res := Resize{Edge: edge, Requested: units * len(sp)}
 	var firstErr error
-	for i := range order {
-		rep := e.rt.Recv(replies[i])
-		res.Applied += rep.applied
-		res.Preempted = append(res.Preempted, rep.preempted...)
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+	for lo, hi := 0, 0; lo < len(sp); lo = hi {
+		hi = groupEnd(sp, lo)
+		s := e.shards[sp[lo].shard]
+		e.rt.Lock(s.idx)
+		applied, preempted, err := apply(s, sp[lo:hi], units)
+		e.rt.Unlock(s.idx)
+		res.Applied += applied
+		res.Preempted = append(res.Preempted, preempted...)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return res, firstErr

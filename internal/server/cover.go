@@ -167,7 +167,7 @@ func coverMetrics(reg *metrics.Registry, cov *coverengine.Engine) func(coverengi
 		"Distinct sets in the cover engine's global ledger.",
 		func() []metrics.Sample {
 			// ChosenCount reads the ledger mutex only — no per-scrape
-			// channel round-trip through the shard event loops.
+			// walk over the shards' locks.
 			return []metrics.Sample{{Value: float64(cov.ChosenCount())}}
 		})
 	return func(d coverengine.Decision) {

@@ -146,11 +146,15 @@ type QueryStatsJSON struct {
 	Seed      uint64 `json:"seed"`
 	// Workers is the engine's concurrent-query bound.
 	Workers int `json:"workers"`
-	// Queries .. ReplayedArrivals mirror the engine's service.Stats.
-	Queries          int64 `json:"queries"`
-	Accepted         int64 `json:"accepted"`
-	Errors           int64 `json:"errors"`
-	ReplayedArrivals int64 `json:"replayed_arrivals"`
+	// Queries .. Errors mirror the engine's service.Stats.
+	Queries  int64 `json:"queries"`
+	Accepted int64 `json:"accepted"`
+	Errors   int64 `json:"errors"`
+	// SimulatedArrivals is the number of arrivals the engine has offered
+	// to its frontier to answer queries (lca.Engine.Simulated), the tier's
+	// local-computation cost: each position once, however often it is
+	// asked. The acserve_query_simulated_arrivals gauge reads the same.
+	SimulatedArrivals int64 `json:"simulated_arrivals"`
 	// QueueDepth is the number of items waiting in the pipeline.
 	QueueDepth int `json:"queue_depth"`
 	// Draining reports whether Drain has been initiated.
@@ -162,18 +166,18 @@ func queryStats(eng *lca.Engine, q QueueState) QueryStatsJSON {
 	st := eng.Stats()
 	src := eng.Source()
 	return QueryStatsJSON{
-		Workload:         src.Workload,
-		Model:            src.Model.String(),
-		Capacity:         src.Capacity,
-		Positions:        eng.Positions(),
-		Seed:             src.Seed,
-		Workers:          eng.Workers(),
-		Queries:          st.Requests,
-		Accepted:         st.Accepted,
-		Errors:           st.Errors,
-		ReplayedArrivals: int64(st.Objective),
-		QueueDepth:       q.Depth,
-		Draining:         q.Draining,
+		Workload:          src.Workload,
+		Model:             src.Model.String(),
+		Capacity:          src.Capacity,
+		Positions:         eng.Positions(),
+		Seed:              src.Seed,
+		Workers:           eng.Workers(),
+		Queries:           st.Requests,
+		Accepted:          st.Accepted,
+		Errors:            st.Errors,
+		SimulatedArrivals: eng.Simulated(),
+		QueueDepth:        q.Depth,
+		Draining:          q.Draining,
 	}
 }
 

@@ -95,7 +95,7 @@ func TestQueryLoopbackBothProtocols(t *testing.T) {
 	st := eng.Stats()
 	src := eng.Source()
 	if stats.Queries != st.Requests || stats.Accepted != st.Accepted || stats.Errors != st.Errors ||
-		stats.ReplayedArrivals != int64(st.Objective) {
+		stats.SimulatedArrivals != eng.Simulated() {
 		t.Fatalf("/v1/query/stats %+v does not match engine stats %+v", stats, st)
 	}
 	if stats.Workload != src.Workload || stats.Seed != src.Seed || stats.Positions != eng.Positions() ||
@@ -190,6 +190,34 @@ func TestQueryLoadBothProtocols(t *testing.T) {
 		if report.Accepted == 0 {
 			t.Fatalf("wire=%v: load run observed no accepted answers", wire)
 		}
+	}
+}
+
+// TestQueryStatsSimulatedArrivals sweeps all 256 positions of a fresh
+// engine: the frontier offers each arrival once, so /v1/query/stats must
+// report 256 simulated arrivals, not the 32,896 = Σ(pos+1) the answers'
+// replayed prefixes add up to.
+func TestQueryStatsSimulatedArrivals(t *testing.T) {
+	eng, ts := newQueryServer(t, "random", 256, 9, 2)
+	qs := make([]lca.Query, eng.Positions())
+	for i := range qs {
+		qs[i] = lca.Query{Pos: i}
+	}
+	client := NewQueryClient(ts.URL, 1)
+	defer client.CloseIdle()
+	ctx := context.Background()
+	if _, err := client.Submit(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+	var stats QueryStatsJSON
+	if err := client.Stats(ctx, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SimulatedArrivals != 256 || stats.Queries != 256 {
+		t.Fatalf("stats after the sweep: %d simulated arrivals for %d queries, want 256 for 256", stats.SimulatedArrivals, stats.Queries)
+	}
+	if replayed := eng.Stats().Objective; replayed != 32896 {
+		t.Fatalf("answers' replayed prefixes sum to %v, want 32896", replayed)
 	}
 }
 

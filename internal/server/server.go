@@ -16,9 +16,9 @@
 // Serving the paper's algorithms behind a request boundary adds no
 // algorithmic content — the engines already decide arrivals in order — so
 // this package's job is purely systems: it turns many small HTTP
-// submissions into few large engine batches (amortizing the per-operation
-// channel round-trip of the shard event loops) and makes the engines'
-// accounting observable.
+// submissions into few large engine batches (amortizing the per-batch
+// cost of the engines' shard runtime) and makes the engines' accounting
+// observable.
 //
 // Concurrency contract: a Server's HTTP handlers are safe for any number
 // of concurrent connections. Each workload's items are decided in one

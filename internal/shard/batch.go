@@ -3,32 +3,39 @@ package shard
 import (
 	"context"
 	"slices"
+	"sync"
+
+	"admission/internal/service"
 )
 
 // Batch is one batch submission's working memory. Shard s's items fill
 // one region of a flat item array in arrival order, so the items a shard
-// receives between two flushes — a run — are a contiguous subslice, sent
-// as one message carrying one pointer to it. Engines recycle Batches
-// through a sync.Pool.
+// receives between two decisions — a run — are a contiguous subslice.
+// Engines recycle Batches through a sync.Pool.
 //
-// Use: Layout, then per item Add and fill the slot (calling Flush before
-// any work that must queue behind the items added so far), then a final
-// Flush and Wait. After a failed Flush, Wait for the runs already sent on
-// a drainer (Runtime.Go) instead.
-type Batch[T, O, R any] struct {
-	rt    *Runtime[T, O, R]
+// Use: Layout, then per item Add and fill the slot, calling Decide on a
+// shard before any work that must be decided after the items added to it
+// so far; then Finish. After a failed Finish, Wait for the runs already
+// sent on a drainer (Runtime.Go) instead. Release the batch before
+// returning it to a pool.
+//
+// Finish is the only place a batch sends, so no shard decides an item of
+// the batch inline after a run of the same batch went to its loop: each
+// shard decides the batch's items in batch order.
+type Batch[T any] struct {
+	rt    *Runtime[T]
 	items []T
-	owner []int32  // per batch position: owning shard, or -1
-	next  []int    // per shard: next free slot of its region
-	sent  []int    // per shard: first slot not yet sent
-	runs  [][]T    // the runs sent, in send order
-	pend  []chan R // their replies, same order
+	owner []int32 // per batch position: owning shard, or -1
+	next  []int   // per shard: next free slot of its region
+	done  []int   // per shard: first slot not yet decided or sent
+	runs  [][]T   // the runs decided or sent, in order
+	sent  sync.WaitGroup
 }
 
 // Layout prepares b for n batch positions on rt: owner(i) is the shard
 // that decides position i inside a run, or -1 for a position the engine
 // decides some other way. Each shard's region is sized to its count.
-func (b *Batch[T, O, R]) Layout(rt *Runtime[T, O, R], n int, owner func(i int) int) {
+func (b *Batch[T]) Layout(rt *Runtime[T], n int, owner func(i int) int) {
 	b.rt = rt
 	b.next = slices.Grow(b.next[:0], rt.Shards())[:rt.Shards()]
 	clear(b.next)
@@ -45,55 +52,88 @@ func (b *Batch[T, O, R]) Layout(rt *Runtime[T, O, R], n int, owner func(i int) i
 		b.next[s] = total
 		total += c
 	}
-	b.sent = append(b.sent[:0], b.next...)
+	b.done = append(b.done[:0], b.next...)
 	b.items = slices.Grow(b.items[:0], total)[:total]
-	// At most one run per item, so run pointers never move.
-	b.runs = slices.Grow(b.runs[:0], total)
-	b.pend = b.pend[:0]
+	b.runs = b.runs[:0]
 }
 
 // Owner returns the shard Layout recorded for position i, or -1.
-func (b *Batch[T, O, R]) Owner(i int) int { return int(b.owner[i]) }
+func (b *Batch[T]) Owner(i int) int { return int(b.owner[i]) }
 
-// Add returns the next slot of shard s's region. Fill it before the next
-// Flush.
-func (b *Batch[T, O, R]) Add(s int) *T {
+// Add returns the next slot of shard s's region. Fill it before the
+// shard's next decision.
+func (b *Batch[T]) Add(s int) *T {
 	it := &b.items[b.next[s]]
 	b.next[s]++
 	return it
 }
 
-// Flush sends, in shard order, each shard's items added since the last
-// Flush as one run, and returns how many items it sent. Per-shard queues
-// are FIFO, so whatever is sent to a shard after Flush is decided after
-// these items. A run is enqueued whole or not at all: on a ctx error the
-// runs sent before it stay pending.
-func (b *Batch[T, O, R]) Flush(ctx context.Context) (int, error) {
+// Decide decides, on the caller and under shard s's lock, the items added
+// to s since its last decision, and returns how many it decided. It must
+// not be called after Finish.
+func (b *Batch[T]) Decide(s int) int {
+	run := b.items[b.done[s]:b.next[s]]
+	if len(run) == 0 {
+		return 0
+	}
+	b.rt.Lock(s)
+	b.rt.shards[s].Run(run)
+	b.rt.Unlock(s)
+	b.runs = append(b.runs, run)
+	b.done[s] = b.next[s]
+	return len(run)
+}
+
+// Finish ends the batch and returns how many items it decided or sent.
+// When only one shard has items pending, Finish decides them inline. When
+// two or more have, each shard's go to its loop as one run, in shard
+// order, and Finish waits for them: the shards decide them in parallel.
+// ctx is checked before the first send, and a run is enqueued whole or
+// not at all (service.TrySend): on a ctx error Finish returns at once and
+// the runs sent before it stay pending.
+func (b *Batch[T]) Finish(ctx context.Context) (int, error) {
+	pending, last := 0, -1
+	for s := range b.next {
+		if b.done[s] != b.next[s] {
+			pending, last = pending+1, s
+		}
+	}
+	switch pending {
+	case 0:
+		return 0, nil
+	case 1:
+		return b.Decide(last), nil
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	n := 0
 	for s := range b.next {
-		if b.sent[s] == b.next[s] {
+		run := b.items[b.done[s]:b.next[s]]
+		if len(run) == 0 {
 			continue
 		}
-		b.runs = append(b.runs, b.items[b.sent[s]:b.next[s]])
-		ch, err := b.rt.send(ctx, s, msg[T, O, R]{run: &b.runs[len(b.runs)-1]})
-		if err != nil {
-			b.runs = b.runs[:len(b.runs)-1]
+		b.sent.Add(1)
+		if err := service.TrySend(ctx, b.rt.queues[s], msg[T]{run: run, done: &b.sent}); err != nil {
+			b.sent.Done()
 			return n, err
 		}
-		b.pend = append(b.pend, ch)
-		n += b.next[s] - b.sent[s]
-		b.sent[s] = b.next[s]
+		b.runs = append(b.runs, run)
+		b.done[s] = b.next[s]
+		n += len(run)
 	}
+	b.Wait()
 	return n, nil
 }
 
 // Wait blocks until every sent run is decided.
-func (b *Batch[T, O, R]) Wait() {
-	for _, ch := range b.pend {
-		b.rt.Recv(ch)
-	}
-}
+func (b *Batch[T]) Wait() { b.sent.Wait() }
 
-// Runs returns the runs sent so far; after Wait their items hold the
-// outcomes.
-func (b *Batch[T, O, R]) Runs() [][]T { return b.runs }
+// Runs returns the runs decided or sent so far; once decided their items
+// hold the outcomes.
+func (b *Batch[T]) Runs() [][]T { return b.runs }
+
+// Release drops b's runtime. The runtime holds the shards' handlers, so a
+// pooled Batch that kept it would keep a closed engine's whole state
+// reachable until the pool is cleared, two garbage collections later.
+func (b *Batch[T]) Release() { b.rt = nil }

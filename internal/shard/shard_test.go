@@ -15,8 +15,7 @@ type toyItem struct {
 	before int
 }
 
-// toyShard records the positions it decided, in order. Its op asks how
-// many items it has decided so far.
+// toyShard records the positions it decided, in order.
 type toyShard struct{ seen []int }
 
 func (s *toyShard) Run(items []toyItem) {
@@ -26,61 +25,72 @@ func (s *toyShard) Run(items []toyItem) {
 	}
 }
 
-func (s *toyShard) Handle(struct{}) int { return len(s.seen) }
-
-func startToy(k int) (*Runtime[toyItem, struct{}, int], []*toyShard) {
+func startToy(k int) (*Runtime[toyItem], []*toyShard) {
 	shards := make([]*toyShard, k)
-	hs := make([]Handler[toyItem, struct{}, int], k)
+	hs := make([]Handler[toyItem], k)
 	for i := range shards {
 		shards[i] = &toyShard{}
 		hs[i] = shards[i]
 	}
-	return Start(hs, struct{}{}), shards
+	return Start(hs), shards
+}
+
+// decided reads how many items shard s has decided, under its lock.
+func decided(rt *Runtime[toyItem], shards []*toyShard, s int) int {
+	rt.Lock(s)
+	defer rt.Unlock(s)
+	return len(shards[s].seen)
 }
 
 // TestBatchRunsKeepArrivalOrder lays a batch out over three shards with
-// positions no shard owns in between, flushing before each of them the way
-// the admission engine does before a cross-shard request. Each shard must
-// decide its items in batch order, one run per shard per flush, and an op
-// sent right after a flush must be decided after every item sent before it.
+// positions no shard owns in between, deciding the shards such a position
+// involves before it the way the admission engine does before a
+// cross-shard request. Decide must decide exactly a shard's items added
+// since its last decision and leave the other shards' pending, and after
+// Finish each shard must have decided its items in batch order, one run
+// per decision.
 func TestBatchRunsKeepArrivalOrder(t *testing.T) {
 	rt, shards := startToy(3)
 	defer rt.Close()
 	owner := []int{0, 1, 1, -1, 2, 0, 0, 2, -1, -1, 1, 0, 2, 2}
+	involves := map[int][]int{3: {0, 1}, 8: {0, 2}, 9: {1}}
 	if !rt.Enter() {
 		t.Fatal("fresh runtime refused Enter")
 	}
 	defer rt.Exit()
 
-	var b Batch[toyItem, struct{}, int]
+	var b Batch[toyItem]
 	b.Layout(rt, len(owner), func(i int) int { return owner[i] })
-	sentBefore := make([]int, 3) // per shard: items added before the current position
+	added := make([]int, 3)    // per shard: items added before the current position
+	lastDone := make([]int, 3) // per shard: items decided at its last Decide
 	for i, s := range owner {
 		if s >= 0 {
 			*b.Add(s) = toyItem{pos: i}
-			sentBefore[s]++
+			added[s]++
 			continue
 		}
-		if _, err := b.Flush(context.Background()); err != nil {
-			t.Fatal(err)
+		for _, si := range involves[i] {
+			if n := b.Decide(si); n != added[si]-lastDone[si] {
+				t.Fatalf("position %d: Decide(%d) decided %d items, want %d", i, si, n, added[si]-lastDone[si])
+			}
+			lastDone[si] = added[si]
 		}
 		for si := range shards {
-			if got := rt.Call(si, struct{}{}); got != sentBefore[si] {
-				t.Fatalf("position %d: shard %d had decided %d items, want %d", i, si, got, sentBefore[si])
+			if got := decided(rt, shards, si); got != lastDone[si] {
+				t.Fatalf("position %d: shard %d had decided %d items, want %d", i, si, got, lastDone[si])
 			}
 		}
 	}
-	n, err := b.Flush(context.Background())
+	n, err := b.Finish(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
-		t.Fatalf("final flush sent %d items, want 4", n)
+		t.Fatalf("Finish decided %d items, want 4", n)
 	}
-	b.Wait()
 
 	if got := len(b.Runs()); got != 7 {
-		t.Fatalf("sent %d runs, want 7 (one per shard with pending items per flush)", got)
+		t.Fatalf("decided %d runs, want 7 (one per nonempty Decide, one per shard pending at Finish)", got)
 	}
 	for si, sh := range shards {
 		var want []int
@@ -102,20 +112,26 @@ func TestBatchRunsKeepArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestLifecycle covers the snapshot read before and after Close, Close's
-// idempotence, Enter after Close, and Drain waiting for a drainer.
+// TestLifecycle covers a batch sent to the loops under a cancelled
+// context, Drain waiting for a drainer, Close's idempotence, Enter after
+// Close, and a one-shard batch finishing inline with no loop left.
 func TestLifecycle(t *testing.T) {
-	rt, _ := startToy(2)
+	rt, shards := startToy(2)
 	if !rt.Enter() {
 		t.Fatal("fresh runtime refused Enter")
 	}
-	var b Batch[toyItem, struct{}, int]
+	var b Batch[toyItem]
 	b.Layout(rt, 3, func(i int) int { return i % 2 })
 	for i := 0; i < 3; i++ {
 		*b.Add(i % 2) = toyItem{pos: i}
 	}
-	if _, err := b.Flush(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n, err := b.Finish(ctx); err == nil || n != 0 {
+		t.Fatalf("Finish under a cancelled context sent %d items, err %v", n, err)
+	}
+	if n, err := b.Finish(context.Background()); err != nil || n != 3 {
+		t.Fatalf("Finish sent %d items, err %v; want 3", n, err)
 	}
 	var drained atomic.Bool
 	rt.Go(func() {
@@ -129,16 +145,21 @@ func TestLifecycle(t *testing.T) {
 	if !drained.Load() {
 		t.Fatal("Drain returned before the drainer finished")
 	}
-	if live := rt.Snapshots(); !slices.Equal(live, []int{2, 1}) {
-		t.Fatalf("live snapshots %v, want [2 1]", live)
-	}
 	rt.Close()
 	rt.Close()
 	if rt.Enter() {
 		t.Fatal("Enter succeeded after Close")
 	}
-	if final := rt.Snapshots(); !slices.Equal(final, []int{2, 1}) {
-		t.Fatalf("final snapshots %v, want [2 1]", final)
+	// The loops are gone; a batch pending on one shard still decides, on
+	// the caller.
+	b.Layout(rt, 2, func(int) int { return 1 })
+	*b.Add(1) = toyItem{pos: 3}
+	*b.Add(1) = toyItem{pos: 4}
+	if n, err := b.Finish(context.Background()); err != nil || n != 2 {
+		t.Fatalf("one-shard Finish decided %d items, err %v; want 2", n, err)
+	}
+	if got := []int{decided(rt, shards, 0), decided(rt, shards, 1)}; !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("shards decided %v items, want [2 3]", got)
 	}
 }
 

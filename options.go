@@ -37,10 +37,10 @@ func applyOptions(opts []Option) (*engineOptions, error) {
 	return o, nil
 }
 
-// WithShards sets the number of event-loop shards the engine partitions
-// its state into (edges for admission, elements for set cover). The
-// default is 1, which reproduces the paper's sequential algorithm
-// decision for decision.
+// WithShards sets the number of shards the engine partitions its state
+// into (edges for admission, elements for set cover), each with its own
+// lock and event loop. The default is 1, which reproduces the paper's
+// sequential algorithm decision for decision.
 func WithShards(k int) Option {
 	return func(o *engineOptions) error {
 		if k <= 0 {
