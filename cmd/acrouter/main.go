@@ -71,8 +71,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "algorithm seed (must match the backends)")
 		unweighted = flag.Bool("unweighted", false, "use the paper's unweighted constants (must match the backends)")
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default; must match the backends)")
-		batch      = flag.Int("batch", 256, "max submissions coalesced into one routed batch")
-		queue      = flag.Int("queue", 8192, "queued-item bound (backpressure)")
+		batch      = flag.Int("batch", 256, "max items per engine batch")
 		wireOK     = flag.Bool("wire", true, "accept binary wire-protocol submissions from clients")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		readyT     = flag.Duration("ready-timeout", 30*time.Second, "budget for every backend to report the derived fingerprint at startup")
@@ -119,7 +118,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		BatchSize: *batch,
-		QueueLen:  *queue,
 		JSONOnly:  !*wireOK,
 	}, server.RouterAdmission(router))
 	if err != nil {

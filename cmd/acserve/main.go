@@ -134,8 +134,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "engine shard count")
 		seed       = flag.Uint64("seed", 1, "algorithm seed")
 		unweighted = flag.Bool("unweighted", false, "use the paper's unweighted constants (requires cost-1 requests)")
-		batch      = flag.Int("batch", 256, "max submissions coalesced into one engine batch")
-		queue      = flag.Int("queue", 8192, "queued-item bound per workload (backpressure)")
+		batch      = flag.Int("batch", 256, "max items per engine batch")
 		wireOK     = flag.Bool("wire", true, "accept binary wire-protocol submissions (Content-Type application/x-acwire); -wire=false answers them 415 and serves JSON only")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		adminToken = flag.String("admin-token", "", "bearer token mounting the /admin/v1/* control plane and gating /metrics + stats (empty = admin plane disabled, observability open)")
@@ -270,7 +269,6 @@ func main() {
 	}
 	srv, err := server.New(server.Config{
 		BatchSize:  *batch,
-		QueueLen:   *queue,
 		JSONOnly:   !*wireOK,
 		AdminToken: *adminToken,
 	}, regs...)
@@ -318,8 +316,8 @@ func main() {
 		qeng.Close()
 		qst := qeng.Stats()
 		fmt.Fprintf(os.Stderr,
-			"acserve: final query stats: %d queries, %d accepted, %d errors, %g replayed arrivals\n",
-			qst.Requests, qst.Accepted, qst.Errors, qst.Objective)
+			"acserve: final query stats: %d queries, %d accepted, %d errors, %d simulated arrivals\n",
+			qst.Requests, qst.Accepted, qst.Errors, qeng.Simulated())
 	}
 	if err != nil {
 		fail(err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"admission/internal/cluster"
+	"admission/internal/lca"
 	"admission/internal/problem"
 	"admission/internal/server"
 )
@@ -90,8 +91,9 @@ func (p *acserve) line(t *testing.T, prefix string) string {
 	return ""
 }
 
-// stop sends SIGTERM and requires a clean exit.
-func (p *acserve) stop(t *testing.T) {
+// stop sends SIGTERM, requires a clean exit and returns the stderr lines
+// printed after the serving line.
+func (p *acserve) stop(t *testing.T) []string {
 	t.Helper()
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -103,6 +105,7 @@ func (p *acserve) stop(t *testing.T) {
 	if err := p.cmd.Wait(); err != nil {
 		t.Fatalf("acserve after SIGTERM: %v\n%s", err, strings.Join(rest, "\n"))
 	}
+	return rest
 }
 
 // TestDurableRestartContinues: admission requests and cover arrivals
@@ -180,4 +183,31 @@ func TestClusterBackendRestartContinues(t *testing.T) {
 		t.Fatalf("first decision after restart %+v, want ID %d", ds[0], n)
 	}
 	p.stop(t)
+}
+
+// TestQueryShutdownCountsSimulatedArrivals: the query tier's shutdown line
+// reports the arrivals the frontier simulated. A fresh engine asked one
+// position several times simulates pos+1 arrivals once, not pos+1 per
+// answer.
+func TestQueryShutdownCountsSimulatedArrivals(t *testing.T) {
+	const pos, asks = 20, 3
+	p := startAcserve(t, "-addr", "127.0.0.1:0", "-edges", "16", "-query", "-query-n", "64")
+	qs := make([]lca.Query, asks)
+	for i := range qs {
+		qs[i] = lca.Query{Pos: pos}
+	}
+	if _, err := server.NewQueryClient("http://"+p.addr, 1).Submit(context.Background(), qs); err != nil {
+		t.Fatal(err)
+	}
+	rest := p.stop(t)
+	for _, l := range rest {
+		if strings.HasPrefix(l, "acserve: final query stats: ") {
+			want := fmt.Sprintf("%d queries, ", asks)
+			if !strings.Contains(l, want) || !strings.HasSuffix(l, fmt.Sprintf(", %d simulated arrivals", pos+1)) {
+				t.Fatalf("shutdown line %q, want %q and %d simulated arrivals", l, want, pos+1)
+			}
+			return
+		}
+	}
+	t.Fatalf("no final query stats line in:\n%s", strings.Join(rest, "\n"))
 }

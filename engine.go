@@ -7,13 +7,17 @@ import (
 )
 
 // Sharded concurrent serving layer (see DESIGN.md §5 and §10). The Engine
-// partitions the edge set into shards, runs an independent §2/§3 instance
-// inside each shard's event loop, and serves concurrent Submit calls:
-// single-shard requests take a lock-free fast path through the owning
-// shard, cross-shard requests a two-phase reserve/commit path. The Engine
-// implements the generic Service contract — context-aware Submit and
-// SubmitBatch, uniform ServiceStats, Drain and Close — which is what the
-// network-facing service (cmd/acserve, DESIGN.md §7) serves it through.
+// partitions the edge set into shards, each owning an independent §2/§3
+// instance behind one lock, and serves concurrent Submit calls on the
+// submitting goroutine, under the shard locks taken in ascending order: a
+// request whose edges one shard owns is decided on that shard, a
+// cross-shard request by a two-phase reserve/commit across the shards it
+// involves. Only a batch left with items pending on two or more shards
+// hands them to the shards' event loops, which decide them in parallel.
+// The Engine implements the generic Service contract — context-aware
+// Submit and SubmitBatch, uniform ServiceStats, Drain and Close — which is
+// what the network-facing service (cmd/acserve, DESIGN.md §7) serves it
+// through.
 type (
 	// Engine is the sharded concurrent admission server. Submit and
 	// SubmitBatch are safe for concurrent use by any number of goroutines;

@@ -184,8 +184,8 @@ type PausedJSON struct {
 }
 
 // handleAdminPause pauses intake: every workload's submissions answer 503
-// until resume. Decisions already queued keep flowing — pause gates the
-// door, it does not drop work.
+// until resume. Submissions already admitted are still decided — pause
+// gates the door, it does not drop work.
 func (s *Server) handleAdminPause(w http.ResponseWriter, r *http.Request) {
 	s.paused.Store(true)
 	w.Header().Set("Content-Type", "application/json")
@@ -213,11 +213,11 @@ type SnapshotResponseJSON struct {
 }
 
 // handleAdminSnapshot triggers a WAL snapshot on the named workload (or on
-// every durable workload when the body is empty). The trigger is served by
-// each pipeline's flusher at its quiescent point — between engine batches,
-// where the state digest stamped into the snapshot is meaningful — so the
-// handler waits for the flusher to take it; the request context bounds the
-// wait.
+// every durable workload when the body is empty). Each snapshot is written
+// under the pipeline's decision lock, between two submissions' decisions,
+// where every decided item is logged and the state digest stamped into the
+// snapshot is meaningful, so the handler waits for at most the submission
+// being decided.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r)
 	if err != nil {
@@ -241,7 +241,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	out := SnapshotResponseJSON{Workloads: []string{}}
 	for _, name := range targets {
-		err := s.workloads[name].triggerSnapshot(r.Context())
+		err := s.workloads[name].triggerSnapshot()
 		switch {
 		case err == nil:
 			out.Workloads = append(out.Workloads, name)

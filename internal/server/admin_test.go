@@ -348,7 +348,7 @@ func TestAdminDurable(t *testing.T) {
 		}
 	}
 
-	// Snapshot trigger compacts the log through the flusher.
+	// Snapshot trigger compacts the log under the decision lock.
 	if n := log.RecordsSinceSnapshot(); n != 2 {
 		t.Fatalf("records since snapshot before trigger: %d, want 2", n)
 	}

@@ -65,7 +65,7 @@ func (c LoadConfig[Req]) repeat() int {
 
 // LoadReport summarizes one load run, for any workload. Latencies are
 // per-batch round trips (submit-to-last-decision as seen by the client),
-// so they include the server's coalescing delay. Each clean decision line
+// so they include the wait for the server's decision lock. Each clean decision line
 // adds itself into the workload-specific aggregates (Accepted/Preempted
 // for admission and query, SetsBought/CostAdded for cover); the rest is
 // generic.

@@ -99,7 +99,7 @@ func (n *Node) Mount(log *wal.Log, opts DurableOptions) Registration {
 // Finish is the node's shutdown path, called with the drain's result. After
 // a clean drain it snapshots the log if anything was logged since the last
 // snapshot, so the next start replays nothing. After a failed drain a
-// flusher may hold a batch the engine decided but the log never appended;
+// handler may hold a batch the engine decided but the log never appended;
 // a snapshot's digest would cover decisions its prefix lacks, so it writes
 // none and the next start replays the tail. Then it closes the log; a nil
 // log is a no-op.

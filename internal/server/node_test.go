@@ -14,7 +14,7 @@ import (
 
 // parkedEngine is an engine as the pipeline sees it whose next batch call,
 // once armed, decides and then waits for release before returning: the
-// flusher parks between the engine's decision and the WAL append.
+// deciding handler parks between the engine's decision and the WAL append.
 type parkedEngine struct {
 	*engine.Engine
 	armed   atomic.Bool
@@ -32,7 +32,7 @@ func (p *parkedEngine) SubmitBatchPrevalidated(ctx context.Context, reqs []probl
 }
 
 // TestFinishAfterFailedDrainKeepsLogRecoverable: a drain that times out
-// while the flusher holds a batch the engine decided but the log never
+// while a handler holds a batch the engine decided but the log never
 // appended must not be followed by a shutdown snapshot. A snapshot stamped
 // then would carry a digest covering the parked batch over a prefix that
 // lacks it, and the next start would refuse recovery; without one, the
@@ -67,7 +67,7 @@ func TestFinishAfterFailedDrainKeepsLogRecoverable(t *testing.T) {
 	drainErr := s.Drain(ctx)
 	cancel()
 	if drainErr == nil {
-		t.Fatal("drain completed while the flusher held an unlogged batch")
+		t.Fatal("drain completed while a handler held an unlogged batch")
 	}
 	if err := node.Finish(log, drainErr); err != nil {
 		t.Fatal(err)

@@ -1,33 +1,32 @@
 // Package server is the network-facing serving layer (DESIGN.md §7 and
 // §10): a stdlib-only net/http JSON front end over any engine implementing
-// the generic service contract (internal/service), with a per-workload
-// coalescing batch pipeline, streaming NDJSON decision responses, a
-// Prometheus-text /metrics endpoint, and graceful drain.
+// the generic service contract (internal/service), with one per-workload
+// decision path, streaming NDJSON decision responses, a Prometheus-text
+// /metrics endpoint, and graceful drain.
 //
 // A Server is a registry of workloads: each Register mounts one
 // service.Service under /v1/<name> (submissions) and /v1/<name>/stats
-// (statistics) through one generic handler and one generic batching
-// pipeline. The built-in workloads are the §2/§3 admission engine
-// (Admission, internal/engine) and the §§4–5 set cover engine (Cover,
+// (statistics) through one generic handler and one generic decision path.
+// The built-in workloads are the §2/§3 admission engine (Admission,
+// internal/engine) and the §§4–5 set cover engine (Cover,
 // internal/coverengine); a new workload plugs in with a Registration — a
 // codec for its wire format plus its service — and inherits batching,
 // streaming, validation, metrics and drain without touching this package.
 //
 // Serving the paper's algorithms behind a request boundary adds no
 // algorithmic content — the engines already decide arrivals in order — so
-// this package's job is purely systems: it turns many small HTTP
-// submissions into few large engine batches (amortizing the per-batch
-// cost of the engines' shard runtime) and makes the engines' accounting
-// observable.
+// this package's job is purely systems: it hands each HTTP submission to
+// the engine in batches of up to Config.BatchSize items, makes durable
+// decisions survive a crash before they are answered, and makes the
+// engines' accounting observable.
 //
 // Concurrency contract: a Server's HTTP handlers are safe for any number
-// of concurrent connections. Each workload's items are decided in one
-// global FIFO order, which keeps one-connection traffic
-// decision-deterministic: a submission that fits one engine batch and finds
-// nothing earlier undecided is decided on its own handler, every other one
-// by the workload's flusher goroutine, and both decide under one lock.
-// Drain may be called from any goroutine, concurrently with in-flight
-// handlers. The Server does not close its services — the caller owns them.
+// of concurrent connections. Every submission is decided on its own
+// handler under one lock per workload, so a workload's items are decided
+// in one global order, which keeps one-connection traffic
+// decision-identical to sequential Submit calls. Drain may be called from
+// any goroutine, concurrently with in-flight handlers. The Server does not
+// close its services — the caller owns them.
 package server
 
 import (
@@ -39,10 +38,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,26 +54,18 @@ import (
 const (
 	// DefaultBatchSize is the default maximum engine batch.
 	DefaultBatchSize = 256
-	// DefaultQueueLen is the default per-workload bound on queued items.
-	DefaultQueueLen = 8192
 	// DefaultMaxSubmit is the default per-request item cap.
 	DefaultMaxSubmit = 16384
 )
 
-// Config tunes the batching pipeline shared by every registered workload.
-// The zero value means every documented default; negative values are
-// rejected by New with a descriptive error.
+// Config tunes the decision path shared by every registered workload. The
+// zero value means every documented default; negative values are rejected
+// by New with a descriptive error.
 type Config struct {
-	// BatchSize is the maximum number of queued items coalesced into one
-	// engine batch (0 means DefaultBatchSize).
+	// BatchSize is the maximum number of items in one engine batch; a
+	// larger submission is decided in consecutive batches (0 means
+	// DefaultBatchSize).
 	BatchSize int
-	// QueueLen bounds each workload's queued work, counted in items
-	// (requests/arrivals) across all queued HTTP submissions; enqueueing
-	// blocks when the bound is reached, back-pressuring clients (0 means
-	// DefaultQueueLen). One submission may overshoot the bound by at most
-	// MaxSubmit items, mirroring the pre-§10 per-item queue's behaviour of
-	// committing a submission once it starts enqueueing.
-	QueueLen int
 	// MaxSubmit caps the number of items in one HTTP submission body
 	// (0 means DefaultMaxSubmit; larger bodies get 413).
 	MaxSubmit int
@@ -107,9 +96,6 @@ func (c Config) validate() error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("server: BatchSize %d is negative; use 0 for the default %d", c.BatchSize, DefaultBatchSize)
 	}
-	if c.QueueLen < 0 {
-		return fmt.Errorf("server: QueueLen %d is negative; use 0 for the default %d", c.QueueLen, DefaultQueueLen)
-	}
 	if c.MaxSubmit < 0 {
 		return fmt.Errorf("server: MaxSubmit %d is negative; use 0 for the default %d", c.MaxSubmit, DefaultMaxSubmit)
 	}
@@ -133,13 +119,6 @@ func (c Config) batchSize() int {
 	return c.BatchSize
 }
 
-func (c Config) queueLen() int {
-	if c.QueueLen == 0 {
-		return DefaultQueueLen
-	}
-	return c.QueueLen
-}
-
 func (c Config) maxSubmit() int {
 	if c.MaxSubmit == 0 {
 		return DefaultMaxSubmit
@@ -149,17 +128,18 @@ func (c Config) maxSubmit() int {
 
 // QueueState is the pipeline view handed to a workload's Stats codec hook.
 type QueueState struct {
-	// Depth is the number of items waiting in the workload's batching
-	// queue.
+	// Depth is the number of items of submissions waiting for the
+	// workload's decision lock.
 	Depth int
 	// Draining reports whether Drain has been initiated.
 	Draining bool
 }
 
 // Codec describes one workload's wire format: how decisions and statistics
-// are rendered, and optionally how request bodies are parsed and which
-// workload-specific metrics are kept. Together with a service.Service it
-// is everything Register needs to serve a workload.
+// are rendered, and optionally its binary wire format and which
+// workload-specific metrics are kept; JSON bodies are parsed by
+// DecodeJSONBatch. Together with a service.Service it is everything
+// Register needs to serve a workload.
 type Codec[Req any, Dec service.Decision] struct {
 	// Encode renders one decision as its NDJSON wire line (a
 	// JSON-marshalable value). Required.
@@ -167,9 +147,6 @@ type Codec[Req any, Dec service.Decision] struct {
 	// Stats renders the workload's /v1/<name>/stats response body.
 	// Required.
 	Stats func(q QueueState) any
-	// Decode parses one HTTP submission body into requests. Nil means
-	// DecodeJSONBatch[Req] (a single JSON value or a JSON array).
-	Decode func(body []byte) ([]Req, error)
 	// Metrics optionally registers workload-specific collectors on the
 	// server's registry and returns a per-decision observer invoked for
 	// every successfully decided item (nil for none).
@@ -187,12 +164,12 @@ type Codec[Req any, Dec service.Decision] struct {
 }
 
 // Durability wires one workload's pipeline into a decision WAL: every
-// decided item is appended to Log before its decision is released to the
-// client (group-commit fsync batching keeps the fsync off the per-decision
-// path — see pipe.ackLoop), and the pipeline snapshots the log every
-// SnapshotEvery decisions. The caller opens the Log and replays it into
-// the engine first; for the built-in workloads a Node's Open and Mount do
-// both and build this.
+// decided item is appended to Log, and made durable, before its decision
+// is released to the client (group-commit fsync batching keeps the fsync
+// off the per-decision path — see pipe.decide), and the pipeline snapshots
+// the log every SnapshotEvery decisions. The caller opens the Log and
+// replays it into the engine first; for the built-in workloads a Node's
+// Open and Mount do both and build this.
 //
 // A durable workload requires that all engine traffic flows through the
 // server: a Submit that bypasses the pipeline would consume a sequence
@@ -249,7 +226,7 @@ type WireCodec[Req any, Dec service.Decision] struct {
 type Registration func(s *Server) error
 
 // Register mounts svc as the workload called name: POST /v1/<name> serves
-// submissions through the shared batching pipeline and GET
+// submissions through the shared decision path and GET
 // /v1/<name>/stats its statistics. The name must be non-empty and
 // URL-path-safe; registering the same name twice fails New.
 func Register[Req any, Dec service.Decision](name string, svc service.Service[Req, Dec], codec Codec[Req, Dec]) Registration {
@@ -280,16 +257,10 @@ func Register[Req any, Dec service.Decision](name string, svc service.Service[Re
 
 // workloadPipe is the non-generic face of a mounted workload's pipeline.
 type workloadPipe interface {
-	// closeQueue ends the pipeline's intake; the flusher then drains what
-	// is queued and exits. Called exactly once, by Drain (or New's unwind).
-	closeQueue()
-	// await waits for the flusher to finish deciding and answering
-	// everything that was queued, or for ctx.
-	await(ctx context.Context) error
-	// triggerSnapshot asks the flusher to write a WAL snapshot at its next
-	// quiescent point and waits for the result, or for ctx. Returns
-	// errNotDurable on an in-memory pipeline.
-	triggerSnapshot(ctx context.Context) error
+	// triggerSnapshot writes a WAL snapshot between two submissions'
+	// decisions, waiting for the one being decided. Returns errNotDurable
+	// on an in-memory pipeline.
+	triggerSnapshot() error
 }
 
 // Server is the workload registry plus the shared HTTP surface: one
@@ -303,7 +274,7 @@ type Server struct {
 
 	draining   atomic.Bool
 	paused     atomic.Bool  // admin pause: submissions answer 503 until resumed
-	submitters atomic.Int64 // handlers enqueueing or deciding inline; see enter/exit
+	submitters atomic.Int64 // handlers deciding; see enter/exit
 
 	// adminEng is the capacity-resize target recorded by the admission
 	// registrations (nil when no admission workload is mounted);
@@ -312,12 +283,6 @@ type Server struct {
 	// capacity vector it never recorded). Written only during New.
 	adminEng     *engine.Engine
 	adminDurable bool
-	// drainMu serializes Drain; queuesClosed records that every pipe's
-	// intake has been closed, so a Drain that timed out can be retried
-	// with a fresh context and resume waiting instead of replaying a
-	// cached error.
-	drainMu      sync.Mutex
-	queuesClosed bool
 
 	reg       *metrics.Registry
 	malformed *metrics.Counter
@@ -378,11 +343,10 @@ func (s *Server) registerDurable(name string, replay RecoveryInfo) *walProbe {
 	return p
 }
 
-// New creates a Server over the given workload registrations and starts
-// one flusher goroutine per workload. It fails on an invalid Config
-// (negative fields), an empty registry, or a bad registration. The caller
-// retains ownership of the registered services (and must Close them after
-// Drain).
+// New creates a Server over the given workload registrations. It fails on
+// an invalid Config (negative fields), an empty registry, or a bad
+// registration. The caller retains ownership of the registered services
+// (and must Close them after Drain).
 func New(cfg Config, regs ...Registration) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -405,11 +369,6 @@ func New(cfg Config, regs ...Registration) (*Server, error) {
 	}
 	for _, reg := range regs {
 		if err := reg(s); err != nil {
-			// Unwind pipes already mounted so their flushers exit.
-			for _, name := range s.names {
-				s.workloads[name].closeQueue()
-				_ = s.workloads[name].await(context.Background())
-			}
 			return nil, err
 		}
 	}
@@ -422,9 +381,10 @@ func (s *Server) Workloads() []string {
 	return append([]string(nil), s.names...)
 }
 
-// enter registers a handler that enqueues or decides inline; false once
+// enter registers a handler about to decide a submission; false once
 // draining (the same counter-then-flag pattern as the engines' admission
-// paths).
+// paths). The handler holds the slot until its decisions are made and, on
+// a durable pipeline, synced.
 func (s *Server) enter() bool {
 	s.submitters.Add(1)
 	if s.draining.Load() {
@@ -438,40 +398,14 @@ func (s *Server) enter() bool {
 func (s *Server) exit() { s.submitters.Add(-1) }
 
 // Drain gracefully shuts every workload pipeline down: new submissions are
-// refused with 503, handlers already enqueueing or deciding inline finish,
-// every queued submission is decided and answered, and the flushers exit.
-// Drain is idempotent and retryable: the context bounds how long to wait,
-// and a Drain that returned a context error can be called again with a
-// fresh context to resume waiting (every pipeline's intake is closed before
-// any waiting starts, so all flushers keep draining in the meantime). The
-// services stay open — close them after Drain returns.
+// refused with 503, and every submission already admitted is decided and,
+// on a durable pipeline, synced before Drain returns. Drain is idempotent
+// and retryable: the context bounds how long to wait, and a Drain that
+// returned a context error can be called again with a fresh context to
+// resume waiting. The services stay open — close them after Drain returns.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
 	s.draining.Store(true)
-	for s.submitters.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			runtime.Gosched()
-		}
-	}
-	if !s.queuesClosed {
-		// Close every intake before waiting on any pipe, so a timeout
-		// while waiting for one workload never leaves another's flusher
-		// blocked on an open queue.
-		for _, name := range s.names {
-			s.workloads[name].closeQueue()
-		}
-		s.queuesClosed = true
-	}
-	for _, name := range s.names {
-		if err := s.workloads[name].await(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return service.PollIdle(ctx, func() bool { return s.submitters.Load() == 0 })
 }
 
 // Draining reports whether Drain has been initiated.
@@ -561,7 +495,7 @@ const maxBodyBytes = 64 << 20
 
 // DecodeJSONBatch parses a submission body as either a single JSON value
 // of type Req or a JSON array of them — the wire convention every built-in
-// workload shares. It is the default Codec.Decode.
+// workload shares.
 func DecodeJSONBatch[Req any](body []byte) ([]Req, error) {
 	body = bytes.TrimSpace(body)
 	if len(body) == 0 {

@@ -95,7 +95,6 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"negative batch", Config{BatchSize: -1}, "BatchSize"},
-		{"negative queue", Config{QueueLen: -1}, "QueueLen"},
 		{"negative max submit", Config{MaxSubmit: -1}, "MaxSubmit"},
 	}
 	for _, tc := range cases {
@@ -129,14 +128,13 @@ func TestConfigValidation(t *testing.T) {
 	})
 }
 
-// TestItemBackpressureLiveness runs many oversized submissions through a
-// pipeline whose item bound is far smaller than any single submission:
-// every submission must still be admitted (one submission may overshoot
-// the bound by itself) and decided — the bound throttles, it never
-// wedges.
+// TestItemBackpressureLiveness runs 16 concurrent submissions, each larger
+// than one engine batch, through one workload's decision lock: every
+// submission must be decided while the others wait for the lock — the
+// lock throttles, it never wedges.
 func TestItemBackpressureLiveness(t *testing.T) {
 	ins := testInstance(t, 29, 800)
-	eng, s, ts := newTestServer(t, ins.Capacities, 2, Config{QueueLen: 2, BatchSize: 16})
+	eng, s, ts := newTestServer(t, ins.Capacities, 2, Config{BatchSize: 16})
 	client := NewAdmissionClient(ts.URL, 8)
 	ctx := context.Background()
 
@@ -285,9 +283,8 @@ func TestLifecycleMetricsReconcile(t *testing.T) {
 			t.Fatalf("metrics output missing %q", want)
 		}
 	}
-	// One submission at a time fits one batch and finds the pipeline idle,
-	// so each is observed once, as one batch and one chunk — whichever
-	// entry point decided it.
+	// Each submission fits one engine batch, so it is observed once in the
+	// batch-size and the latency histograms.
 	for _, name := range []string{
 		"acserve_admission_batch_size_count",
 		"acserve_admission_decision_latency_seconds_count",

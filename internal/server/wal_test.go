@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"admission/internal/core"
@@ -423,6 +427,156 @@ func TestDurableFailStop(t *testing.T) {
 			t.Fatalf("line %d after log failure: %+v, want a wal error line", i, d)
 		}
 	}
+}
+
+// TestDurableConcurrentSubmissions pins the durable decision path under
+// concurrent handlers. Concurrent leg: eight goroutines send one-item and
+// BatchSize+1-item submissions to a durable mount that snapshots every few
+// decisions, while another goroutine triggers admin snapshots; after Drain
+// and Finish the log must recover exactly the acknowledged decisions, into
+// an engine whose digest equals the served one — which fails if a handler
+// appends outside the decision lock (the log's order would not be the
+// engine's, or a snapshot would cover an unlogged decision).
+// One-connection leg: with automatic snapshots off, every acknowledged
+// submission must leave the whole log durable — which fails if a handler
+// releases its decisions before a Sync covers them.
+func TestDurableConcurrentSubmissions(t *testing.T) {
+	const batch = 16
+	ins := testInstance(t, 53, 400)
+	ctx := context.Background()
+
+	t.Run("concurrent", func(t *testing.T) {
+		dir := t.TempDir()
+		eng := walEngine(t, ins.Capacities)
+		node := AdmissionNode(eng)
+		log, info, err := node.Open(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{BatchSize: batch, AdminToken: testToken},
+			node.Mount(log, DurableOptions{SnapshotEvery: 40, Replay: info}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		wc := NewAdmissionWireClient(ts.URL, 8)
+
+		const workers, rounds = 8, 30
+		var (
+			wg    sync.WaitGroup
+			acked atomic.Int64
+			snaps atomic.Int64
+		)
+		errs := make(chan error, workers+1)
+		stop := make(chan struct{})
+		snapDone := make(chan struct{})
+		go func() {
+			defer close(snapDone)
+			for {
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/admin/v1/snapshot", nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				req.Header.Set("Authorization", "Bearer "+testToken)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("admin snapshot: status %d", resp.StatusCode)
+					return
+				}
+				snaps.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					n := 1
+					if (w+r)%4 == 0 {
+						n = batch + 1
+					}
+					lo := (w*rounds + r) % (len(ins.Requests) - n)
+					ds, err := wc.Submit(ctx, ins.Requests[lo:lo+n])
+					if err != nil {
+						errs <- err
+						return
+					}
+					for i, d := range ds {
+						if d.Error != "" {
+							errs <- fmt.Errorf("worker %d round %d line %d: %s", w, r, i, d.Error)
+							return
+						}
+					}
+					acked.Add(int64(len(ds)))
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		<-snapDone
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if snaps.Load() == 0 {
+			t.Fatal("no admin snapshot was served during the run")
+		}
+		ts.Close()
+		drainErr := s.Drain(ctx)
+		if drainErr != nil {
+			t.Fatal(drainErr)
+		}
+		digest := eng.StateDigest()
+		if err := node.Finish(log, drainErr); err != nil {
+			t.Fatal(err)
+		}
+		node.Close()
+
+		node2 := AdmissionNode(walEngine(t, ins.Capacities))
+		defer node2.Close()
+		log2, info2, err := node2.Open(dir, true)
+		if err != nil {
+			t.Fatalf("recovering the served log: %v", err)
+		}
+		defer log2.Close()
+		if got, want := info2.SnapshotSeq+info2.TailRecords, acked.Load(); got != want {
+			t.Fatalf("recovered %d decisions (snapshot %d + tail %d), acknowledged %d",
+				got, info2.SnapshotSeq, info2.TailRecords, want)
+		}
+		if got := node2.StateDigest(); got != digest {
+			t.Fatalf("recovered digest %016x, served engine ended at %016x", got, digest)
+		}
+	})
+
+	t.Run("one connection", func(t *testing.T) {
+		_, log, _, ts, _ := durableAdmission(t, ins.Capacities, t.TempDir(), 0)
+		c := NewAdmissionClient(ts.URL, 1)
+		for at, r := 0, 0; at < len(ins.Requests); r++ {
+			n := 1
+			if r%2 == 0 {
+				n = DefaultBatchSize + 1
+			}
+			end := min(at+n, len(ins.Requests))
+			if _, err := c.Submit(ctx, ins.Requests[at:end]); err != nil {
+				t.Fatal(err)
+			}
+			if d, next := log.DurableSeq(), log.NextSeq(); d != next || next != int64(end) {
+				t.Fatalf("after acknowledging %d decisions: durable watermark %d, next seq %d", end, d, next)
+			}
+			at = end
+		}
+	})
 }
 
 // TestDurableRegistrationValidation pins the Register-time contract.

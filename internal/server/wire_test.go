@@ -193,15 +193,14 @@ func TestWireMalformedBodies(t *testing.T) {
 // TestWireConcurrentSubmissions hammers the binary path from many
 // goroutines sharing one client — the pooled encode/decode buffers and the
 // sink's pooled response buffer must be race-free (this test is the wire
-// half of the -race CI gate) — and pins one decision order across the
-// pipeline's two entry points: one-item submissions are decided on their
-// handlers whenever the pipeline is idle, BatchSize+1-item submissions
-// always go through the flusher in two chunks. Both must decide under one
-// lock, so no engine call may overlap another (serialGuard counts them),
-// and a one-shard engine whose calls never overlap decides in the order it
-// assigns IDs: the served decisions, sorted by ID, must equal a fresh
-// engine's decisions for the same requests replayed in ID order, down to
-// the state digest.
+// half of the -race CI gate) — and pins one decision order across
+// submission sizes: one-item submissions take one engine batch,
+// BatchSize+1-item submissions two. Every handler decides under the
+// workload's one lock, so no engine call may overlap another (serialGuard
+// counts them), and a one-shard engine whose calls never overlap decides
+// in the order it assigns IDs: the served decisions, sorted by ID, must
+// equal a fresh engine's decisions for the same requests replayed in ID
+// order, down to the state digest.
 func TestWireConcurrentSubmissions(t *testing.T) {
 	const batch = 16
 	ins := testInstance(t, 11, 256)

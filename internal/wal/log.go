@@ -73,9 +73,9 @@ type segInfo struct {
 }
 
 // Log is an append-only decision log over one directory. Append and Sync
-// are safe for concurrent use (the serving pipeline appends from its
-// flusher while an acker goroutine groups fsyncs); WriteSnapshot and the
-// replay methods serialize against both. Errors are sticky: after any I/O
+// are safe for concurrent use (the serving pipeline appends under its
+// decision lock while handlers that already appended group their fsyncs);
+// WriteSnapshot and the replay methods serialize against both. Errors are sticky: after any I/O
 // failure every subsequent operation fails with the first error, so a
 // half-written state is never acknowledged (fail-stop).
 type Log struct {
