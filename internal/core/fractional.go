@@ -65,11 +65,11 @@ func (cs *Changeset) reset(id int) {
 	cs.PhaseReset = false
 }
 
-// fracReq is the per-request fractional state. It is deliberately
-// pointer-free (the edge set is an offset range into the shared arena, not a
-// slice) so growing the request history never pays pointer zeroing or GC
-// scanning of the whole array.
+// fracReq is the per-request fractional state of one slot. It is
+// deliberately pointer-free (the edge set is an offset range into the shared
+// arena, not a slice), so the GC never scans the slot array.
 type fracReq struct {
+	id        int64 // the request's ID; slots hold ascending IDs
 	edgeStart int64 // arena offset of the request's edge set
 	edgeEnd   int64
 	cost      float64
@@ -81,6 +81,18 @@ type fracReq struct {
 
 // Fractional is the §2 online fractional algorithm. It is deterministic.
 // Not safe for concurrent use.
+//
+// Requests are numbered 0, 1, 2, … in arrival order, and each holds a slot:
+// an index into the per-request arrays, kept separate from its ID. The
+// arrays, the per-edge lists and every changeset the internal paths build
+// refer to slots; the exported methods take and report IDs. A request is
+// retired once §2 can never change it again: fully rejected (weight ≥ 1,
+// or force-rejected), pruned, or registered inert. Its cost is already in
+// Cost. The owning Randomized drops retired slots in place once they
+// outnumber the live ones (alive or permanently accepted) and the edges
+// together (compactDue). Slots are renumbered in ID order, so every list
+// keeps arrival order and every float sum is bit-identical. A Fractional
+// used on its own keeps every slot, and its slots equal its IDs.
 //
 // Hot-path accounting (see DESIGN.md §6). Per edge it maintains, exactly:
 // aliveCount (the number of alive requests using the edge) and a cached
@@ -102,12 +114,19 @@ type Fractional struct {
 	initW  float64 // initial weight 1/(g·c) of a request's first augmentation
 	log2GC float64 // log₂(2gc), the phase budget's log factor
 
-	reqs  []fracReq
-	edges [][]int // per edge: request IDs that use it (alive and not; pruned lazily)
+	reqs   []fracReq
+	edges  [][]int // per edge: slots of the requests that use it (alive and not; pruned lazily)
+	nextID int     // the ID the next request gets: every request ever offered
+	perms  int     // slots holding permanently accepted requests
 
-	// edgeArena backs every request's edge set: one bump allocation instead
-	// of one copy per Offer. Earlier sub-slices stay valid (and immutable)
-	// when the arena's backing array grows.
+	// prunedIDs has bit id set once request id, pruned or inert, has been
+	// retired: the one bit Status needs to tell it from a fully rejected one.
+	prunedIDs []uint64
+	// remap is compact's scratch: old slot → new slot, or -1 if retired.
+	remap []int
+
+	// edgeArena backs every slot's edge set: one bump allocation instead of
+	// one copy per Offer, packed again in slot order by compact.
 	edgeArena []int
 
 	// Per-edge incremental accounting.
@@ -117,12 +136,12 @@ type Fractional struct {
 
 	// Alive free list: doublePhase/initAlpha iterate only alive requests
 	// instead of the full offer history.
-	aliveIDs []int
-	alivePos []int // per request: index into aliveIDs, -1 when not alive
+	aliveIDs []int // slots
+	alivePos []int // per slot: index into aliveIDs, -1 when not alive
 
-	// Epoch-stamped snapshot scratch, reused across calls: snapVal[id] is
-	// the weight at first touch within the current phase-epoch, valid iff
-	// snapEpoch[id] == epoch. Replaces a per-call map allocation.
+	// Epoch-stamped snapshot scratch, reused across calls: snapVal[s] is
+	// slot s's weight at first touch within the current phase-epoch, valid
+	// iff snapEpoch[s] == epoch. Replaces a per-call map allocation.
 	epoch     uint64
 	snapEpoch []uint64
 	snapVal   []float64
@@ -225,34 +244,71 @@ func (f *Fractional) Phases() int { return f.phases }
 // Alpha returns the current α guess (0 if not yet set in doubling mode).
 func (f *Fractional) Alpha() float64 { return f.alpha }
 
-// Weight returns request id's current fractional weight, capped at 1.
+// Weight returns request id's current fractional weight, capped at 1. A
+// retired request answers 1, its terminal weight; an ID never handed out
+// answers 0.
 func (f *Fractional) Weight(id int) float64 {
-	if id < 0 || id >= len(f.reqs) {
-		return 0
+	if s := f.slotOf(id); s >= 0 {
+		return f.weightAt(s)
 	}
-	if w := f.reqs[id].f; w < 1 {
+	if id >= 0 && id < f.nextID {
+		return 1
+	}
+	return 0
+}
+
+// weightAt is Weight by slot.
+func (f *Fractional) weightAt(s int) float64 {
+	if w := f.reqs[s].f; w < 1 {
 		return w
 	}
 	return 1
 }
 
-// Status returns the request's internal status; exposed for the randomized
-// layer and for tests.
+// Status returns the request's internal status; exposed for the baselines
+// and for tests. A retired request answers its terminal status:
+// pruned (inert requests included) or fully rejected. An ID never handed
+// out is all false.
 func (f *Fractional) Status(id int) (alive, fullyRejected, permAccepted, pruned bool) {
-	if id < 0 || id >= len(f.reqs) {
+	st := statusFullyRejected
+	switch s := f.slotOf(id); {
+	case s >= 0:
+		st = f.reqs[s].status
+	case id < 0 || id >= f.nextID:
 		return false, false, false, false
+	case f.prunedIDs[id>>6]&(1<<(id&63)) != 0:
+		st = statusPrunedRejected
 	}
-	switch f.reqs[id].status {
-	case statusAlive:
-		return true, false, false, false
-	case statusFullyRejected:
-		return false, true, false, false
-	case statusPermAccepted:
-		return false, false, true, false
-	default:
-		return false, false, false, true
-	}
+	return st == statusAlive, st == statusFullyRejected, st == statusPermAccepted, st == statusPrunedRejected
 }
+
+// slotOf returns the slot of request id, or -1 when id is retired or was
+// never handed out.
+func (f *Fractional) slotOf(id int) int {
+	if id < 0 || id >= f.nextID {
+		return -1
+	}
+	if id < len(f.reqs) && f.reqs[id].id == int64(id) {
+		return id // nothing before id was dropped
+	}
+	// Slots hold ascending IDs, and no slot exceeds its ID.
+	lo, hi := 0, min(id, len(f.reqs))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.reqs[mid].id < int64(id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(f.reqs) && f.reqs[lo].id == int64(id) {
+		return lo
+	}
+	return -1
+}
+
+// idOf returns the ID of the request in slot s.
+func (f *Fractional) idOf(s int) int { return int(f.reqs[s].id) }
 
 // RemainingCapacity returns the adjusted capacity of edge e (original minus
 // permanent accepts and shrinks).
@@ -263,10 +319,10 @@ func (f *Fractional) RemainingCapacity(e int) int {
 	return f.caps[e]
 }
 
-// pay charges the monotone fractional cost for request id at its current
+// pay charges the monotone fractional cost for slot s at its current
 // weight.
-func (f *Fractional) pay(id int) {
-	r := &f.reqs[id]
+func (f *Fractional) pay(s int) {
+	r := &f.reqs[s]
 	w := r.f
 	if w > 1 {
 		w = 1
@@ -279,10 +335,10 @@ func (f *Fractional) pay(id int) {
 	}
 }
 
-// normalize recomputes request id's normalized cost for the current α.
+// normalize recomputes slot s's normalized cost for the current α.
 // Normalized costs live in [1, g]: p̂ = p·mc/α clamped.
-func (f *Fractional) normalize(id int) {
-	r := &f.reqs[id]
+func (f *Fractional) normalize(s int) {
+	r := &f.reqs[s]
 	if f.cfg.Unweighted {
 		r.norm = 1
 		return
@@ -304,23 +360,26 @@ func (f *Fractional) normalize(id int) {
 	r.norm = n
 }
 
-// appendReq stores a new request, bump-allocating its edge set in the shared
-// arena and growing the per-request accounting arrays in lockstep.
+// appendReq stores a new request under the next ID in a new slot,
+// bump-allocating its edge set in the shared arena and growing the per-slot
+// accounting arrays in lockstep. It returns the slot.
 func (f *Fractional) appendReq(r problem.Request, status reqStatus, weight float64) int {
-	id := len(f.reqs)
+	s := len(f.reqs)
 	start := len(f.edgeArena)
 	f.edgeArena = append(f.edgeArena, r.Edges...)
 	f.reqs = append(f.reqs, fracReq{
+		id:        int64(f.nextID),
 		edgeStart: int64(start),
 		edgeEnd:   int64(len(f.edgeArena)),
 		cost:      r.Cost,
 		f:         weight,
 		status:    status,
 	})
+	f.nextID++
 	f.alivePos = append(f.alivePos, -1)
 	f.snapEpoch = append(f.snapEpoch, 0)
 	f.snapVal = append(f.snapVal, 0)
-	return id
+	return s
 }
 
 // edgesOf resolves a request's edge set against the current arena backing
@@ -329,36 +388,36 @@ func (f *Fractional) edgesOf(r *fracReq) []int {
 	return f.edgeArena[r.edgeStart:r.edgeEnd:r.edgeEnd]
 }
 
-// markAlive inserts request id into the alive free list.
-func (f *Fractional) markAlive(id int) {
-	f.alivePos[id] = len(f.aliveIDs)
-	f.aliveIDs = append(f.aliveIDs, id)
+// markAlive inserts slot s into the alive free list.
+func (f *Fractional) markAlive(s int) {
+	f.alivePos[s] = len(f.aliveIDs)
+	f.aliveIDs = append(f.aliveIDs, s)
 }
 
-// dropAlive removes request id from the alive free list and retires it from
-// the per-edge accounting: alive counts decrement and the edges' cached sums
-// are invalidated. The caller flips the status.
-func (f *Fractional) dropAlive(id int) {
-	pos := f.alivePos[id]
+// dropAlive removes slot s from the alive free list and retires it from the
+// per-edge accounting: alive counts decrement and the edges' cached sums are
+// invalidated. The caller flips the status.
+func (f *Fractional) dropAlive(s int) {
+	pos := f.alivePos[s]
 	last := len(f.aliveIDs) - 1
 	moved := f.aliveIDs[last]
 	f.aliveIDs[pos] = moved
 	f.alivePos[moved] = pos
 	f.aliveIDs = f.aliveIDs[:last]
-	f.alivePos[id] = -1
-	for _, e := range f.edgesOf(&f.reqs[id]) {
+	f.alivePos[s] = -1
+	for _, e := range f.edgesOf(&f.reqs[s]) {
 		f.edgeAliveCount[e]--
 		f.edgeDirty[e] = true
 	}
 }
 
-// snapshot records request id's weight at first touch within the current
+// snapshot records slot s's weight at first touch within the current
 // phase-epoch, for delta reporting.
-func (f *Fractional) snapshot(id int) {
-	if f.snapEpoch[id] != f.epoch {
-		f.snapEpoch[id] = f.epoch
-		f.snapVal[id] = f.reqs[id].f
-		f.touched = append(f.touched, id)
+func (f *Fractional) snapshot(s int) {
+	if f.snapEpoch[s] != f.epoch {
+		f.snapEpoch[s] = f.epoch
+		f.snapVal[s] = f.reqs[s].f
+		f.touched = append(f.touched, s)
 	}
 }
 
@@ -385,27 +444,46 @@ func (f *Fractional) OfferInto(r problem.Request, cs *Changeset) error {
 	if err := r.Validate(f.m); err != nil {
 		return err
 	}
-	return f.offerValidated(r, cs)
+	if err := f.offerValidated(r, cs); err != nil {
+		return err
+	}
+	f.toIDs(cs)
+	return nil
+}
+
+// toIDs rewrites a changeset the internal paths filled with slots into
+// request IDs, for the exported entry points.
+func (f *Fractional) toIDs(cs *Changeset) {
+	if cs.NewID >= 0 {
+		cs.NewID = f.idOf(cs.NewID)
+	}
+	for i := range cs.Changes {
+		cs.Changes[i].ID = f.idOf(cs.Changes[i].ID)
+	}
+	for i, s := range cs.FullyRejected {
+		cs.FullyRejected[i] = f.idOf(s)
+	}
 }
 
 // offerValidated is OfferInto without the edge-set validation, for callers
-// (the randomized layer) that already validated the request.
+// (the randomized layer) that already validated the request. It fills cs
+// with slots.
 func (f *Fractional) offerValidated(r problem.Request, cs *Changeset) error {
 	if f.cfg.Unweighted && r.Cost != 1 {
 		return fmt.Errorf("core: unweighted mode requires cost 1, got %v", r.Cost)
 	}
-	id := f.appendReq(r, statusAlive, 0)
-	cs.reset(id)
+	s := f.appendReq(r, statusAlive, 0)
+	cs.reset(s)
 
 	// §2 cost-window pruning (weighted with a live α only).
 	if !f.cfg.Unweighted && f.alpha > 0 {
 		switch {
 		case r.Cost > 2*f.alpha:
-			if f.tryPermanentAccept(id) {
+			if f.tryPermanentAccept(s) {
 				cs.PermAccepted = true
 				// Reserving capacity may have created excess for the other
 				// alive requests; restore the covering invariant.
-				reset, err := f.augmentEdges(f.edgesOf(&f.reqs[id]), cs)
+				reset, err := f.augmentEdges(f.edgesOf(&f.reqs[s]), cs)
 				cs.PhaseReset = cs.PhaseReset || reset
 				return err
 			}
@@ -413,33 +491,33 @@ func (f *Fractional) offerValidated(r problem.Request, cs *Changeset) error {
 			// adversary saturated the edge with big requests): fall through
 			// and treat the request as a normal one at the clamped cost.
 		case r.Cost < f.alpha/(float64(f.m)*float64(f.cmax)):
-			f.reqs[id].status = statusPrunedRejected
-			f.reqs[id].f = 1
-			f.pay(id)
+			f.reqs[s].status = statusPrunedRejected
+			f.reqs[s].f = 1
+			f.pay(s)
 			cs.PrunedRejected = true
 			return nil
 		}
 	}
 
-	f.normalize(id)
-	reqEdges := f.edgesOf(&f.reqs[id])
+	f.normalize(s)
+	reqEdges := f.edgesOf(&f.reqs[s])
 	for _, e := range reqEdges {
-		f.edges[e] = append(f.edges[e], id)
+		f.edges[e] = append(f.edges[e], s)
 		// The arrival's weight is 0, so cached sums stay valid; only the
 		// alive count moves.
 		f.edgeAliveCount[e]++
 	}
-	f.markAlive(id)
+	f.markAlive(s)
 	reset, err := f.augmentEdges(reqEdges, cs)
 	cs.PhaseReset = cs.PhaseReset || reset
 	return err
 }
 
-// tryPermanentAccept reserves one capacity unit on each edge of request id
-// if possible. Returns false (and reserves nothing) when any edge has no
+// tryPermanentAccept reserves one capacity unit on each edge of slot s if
+// possible. Returns false (and reserves nothing) when any edge has no
 // remaining adjusted capacity.
-func (f *Fractional) tryPermanentAccept(id int) bool {
-	r := &f.reqs[id]
+func (f *Fractional) tryPermanentAccept(s int) bool {
+	r := &f.reqs[s]
 	edges := f.edgesOf(r)
 	for _, e := range edges {
 		if f.caps[e] <= 0 {
@@ -450,6 +528,7 @@ func (f *Fractional) tryPermanentAccept(id int) bool {
 		f.caps[e]--
 	}
 	r.status = statusPermAccepted
+	f.perms++
 	return true
 }
 
@@ -465,6 +544,15 @@ func (f *Fractional) ShrinkCapacity(e int) (Changeset, error) {
 
 // ShrinkCapacityInto is the allocation-free form of ShrinkCapacity.
 func (f *Fractional) ShrinkCapacityInto(e int, cs *Changeset) error {
+	if err := f.shrink(e, cs); err != nil {
+		return err
+	}
+	f.toIDs(cs)
+	return nil
+}
+
+// shrink is ShrinkCapacityInto filling cs with slots.
+func (f *Fractional) shrink(e int, cs *Changeset) error {
 	if e < 0 || e >= f.m {
 		return fmt.Errorf("core: shrink of unknown edge %d", e)
 	}
@@ -515,38 +603,112 @@ func (f *Fractional) RaiseCapacity(e int) error {
 // caller request IDs stay aligned with fractional IDs. The request joins no
 // edge lists and is charged no fractional cost. Returns the assigned ID.
 func (f *Fractional) RegisterInert(r problem.Request) int {
-	return f.appendReq(r, statusPrunedRejected, 1)
+	return f.idOf(f.appendReq(r, statusPrunedRejected, 1))
 }
 
 // ForceReject marks an alive request as fully rejected (used by the
 // randomized layer's |REQ_e| safeguard). Its cost is charged in full.
+// Force-rejecting a retired request is a no-op.
 func (f *Fractional) ForceReject(id int) error {
-	if id < 0 || id >= len(f.reqs) {
+	if s := f.slotOf(id); s >= 0 {
+		return f.forceReject(s)
+	}
+	if id < 0 || id >= f.nextID {
 		return fmt.Errorf("core: ForceReject of unknown request %d", id)
 	}
-	r := &f.reqs[id]
+	return nil // retired, so already rejected: idempotent
+}
+
+// forceReject is ForceReject by slot.
+func (f *Fractional) forceReject(s int) error {
+	r := &f.reqs[s]
 	switch r.status {
 	case statusAlive:
-		f.dropAlive(id)
+		f.dropAlive(s)
 		r.status = statusFullyRejected
 		r.f = 1
-		f.pay(id)
+		f.pay(s)
 		return nil
 	case statusPermAccepted:
-		return fmt.Errorf("core: ForceReject of permanently accepted request %d", id)
+		return fmt.Errorf("core: ForceReject of permanently accepted request %d", r.id)
 	default:
 		return nil // already rejected: idempotent
 	}
 }
 
+// compactDue reports whether retired slots outnumber the live ones (alive
+// or permanently accepted) and the edges together. A compaction reads every
+// slot and every edge's list, so this rule makes it amortized O(1) per
+// retirement, and the slots stay within twice the live ones plus m.
+func (f *Fractional) compactDue() bool {
+	live := len(f.aliveIDs) + f.perms
+	return len(f.reqs)-live > live+f.m
+}
+
+// compact drops every retired slot in place and renumbers the live ones in
+// ID order, packing the edge arena and rewriting the per-edge lists and the
+// alive list to match. It returns the old→new slot map (-1 for a dropped
+// slot), valid until the next compaction, for the owner's per-slot state.
+//
+// Nothing a later call reads changes: a per-edge list loses only retired
+// entries, which every reader skips, and keeps its order, so every sum
+// over it runs over the same weights in the same order. Snapshots are
+// invalidated, as at the start of every call. With the scratch grown once,
+// a steady-state compaction allocates nothing.
+func (f *Fractional) compact() []int {
+	n := len(f.reqs)
+	f.remap = slices.Grow(f.remap[:0], n)[:n]
+	for len(f.prunedIDs) < (f.nextID+63)>>6 {
+		f.prunedIDs = append(f.prunedIDs, 0)
+	}
+	w, arena := 0, 0
+	for s := range f.reqs {
+		r := f.reqs[s]
+		if r.status == statusFullyRejected || r.status == statusPrunedRejected {
+			if r.status == statusPrunedRejected {
+				f.prunedIDs[r.id>>6] |= 1 << (r.id & 63)
+			}
+			f.remap[s] = -1
+			continue
+		}
+		k := copy(f.edgeArena[arena:], f.edgeArena[r.edgeStart:r.edgeEnd])
+		r.edgeStart, r.edgeEnd = int64(arena), int64(arena+k)
+		arena += k
+		f.reqs[w] = r
+		f.alivePos[w] = f.alivePos[s]
+		f.remap[s] = w
+		w++
+	}
+	f.reqs = f.reqs[:w]
+	f.edgeArena = f.edgeArena[:arena]
+	f.alivePos = f.alivePos[:w]
+	f.snapEpoch = f.snapEpoch[:w]
+	f.snapVal = f.snapVal[:w]
+	for i, s := range f.aliveIDs {
+		f.aliveIDs[i] = f.remap[s]
+	}
+	for e, list := range f.edges {
+		k := 0
+		for _, s := range list {
+			if ns := f.remap[s]; ns >= 0 {
+				list[k] = ns
+				k++
+			}
+		}
+		f.edges[e] = list[:k]
+	}
+	f.resetSnapshots()
+	return f.remap
+}
+
 // aliveOn compacts edge e's request list in place, dropping non-alive
-// entries, and returns the alive IDs.
+// entries, and returns the alive slots.
 func (f *Fractional) aliveOn(e int) []int {
 	list := f.edges[e]
 	w := 0
-	for _, id := range list {
-		if f.reqs[id].status == statusAlive {
-			list[w] = id
+	for _, s := range list {
+		if f.reqs[s].status == statusAlive {
+			list[w] = s
 			w++
 		}
 	}
@@ -558,8 +720,8 @@ func (f *Fractional) aliveOn(e int) []int {
 // the compacted alive list, re-establishing the clean-cache invariant.
 func (f *Fractional) refreshEdge(e int) {
 	sum := 0.0
-	for _, id := range f.aliveOn(e) {
-		sum += f.reqs[id].f
+	for _, s := range f.aliveOn(e) {
+		sum += f.reqs[s].f
 	}
 	f.edgeSum[e] = sum
 	f.edgeDirty[e] = false
@@ -568,7 +730,7 @@ func (f *Fractional) refreshEdge(e int) {
 // augmentEdges restores Σ_{alive} f ≥ n_e on every listed edge, iterating to
 // a fixpoint because an augmentation on one edge can fully-reject a request
 // and disturb another. It reports whether any α-doubling phase reset
-// occurred. Weight increases are accumulated into cs.
+// occurred. Weight increases are accumulated into cs, by slot.
 //
 // Cost model: checking an edge whose member weights did not change since its
 // last refresh is O(1) (exact alive count, clean cached sum). Only edges
@@ -629,11 +791,12 @@ func (f *Fractional) augmentEdges(edgeList []int, cs *Changeset) (reset bool, er
 		}
 	}
 
+	// Slots are in ID order, so this is request-ID order.
 	slices.Sort(f.touched)
-	for _, id := range f.touched {
-		cur := f.reqs[id].f
-		if b := f.snapVal[id]; cur > b {
-			cs.Changes = append(cs.Changes, WeightChange{ID: id, Delta: cur - b})
+	for _, s := range f.touched {
+		cur := f.reqs[s].f
+		if b := f.snapVal[s]; cur > b {
+			cs.Changes = append(cs.Changes, WeightChange{ID: s, Delta: cur - b})
 		}
 	}
 	return reset, nil
@@ -662,9 +825,9 @@ func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet
 		alphaSet = true
 	}
 	mult := f.runMult[:0]
-	for _, id := range alive {
-		f.snapshot(id)
-		r := &f.reqs[id]
+	for _, s := range alive {
+		f.snapshot(s)
+		r := &f.reqs[s]
 		if r.f == 0 {
 			r.f = f.initW
 		}
@@ -690,8 +853,8 @@ func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet
 		// run, so mult never needs compacting.
 		w := 0
 		sum := 0.0
-		for i, id := range alive {
-			r := &f.reqs[id]
+		for i, s := range alive {
+			r := &f.reqs[s]
 			r.f *= mult[i]
 			// pay, on the run's accumulators.
 			wt := r.f
@@ -705,10 +868,10 @@ func (f *Fractional) augmentRun(e, ne int, alive []int, cs *Changeset) (alphaSet
 			}
 			if r.f >= 1 {
 				r.status = statusFullyRejected
-				f.dropAlive(id)
-				cs.FullyRejected = append(cs.FullyRejected, id)
+				f.dropAlive(s)
+				cs.FullyRejected = append(cs.FullyRejected, s)
 			} else {
-				alive[w] = id
+				alive[w] = s
 				w++
 				sum += r.f
 			}
@@ -753,8 +916,8 @@ func (f *Fractional) needsAlpha() bool {
 // untouched, so cached edge sums stay valid.
 func (f *Fractional) initAlpha(alive []int) {
 	minCost := math.Inf(1)
-	for _, id := range alive {
-		if c := f.reqs[id].cost; c < minCost {
+	for _, s := range alive {
+		if c := f.reqs[s].cost; c < minCost {
 			minCost = c
 		}
 	}
@@ -763,8 +926,8 @@ func (f *Fractional) initAlpha(alive []int) {
 	}
 	f.alpha = minCost
 	f.phasePaid = 0
-	for _, id := range f.aliveIDs {
-		f.normalize(id)
+	for _, s := range f.aliveIDs {
+		f.normalize(s)
 	}
 }
 
@@ -777,10 +940,10 @@ func (f *Fractional) doublePhase() {
 	f.alpha *= 2
 	f.phases++
 	f.phasePaid = 0
-	for _, id := range f.aliveIDs {
-		r := &f.reqs[id]
+	for _, s := range f.aliveIDs {
+		r := &f.reqs[s]
 		r.f = 0
-		f.normalize(id)
+		f.normalize(s)
 	}
 	for e := range f.edgeDirty {
 		f.edgeDirty[e] = true
@@ -809,8 +972,8 @@ func (f *Fractional) CheckCovered(edgeList []int) error {
 			continue
 		}
 		sum := 0.0
-		for _, id := range alive {
-			sum += f.reqs[id].f
+		for _, s := range alive {
+			sum += f.reqs[s].f
 		}
 		if sum < float64(ne)-1e-9 {
 			return fmt.Errorf("core: edge %d: Σf = %v < n_e = %d", e, sum, ne)
@@ -819,32 +982,44 @@ func (f *Fractional) CheckCovered(edgeList []int) error {
 	return nil
 }
 
-// auditAccounting cross-checks the incremental per-edge accounting against
-// a from-scratch recomputation: exact alive counts, and — for clean caches —
-// bit-identical sums. Test hook; O(history).
+// auditAccounting cross-checks the incremental accounting against a
+// from-scratch recomputation: slot IDs ascending, the permanent-accept
+// count, exact alive counts, and — for clean caches — bit-identical sums.
+// Test hook; O(slots).
 func (f *Fractional) auditAccounting() error {
 	aliveSet := make(map[int]bool, len(f.aliveIDs))
-	for i, id := range f.aliveIDs {
-		if f.alivePos[id] != i {
-			return fmt.Errorf("core: audit: alivePos[%d] = %d, want %d", id, f.alivePos[id], i)
+	for i, s := range f.aliveIDs {
+		if f.alivePos[s] != i {
+			return fmt.Errorf("core: audit: alivePos[%d] = %d, want %d", s, f.alivePos[s], i)
 		}
-		if f.reqs[id].status != statusAlive {
-			return fmt.Errorf("core: audit: request %d in alive list with status %d", id, f.reqs[id].status)
+		if f.reqs[s].status != statusAlive {
+			return fmt.Errorf("core: audit: slot %d in alive list with status %d", s, f.reqs[s].status)
 		}
-		aliveSet[id] = true
+		aliveSet[s] = true
 	}
-	for id := range f.reqs {
-		if f.reqs[id].status == statusAlive && f.alivePos[id] >= 0 != aliveSet[id] {
-			return fmt.Errorf("core: audit: request %d alive-list membership inconsistent", id)
+	perms := 0
+	for s := range f.reqs {
+		r := &f.reqs[s]
+		if r.id < int64(s) || r.id >= int64(f.nextID) || s > 0 && r.id <= f.reqs[s-1].id {
+			return fmt.Errorf("core: audit: slot %d holds request %d (next ID %d)", s, r.id, f.nextID)
 		}
+		if r.status == statusPermAccepted {
+			perms++
+		}
+		if r.status == statusAlive && f.alivePos[s] >= 0 != aliveSet[s] {
+			return fmt.Errorf("core: audit: slot %d alive-list membership inconsistent", s)
+		}
+	}
+	if perms != f.perms {
+		return fmt.Errorf("core: audit: %d permanent accepts counted, %d held", f.perms, perms)
 	}
 	for e := 0; e < f.m; e++ {
 		count := 0
 		sum := 0.0
-		for _, id := range f.edges[e] {
-			if f.reqs[id].status == statusAlive {
+		for _, s := range f.edges[e] {
+			if f.reqs[s].status == statusAlive {
 				count++
-				sum += f.reqs[id].f
+				sum += f.reqs[s].f
 			}
 		}
 		if count != f.edgeAliveCount[e] {
@@ -865,22 +1040,25 @@ func (f *Fractional) AliveCount(e int) int {
 	return f.edgeAliveCount[e]
 }
 
-// NumRequests returns how many requests have been offered.
-func (f *Fractional) NumRequests() int { return len(f.reqs) }
+// NumRequests returns how many requests have been offered (or registered
+// inert): the next request's ID.
+func (f *Fractional) NumRequests() int { return f.nextID }
 
-// RequestEdges returns the edge set of request id (shared slice; do not
-// modify).
+// RequestEdges returns the edge set of request id (shared slice, valid until
+// the next call that changes f; do not modify). A retired request answers
+// nil: its edges are no longer kept.
 func (f *Fractional) RequestEdges(id int) []int {
-	if id < 0 || id >= len(f.reqs) {
-		return nil
+	if s := f.slotOf(id); s >= 0 {
+		return f.edgesOf(&f.reqs[s])
 	}
-	return f.edgesOf(&f.reqs[id])
+	return nil
 }
 
-// RequestCost returns the original cost of request id.
+// RequestCost returns the original cost of request id. A retired request
+// answers 0: its cost is already in Cost and is no longer kept.
 func (f *Fractional) RequestCost(id int) float64 {
-	if id < 0 || id >= len(f.reqs) {
-		return 0
+	if s := f.slotOf(id); s >= 0 {
+		return f.reqs[s].cost
 	}
-	return f.reqs[id].cost
+	return 0
 }

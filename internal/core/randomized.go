@@ -30,9 +30,15 @@ const (
 // L is log(mc) in the weighted case and log m in the unweighted case.
 // It implements problem.Algorithm and problem.CapacityShrinker.
 //
-// Request edge sets and costs live in the fractional layer (IDs are aligned
-// by construction), so they are stored exactly once; per-edge accepted-ID
-// indexes keep poisonEdge/repairEdge from scanning the full offer history.
+// Request edge sets and costs live in the fractional layer, so they are
+// stored exactly once, and the integral state lives in the fractional
+// layer's slots (IDs and slots are aligned by construction). Per-edge
+// accepted indexes keep poisonEdge/repairEdge from scanning the full offer
+// history. Once retired requests — rejected ones §2 can no longer change —
+// outnumber the live ones and the edges together, Offer drops them from
+// both layers (Compact), so the state follows the live requests, not the
+// history. A retired ID answers Accepted false, and the fractional layer's
+// Weight and Status answer its terminal status.
 type Randomized struct {
 	cfg  Config
 	frac *Fractional
@@ -48,13 +54,14 @@ type Randomized struct {
 	origCap []int // original capacities; bounds GrowCapacity
 	load    []int
 
-	state        []intState
+	state        []intState // per fractional slot
 	rejectedCost float64
 	preemptions  int
 
-	// acceptedOn[e] lists the IDs of requests accepted on edge e, ascending
-	// (acceptance happens in arrival order). Preempted entries are pruned
-	// lazily; appends compact once the list outgrows twice the live load.
+	// acceptedOn[e] lists the slots of requests accepted on edge e,
+	// ascending (acceptance happens in arrival order). Preempted entries are
+	// pruned lazily; appends compact once the list outgrows twice the live
+	// load.
 	acceptedOn [][]int
 
 	reqCount []int  // |REQ_e| per edge, for the 4mc² safeguard
@@ -143,13 +150,13 @@ func (a *Randomized) Augmentations() int { return a.frac.Augmentations() }
 // Threshold returns the preemption threshold 1/(T·L); exposed for tests.
 func (a *Randomized) Threshold() float64 { return a.threshold }
 
-// accept flips request id to accepted, charging its slots and indexing it on
-// its edges.
-func (a *Randomized) accept(id int, edges []int) {
-	a.state[id] = intAccepted
+// accept flips slot s to accepted, charging its edges' capacity and
+// indexing it on its edges.
+func (a *Randomized) accept(s int, edges []int) {
+	a.state[s] = intAccepted
 	for _, e := range edges {
 		a.load[e]++
-		list := append(a.acceptedOn[e], id)
+		list := append(a.acceptedOn[e], s)
 		if len(list) > 8 && len(list) > 2*a.load[e] {
 			list = a.compactAccepted(list)
 		}
@@ -160,30 +167,69 @@ func (a *Randomized) accept(id int, edges []int) {
 // compactAccepted drops non-accepted entries in place, preserving order.
 func (a *Randomized) compactAccepted(list []int) []int {
 	w := 0
-	for _, id := range list {
-		if a.state[id] == intAccepted {
-			list[w] = id
+	for _, s := range list {
+		if a.state[s] == intAccepted {
+			list[w] = s
 			w++
 		}
 	}
 	return list[:w]
 }
 
+// Compact drops the retired requests from both layers now, rather than
+// when Offer next finds them due, and renumbers the accepted indexes to
+// match, dropping their stale entries too. No retired request is accepted:
+// a full rejection preempts, and pruned or inert requests are never
+// accepted. No later decision changes; only the memory held does.
+func (a *Randomized) Compact() {
+	remap := a.frac.compact()
+	for s, ns := range remap {
+		if ns >= 0 {
+			a.state[ns] = a.state[s]
+		}
+	}
+	a.state = a.state[:len(a.frac.reqs)]
+	for e, list := range a.acceptedOn {
+		k := 0
+		for _, s := range list {
+			if ns := remap[s]; ns >= 0 && a.state[ns] == intAccepted {
+				list[k] = ns
+				k++
+			}
+		}
+		a.acceptedOn[e] = list[:k]
+	}
+}
+
+// Footprint returns how many request slots the instance holds and how many
+// of them are live (alive in §2, or permanently accepted). The rest are
+// retired requests not yet compacted: before it adds a slot, Offer compacts
+// whenever they outnumber the live ones and the edges together.
+func (a *Randomized) Footprint() (slots, live int) {
+	return len(a.state), len(a.frac.aliveIDs) + a.frac.perms
+}
+
 // Offer implements problem.Algorithm.
 func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
-	if id != len(a.state) {
-		return problem.Outcome{}, fmt.Errorf("core: Offer ids must be sequential: got %d, want %d", id, len(a.state))
+	if want := a.frac.NumRequests(); id != want {
+		return problem.Outcome{}, fmt.Errorf("core: Offer ids must be sequential: got %d, want %d", id, want)
 	}
 	if err := r.Validate(a.frac.M()); err != nil {
 		return problem.Outcome{}, err
 	}
 	// Reject invalid costs before growing any per-request state: an error
-	// past this point would leave a.state and the fractional layer's request
-	// IDs permanently misaligned.
+	// past this point would leave a.state and the fractional layer's slots
+	// permanently misaligned.
 	if a.cfg.Unweighted && r.Cost != 1 {
 		return problem.Outcome{}, fmt.Errorf("core: unweighted mode requires cost 1, got %v", r.Cost)
 	}
-	a.state = append(a.state, intRejected) // provisional; flipped on accept
+	if a.frac.compactDue() {
+		a.Compact()
+	}
+	// The arrival's slot in both layers; provisionally rejected, flipped on
+	// accept.
+	slot := len(a.state)
+	a.state = append(a.state, intRejected)
 
 	var out problem.Outcome
 
@@ -201,7 +247,7 @@ func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
 			}
 		}
 		if trip {
-			a.frac.RegisterInert(r) // keep fractional IDs aligned
+			a.frac.RegisterInert(r) // keep IDs and slots aligned
 			a.rejectedCost += r.Cost
 			return out, nil
 		}
@@ -223,9 +269,9 @@ func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
 		// a permanent accept consumes a slot like a shrink does — any edge
 		// left over capacity is repaired by preempting the heaviest-weight
 		// ordinary requests.
-		a.accept(id, r.Edges)
+		a.accept(slot, r.Edges)
 		out.Accepted = true
-		a.roundChanges(id, cs, &out)
+		a.roundChanges(slot, cs, &out)
 		for _, e := range r.Edges {
 			if err := a.repairEdge(e, &out); err != nil {
 				return out, err
@@ -234,10 +280,10 @@ func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
 		return out, nil
 	}
 
-	a.roundChanges(id, cs, &out)
+	a.roundChanges(slot, cs, &out)
 
 	// Step 4: if the arrival survived the rounding, accept it iff it fits.
-	if a.state[id] != intRejected {
+	if a.state[slot] != intRejected {
 		return out, fmt.Errorf("core: internal error: arrival %d in unexpected state", id)
 	}
 	if !a.arrivalKilled {
@@ -249,7 +295,7 @@ func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
 			}
 		}
 		if fits {
-			a.accept(id, r.Edges)
+			a.accept(slot, r.Edges)
 			out.Accepted = true
 			return out, nil
 		}
@@ -258,46 +304,41 @@ func (a *Randomized) Offer(id int, r problem.Request) (problem.Outcome, error) {
 	return out, nil
 }
 
-// roundChanges applies §3 steps 2 and 3 to a changeset. The arriving
-// request (cs.NewID, may be -1 for shrinks) is special: it is not yet
-// accepted, so "rejecting" it merely marks it killed for step 4.
-func (a *Randomized) roundChanges(arrivalID int, cs *Changeset, out *problem.Outcome) {
+// roundChanges applies §3 steps 2 and 3 to a changeset, which the
+// fractional layer filled with slots. The arriving request (slot cs.NewID,
+// -1 for shrinks) is special: it is not yet accepted, so "rejecting" it
+// merely marks it killed for step 4.
+func (a *Randomized) roundChanges(arrival int, cs *Changeset, out *problem.Outcome) {
 	a.arrivalKilled = false
 
-	kill := func(id int) {
-		if id == arrivalID {
+	kill := func(s int) {
+		if s == arrival {
 			a.arrivalKilled = true
 			return
 		}
-		if a.state[id] != intAccepted {
+		if a.state[s] != intAccepted {
 			return
 		}
-		a.state[id] = intRejected
-		for _, e := range a.frac.RequestEdges(id) {
-			a.load[e]--
-		}
-		a.rejectedCost += a.frac.RequestCost(id)
-		a.preemptions++
-		out.Preempted = append(out.Preempted, id)
+		a.preempt(s, out)
 	}
 
 	// Step 2 (plus fractional full rejections, which always exceed the
 	// threshold since threshold < 1): preempt requests at or above the
 	// weight threshold. Only requests whose weight changed can newly cross.
 	for _, ch := range cs.Changes {
-		if a.frac.Weight(ch.ID) >= a.threshold {
+		if a.frac.weightAt(ch.ID) >= a.threshold {
 			kill(ch.ID)
 		}
 	}
-	for _, id := range cs.FullyRejected {
-		kill(id)
+	for _, s := range cs.FullyRejected {
+		kill(s)
 	}
 	// Step 3: probabilistic rejection proportional to the weight increase.
 	for _, ch := range cs.Changes {
-		if ch.ID != arrivalID && a.state[ch.ID] != intAccepted {
+		if ch.ID != arrival && a.state[ch.ID] != intAccepted {
 			continue
 		}
-		if ch.ID == arrivalID && a.arrivalKilled {
+		if ch.ID == arrival && a.arrivalKilled {
 			continue
 		}
 		p := a.probScale * ch.Delta
@@ -307,6 +348,18 @@ func (a *Randomized) roundChanges(arrivalID int, cs *Changeset, out *problem.Out
 	}
 }
 
+// preempt rejects accepted slot s: its edges' load is released, its cost
+// charged, and its ID reported in out.
+func (a *Randomized) preempt(s int, out *problem.Outcome) {
+	a.state[s] = intRejected
+	for _, e := range a.frac.edgesOf(&a.frac.reqs[s]) {
+		a.load[e]--
+	}
+	a.rejectedCost += a.frac.reqs[s].cost
+	a.preemptions++
+	out.Preempted = append(out.Preempted, a.frac.idOf(s))
+}
+
 // poisonEdge rejects every accepted request using edge e and marks it so
 // all future requests touching it are rejected on arrival. The per-edge
 // accepted index makes this proportional to the edge's own accepted set, not
@@ -314,18 +367,12 @@ func (a *Randomized) roundChanges(arrivalID int, cs *Changeset, out *problem.Out
 // ID order exactly as a full scan would produce.
 func (a *Randomized) poisonEdge(e int, out *problem.Outcome) {
 	a.poisoned[e] = true
-	for _, id := range a.acceptedOn[e] {
-		if a.state[id] != intAccepted {
+	for _, s := range a.acceptedOn[e] {
+		if a.state[s] != intAccepted {
 			continue // stale entry: preempted earlier, pruned now
 		}
-		a.state[id] = intRejected
-		for _, ee := range a.frac.RequestEdges(id) {
-			a.load[ee]--
-		}
-		a.rejectedCost += a.frac.RequestCost(id)
-		a.preemptions++
-		out.Preempted = append(out.Preempted, id)
-		_ = a.frac.ForceReject(id)
+		a.preempt(s, out)
+		_ = a.frac.forceReject(s)
 	}
 	a.acceptedOn[e] = a.acceptedOn[e][:0]
 }
@@ -342,7 +389,7 @@ func (a *Randomized) ShrinkCapacity(e int) (problem.Outcome, error) {
 	if a.effCap[e] <= 0 {
 		return out, fmt.Errorf("core: edge %d has no capacity left to shrink", e)
 	}
-	if err := a.frac.ShrinkCapacityInto(e, &a.cs); err != nil {
+	if err := a.frac.shrink(e, &a.cs); err != nil {
 		return out, err
 	}
 	a.effCap[e]--
@@ -423,7 +470,8 @@ func (a *Randomized) FreeCapacity(e int) int {
 // repairEdge restores integral feasibility on edge e after a shrink or a
 // permanent accept: while the edge is over capacity, it preempts the
 // ordinary (non-permanently-accepted) accepted request with the largest
-// fractional weight (ties to the largest ID). The rounding usually freed the
+// fractional weight (ties to the largest ID, which is the largest slot). The
+// rounding usually freed the
 // slot already, so this is rarely more than a no-op. Victims are found by
 // partial selection over the edge's accepted index — one O(k) scan per
 // preemption instead of a full-history sort.
@@ -436,31 +484,25 @@ func (a *Randomized) repairEdge(e int, out *problem.Outcome) error {
 	for a.load[e] > a.effCap[e] {
 		victim := -1
 		var vw float64
-		for _, id := range onEdge {
-			if a.state[id] != intAccepted {
+		for _, s := range onEdge {
+			if a.state[s] != intAccepted {
 				continue // preempted by an earlier selection round
 			}
-			if _, _, perm, _ := a.frac.Status(id); perm {
+			if a.frac.reqs[s].status == statusPermAccepted {
 				continue // permanent accepts are never preempted
 			}
-			w := a.frac.Weight(id)
-			// Strict > on ascending IDs keeps the largest ID among equal
+			w := a.frac.weightAt(s)
+			// Strict > on ascending slots keeps the largest ID among equal
 			// weights, matching the reference weight-desc/ID-desc order.
-			if victim == -1 || w > vw || (w == vw && id > victim) {
-				victim, vw = id, w
+			if victim == -1 || w > vw || (w == vw && s > victim) {
+				victim, vw = s, w
 			}
 		}
 		if victim == -1 {
 			break
 		}
-		a.state[victim] = intRejected
-		for _, ee := range a.frac.RequestEdges(victim) {
-			a.load[ee]--
-		}
-		a.rejectedCost += a.frac.RequestCost(victim)
-		a.preemptions++
-		out.Preempted = append(out.Preempted, victim)
-		_ = a.frac.ForceReject(victim)
+		a.preempt(victim, out)
+		_ = a.frac.forceReject(victim)
 	}
 	if a.load[e] > a.effCap[e] {
 		return fmt.Errorf("core: repair failed on edge %d: load %d > cap %d", e, a.load[e], a.effCap[e])
@@ -468,9 +510,11 @@ func (a *Randomized) repairEdge(e int, out *problem.Outcome) error {
 	return nil
 }
 
-// Accepted reports whether request id is currently accepted.
+// Accepted reports whether request id is currently accepted. A retired
+// request is not.
 func (a *Randomized) Accepted(id int) bool {
-	return id >= 0 && id < len(a.state) && a.state[id] == intAccepted
+	s := a.frac.slotOf(id)
+	return s >= 0 && a.state[s] == intAccepted
 }
 
 // Loads returns a copy of the current integral edge loads (including

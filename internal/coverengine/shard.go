@@ -68,18 +68,36 @@ func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Co
 		count: make([]int, len(part)),
 	}
 	// Portions: for each global set, the local indices of its elements
-	// owned by this shard.
-	portion := make(map[int][]int)
+	// owned by this shard, ascending. They share one flat array, each
+	// capped at its own length.
+	end := make([]int, ins.M())
 	for li, ge := range part {
 		s.deg[li] = len(byElem[ge])
+		for _, setID := range byElem[ge] {
+			end[setID]++
+		}
+	}
+	for setID := 1; setID < len(end); setID++ {
+		end[setID] += end[setID-1]
+	}
+	flat := make([]int, end[len(end)-1])
+	portion := make([][]int, ins.M())
+	for setID := range portion {
+		lo := 0
+		if setID > 0 {
+			lo = end[setID-1]
+		}
+		portion[setID] = flat[lo:lo:end[setID]]
+	}
+	for li, ge := range part {
 		for _, setID := range byElem[ge] {
 			portion[setID] = append(portion[setID], li)
 		}
 	}
 	// Local sets in ascending global id order, so the one-shard engine
 	// offers phase-1 requests in exactly the sequential reduction's order.
-	for setID := 0; setID < ins.M(); setID++ {
-		if len(portion[setID]) > 0 {
+	for setID, p := range portion {
+		if len(p) > 0 {
 			s.setGlobal = append(s.setGlobal, setID)
 		}
 	}

@@ -6,8 +6,9 @@
 //
 // Concurrency model. Each shard of the shard runtime (internal/shard) owns
 // all of its state — the §3 randomized algorithm over the shard's local
-// capacity vector, the local→global ID maps, and the cross-shard
-// reservation counters — behind one lock. The submitting goroutine decides
+// capacity vector, the local→global edge map and the map of its
+// preemptible (accepted) requests, and the cross-shard reservation
+// counters — behind one lock. The submitting goroutine decides
 // under those locks whatever it would otherwise wait for: a cross-shard
 // request, the pending items of the shards it involves, a batch that
 // touches one shard, settles, resizes and snapshots. Only a batch that

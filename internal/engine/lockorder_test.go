@@ -16,11 +16,13 @@ import (
 // TestLockOrderStress races every kind of engine operation on eight
 // goroutines: batches with cross-shard requests, reserve→commit and
 // reserve→release pairs, grows and shrinks of random edges, stats and
-// digest reads, and batches under contexts cancelled before or during the
-// call. A shard lock taken out of ascending order, or held across a send
-// or a wait, deadlocks here; CI runs it with -race -count=10 under a
-// timeout. After Drain the counters reconcile, every edge's load fits its
-// capacity, and no reservation is left unsettled.
+// digest reads, compactions of every shard, and batches under contexts
+// cancelled before or during the call. A shard lock taken out of ascending
+// order, or held across a send or a wait, deadlocks here; CI runs it with
+// -race -count=10 under a timeout. After Drain the counters reconcile,
+// every edge's load fits its capacity, no reservation is left unsettled,
+// and each shard holds request entries in proportion to its live
+// requests, not its history.
 func TestLockOrderStress(t *testing.T) {
 	// Every request and reservation names exactly three edges, so the
 	// reservations the shards hold can be counted from the counters.
@@ -44,7 +46,7 @@ func TestLockOrderStress(t *testing.T) {
 	bg := context.Background()
 
 	const workers, opsPer = 8, 250
-	var settles, cancelled atomic.Int64
+	var settles, cancelled, compactions atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -56,7 +58,7 @@ func TestLockOrderStress(t *testing.T) {
 				return lo, min(lo+1+r.Intn(32), len(reqs))
 			}
 			for op := 0; op < opsPer && !t.Failed(); op++ {
-				switch r.Intn(6) {
+				switch r.Intn(7) {
 				case 0, 1:
 					lo, hi := batch()
 					if _, err := eng.SubmitBatch(bg, reqs[lo:hi]); err != nil {
@@ -106,6 +108,9 @@ func TestLockOrderStress(t *testing.T) {
 				case 5:
 					eng.ShardStats()
 					eng.StateDigest()
+				case 6:
+					eng.compact()
+					compactions.Add(1)
 				}
 			}
 		}()
@@ -114,7 +119,7 @@ func TestLockOrderStress(t *testing.T) {
 	if err := eng.Drain(bg); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d cancelled batches, %d settled reservations", cancelled.Load(), settles.Load())
+	t.Logf("%d cancelled batches, %d settled reservations, %d compactions", cancelled.Load(), settles.Load(), compactions.Load())
 
 	// Every counted request was decided by a shard, by the cross-shard
 	// path, or is a settle.
@@ -147,4 +152,30 @@ func TestLockOrderStress(t *testing.T) {
 	if kept := st.CrossShardAccepted - settles.Load(); int64(held) != edgesPer*kept {
 		t.Fatalf("shards hold %d reservations, want %d for %d accepted cross-shard requests", held, edgesPer*kept, kept)
 	}
+
+	// Retained entries: the core holds a slot per live request plus at
+	// most as many retired ones as live ones and edges at its last Offer,
+	// and the ID map an entry per accepted request plus at most as many
+	// forgotten ones as accepted at its last insertion; the slack covers
+	// the six edges and the retirements since. A compaction leaves exactly
+	// the live ones.
+	for _, s := range eng.shards {
+		eng.rt.Lock(s.idx)
+		slots, live := s.alg.Footprint()
+		entries, kept := len(s.accepted.ids), len(s.accepted.ids)-s.accepted.gone
+		t.Logf("shard %d: %d requests decided, %d slots (%d live), %d ID entries (%d kept)", s.idx, s.requests, slots, live, entries, kept)
+		if slots > 2*live+retireSlack || entries > 2*kept+retireSlack {
+			t.Errorf("shard %d holds %d slots for %d live requests and %d ID entries for %d accepted ones", s.idx, slots, live, entries, kept)
+		}
+		s.alg.Compact()
+		s.accepted.compact()
+		if slots, live := s.alg.Footprint(); slots != live || len(s.accepted.ids) > live {
+			t.Errorf("shard %d: after compaction, %d slots for %d live requests and %d ID entries", s.idx, slots, live, len(s.accepted.ids))
+		}
+		eng.rt.Unlock(s.idx)
+	}
 }
+
+// retireSlack bounds the requests one shard retires (or preempts) between
+// its last Offer and a Drain in TestLockOrderStress.
+const retireSlack = 64

@@ -62,7 +62,8 @@ type shardState struct {
 	globalEdges []int // local edge -> global edge ID
 	reserved    []int // per local edge: granted cross-shard reservations
 	committed   []int // per local edge: committed (permanent) reservations
-	reqGlobal   []int // local request ID -> global request ID
+	requests    int   // requests decided: the next local request ID
+	accepted    idMap // local -> global ID of every request still preemptible
 }
 
 // Run offers a run of single-shard requests to the shard's §3 instance in
@@ -70,8 +71,8 @@ type shardState struct {
 func (s *shardState) Run(items []item) {
 	for i := range items {
 		it := &items[i]
-		lid := len(s.reqGlobal)
-		s.reqGlobal = append(s.reqGlobal, it.d.ID)
+		lid := s.requests
+		s.requests++
 		out, err := s.alg.Offer(lid, problem.Request{Edges: it.edges, Cost: it.cost})
 		if err != nil {
 			it.d.Err = fmt.Errorf("engine: shard %d: %w", s.idx, err)
@@ -79,6 +80,9 @@ func (s *shardState) Run(items []item) {
 		}
 		it.d.Accepted = out.Accepted
 		it.d.Preempted = s.toGlobal(out.Preempted)
+		if out.Accepted {
+			s.accepted.add(lid, it.d.ID)
+		}
 	}
 }
 
@@ -199,7 +203,7 @@ func (s *shardState) snapshot() shardSnapshot {
 		caps[le] += r + s.committed[le]
 	}
 	return shardSnapshot{
-		requests:     len(s.reqGlobal),
+		requests:     s.requests,
 		rejectedCost: s.alg.RejectedCost(),
 		preemptions:  s.alg.Preemptions(),
 		loads:        loads,
@@ -207,14 +211,53 @@ func (s *shardState) snapshot() shardSnapshot {
 	}
 }
 
-// toGlobal maps local request IDs to global ones.
+// toGlobal maps the local IDs of preempted requests to global ones.
 func (s *shardState) toGlobal(local []int) []int {
 	if len(local) == 0 {
 		return nil
 	}
 	out := make([]int, len(local))
 	for i, lid := range local {
-		out[i] = s.reqGlobal[lid]
+		out[i] = s.accepted.take(lid)
 	}
 	return out
+}
+
+// idMap maps the local IDs of a shard's accepted requests — the only ones
+// a later Outcome.Preempted can name — to their global IDs. Local IDs are
+// added in increasing order, so a lookup is a binary search. A preempted
+// request is never preempted again, so take forgets it, and add drops the
+// forgotten entries in place once they outnumber the rest: the map follows
+// the shard's load, not its history.
+type idMap struct {
+	ids  []idPair // ascending in local
+	gone int      // entries take has forgotten (global -1)
+}
+
+type idPair struct{ local, global int }
+
+// add maps local, which exceeds every local ID added before, to global.
+func (m *idMap) add(local, global int) {
+	if m.gone > len(m.ids)-m.gone {
+		m.compact()
+	}
+	m.ids = append(m.ids, idPair{local, global})
+}
+
+// take returns the global ID of the accepted request local and forgets it.
+func (m *idMap) take(local int) int {
+	i, ok := slices.BinarySearchFunc(m.ids, local, func(p idPair, local int) int { return cmp.Compare(p.local, local) })
+	if !ok || m.ids[i].global < 0 {
+		panic(fmt.Sprintf("engine: preempted request %d was not accepted", local))
+	}
+	g := m.ids[i].global
+	m.ids[i].global = -1
+	m.gone++
+	return g
+}
+
+// compact drops the forgotten entries in place.
+func (m *idMap) compact() {
+	m.ids = slices.DeleteFunc(m.ids, func(p idPair) bool { return p.global < 0 })
+	m.gone = 0
 }

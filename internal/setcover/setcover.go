@@ -68,19 +68,20 @@ func (ins *Instance) Validate() error {
 	if ins.Costs != nil && len(ins.Costs) != len(ins.Sets) {
 		return fmt.Errorf("setcover: %d costs for %d sets", len(ins.Costs), len(ins.Sets))
 	}
+	// stamp[j] == i+1 once set i has listed element j.
+	stamp := make([]int, ins.N)
 	for i, s := range ins.Sets {
 		if len(s) == 0 {
 			return fmt.Errorf("setcover: set %d is empty", i)
 		}
-		seen := map[int]bool{}
 		for _, j := range s {
 			if j < 0 || j >= ins.N {
 				return fmt.Errorf("setcover: set %d contains element %d outside [0,%d)", i, j, ins.N)
 			}
-			if seen[j] {
+			if stamp[j] == i+1 {
 				return fmt.Errorf("setcover: set %d repeats element %d", i, j)
 			}
-			seen[j] = true
+			stamp[j] = i + 1
 		}
 		if ins.Costs != nil && !(ins.Costs[i] > 0) {
 			return fmt.Errorf("setcover: set %d has cost %v, want > 0", i, ins.Costs[i])
@@ -89,15 +90,39 @@ func (ins *Instance) Validate() error {
 	return nil
 }
 
-// SetsOf returns, per element, the ids of sets containing it.
+// SetsOf returns, per element, the ids of sets containing it, ascending.
+// The lists share one backing array, each capped at its own length.
 func (ins *Instance) SetsOf() [][]int {
+	end := ins.degrees()
+	for j := 1; j < len(end); j++ {
+		end[j] += end[j-1]
+	}
+	flat := make([]int, end[len(end)-1])
 	byElem := make([][]int, ins.N)
+	for j := range byElem {
+		lo := 0
+		if j > 0 {
+			lo = end[j-1]
+		}
+		byElem[j] = flat[lo:lo:end[j]]
+	}
 	for i, s := range ins.Sets {
 		for _, j := range s {
 			byElem[j] = append(byElem[j], i)
 		}
 	}
 	return byElem
+}
+
+// degrees returns how many sets contain each element.
+func (ins *Instance) degrees() []int {
+	deg := make([]int, ins.N)
+	for _, s := range ins.Sets {
+		for _, j := range s {
+			deg[j]++
+		}
+	}
+	return deg
 }
 
 // Degree returns how many sets contain element j.
@@ -125,10 +150,10 @@ func (ins *Instance) ValidateArrivals(arrivals []int) error {
 		}
 		counts[j]++
 	}
-	byElem := ins.SetsOf()
+	deg := ins.degrees()
 	for j, k := range counts {
-		if k > len(byElem[j]) {
-			return fmt.Errorf("setcover: element %d arrives %d times but only %d sets contain it", j, k, len(byElem[j]))
+		if k > deg[j] {
+			return fmt.Errorf("setcover: element %d arrives %d times but only %d sets contain it", j, k, deg[j])
 		}
 	}
 	return nil
