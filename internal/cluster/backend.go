@@ -175,9 +175,10 @@ func (b *Backend) SubmitBatchPrevalidated(ctx context.Context, ops []Op) ([]engi
 		if ops[i].Kind != OpOffer {
 			d, err := b.submitLocked(ctx, ops[i])
 			if err != nil {
-				// Whole-batch failure: per-op errors here are engine faults or
-				// cancellation, and continuing would decide later ops against a
-				// history the caller will never see.
+				// Whole-batch failure: a per-op error here is an engine fault
+				// or a ctx done before the op took its ID, and continuing
+				// would decide later ops against a history the caller will
+				// never see.
 				return nil, fmt.Errorf("cluster: batch[%d] (%s): %w", i, ops[i].Kind, err)
 			}
 			out[i] = d

@@ -318,17 +318,6 @@ func (e *Engine) Submit(ctx context.Context, element int) (Decision, error) {
 	return ds[0], nil
 }
 
-// finish folds a decided arrival into the engine's accounting, claiming
-// its newly bought sets in the global ledger.
-func (e *Engine) finish(d *Decision) {
-	if d.Err != nil {
-		e.errs.Add(1)
-		return
-	}
-	e.arrivals.Add(1)
-	d.NewSets, d.AddedCost = e.claim(d.NewSets)
-}
-
 // SubmitBatch serves a sequence of element arrivals in slice order and
 // returns one Decision per arrival, in the same order. Like the admission
 // engine's SubmitBatch, each shard decides the batch's arrivals for it as
@@ -339,10 +328,9 @@ func (e *Engine) finish(d *Decision) {
 // set is credited to the same decision. Validation is atomic: any
 // out-of-range element fails the whole batch before anything is
 // dispatched. Per-arrival failures (saturated elements) arrive as
-// Decision.Err instead; a ctx that fires before the runs are sent, or
-// while one waits for room in a full shard queue, fails the whole batch
-// (runs already enqueued are still served and accounted in the
-// background).
+// Decision.Err instead. ctx is checked once, before the batch takes its
+// sequence numbers: a batch that has started is decided whole and
+// returned, so the engine counts no arrival its caller does not get.
 func (e *Engine) SubmitBatch(ctx context.Context, elements []int) ([]Decision, error) {
 	for i, j := range elements {
 		if err := e.Validate(j); err != nil {
@@ -364,6 +352,9 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 		return nil, ErrClosed
 	}
 	defer e.rt.Exit()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	out := make([]Decision, len(elements))
 	base := int(e.seq.Add(int64(len(elements)))) - len(elements)
@@ -373,26 +364,18 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 		out[i] = Decision{Seq: base + i, Element: j}
 		*b.Add(b.Owner(i)) = item{d: &out[i], elem: int(e.elemLocal[j])}
 	}
-	if _, err := b.Finish(ctx); err != nil {
-		// Cancelled mid-dispatch: account the enqueued runs in the
-		// background, in batch order; an arrival whose run was never sent
-		// carries neither an arrival count nor an error.
-		e.rt.Go(func() {
-			b.Wait()
-			b.Release()
-			batchPool.Put(b)
-			for i := range out {
-				if out[i].Arrival > 0 || out[i].Err != nil {
-					e.finish(&out[i])
-				}
-			}
-		})
-		return nil, err
-	}
+	b.Finish()
 	b.Release()
 	batchPool.Put(b)
+	// Fold each arrival into the accounting in batch order, claiming its
+	// newly bought sets in the global ledger.
 	for i := range out {
-		e.finish(&out[i])
+		if d := &out[i]; d.Err != nil {
+			e.errs.Add(1)
+		} else {
+			e.arrivals.Add(1)
+			d.NewSets, d.AddedCost = e.claim(d.NewSets)
+		}
 	}
 	return out, nil
 }
@@ -475,10 +458,9 @@ func (e *Engine) snapshots() []shardSnapshot {
 	return out
 }
 
-// Drain blocks until no submissions are in flight — including the
-// background accounting of cancellation-abandoned arrivals — or ctx is
-// done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes).
+// Drain blocks until no submissions are in flight or ctx is done. It does
+// not stop new submissions — callers quiesce traffic first (the serving
+// layer refuses new work, then drains, then closes).
 func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,

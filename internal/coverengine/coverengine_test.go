@@ -510,6 +510,40 @@ func TestCoverStreamCancellation(t *testing.T) {
 	assertReconciled(t, eng)
 }
 
+// TestCancelledBatchDecidesNothing pins the cancellation rule: ctx is
+// checked once, before a batch takes its sequence numbers. A one-shard
+// and a two-shard batch under an already-cancelled context fail with
+// context.Canceled and decide nothing, so the next Submit gets seq 0 and
+// is the only arrival counted.
+func TestCancelledBatchDecidesNothing(t *testing.T) {
+	ins, _ := genInstance(t, 31, 8, 12, false, 1)
+	eng, err := New(ins, Config{Shards: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name     string
+		elements []int
+	}{
+		{"one shard", []int{0, 1}},
+		{"two shards", []int{0, 2}},
+	} {
+		if ds, err := eng.SubmitBatch(dead, tc.elements); !errors.Is(err, context.Canceled) || ds != nil {
+			t.Errorf("%s batch: %d decisions, err %v; want none and context.Canceled", tc.name, len(ds), err)
+		}
+	}
+	d, err := eng.Submit(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Snapshot().Arrivals; d.Seq != 0 || n != 1 {
+		t.Fatalf("next Submit got seq %d with %d arrivals counted, want seq 0 and 1", d.Seq, n)
+	}
+}
+
 // assertReconciled checks, at a quiescent point, that the engine's arrival
 // counter equals the arrivals its shards served, and that the ledger's
 // count and cost match the sets it holds.

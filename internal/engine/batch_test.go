@@ -493,6 +493,64 @@ func TestSubmitBatchCancelledContext(t *testing.T) {
 	eng.Close()
 }
 
+// TestCancelledBatchDecidesNothing pins the cancellation rule: ctx is
+// checked once, before a batch takes its IDs. A one-shard batch, a
+// two-shard batch, and a batch with a cross-shard request after a
+// single-shard item, each under an already-cancelled context, fail with
+// context.Canceled and decide nothing, so the next Submit gets ID 0 and
+// is the only request counted.
+func TestCancelledBatchDecidesNothing(t *testing.T) {
+	eng, err := New([]int{4, 4, 4, 4, 4, 4, 4, 4}, Config{Shards: 4, Algorithm: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	req := func(edges ...int) problem.Request { return problem.Request{Edges: edges, Cost: 1} }
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		reqs []problem.Request
+	}{
+		{"one shard", []problem.Request{req(0), req(1)}},
+		{"two shards", []problem.Request{req(0), req(2)}},
+		{"cross-shard after a single-shard item", []problem.Request{req(0), req(1, 2), req(3)}},
+	} {
+		if ds, err := eng.SubmitBatch(dead, tc.reqs); !errors.Is(err, context.Canceled) || ds != nil {
+			t.Errorf("%s batch: %d decisions, err %v; want none and context.Canceled", tc.name, len(ds), err)
+		}
+	}
+	d, err := eng.Submit(context.Background(), req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Stats().Requests; d.ID != 0 || n != 1 {
+		t.Fatalf("next Submit got ID %d with %d requests counted, want ID 0 and 1", d.ID, n)
+	}
+}
+
+// TestCancelledReserveTakesNoID checks that a reservation under an
+// already-cancelled context fails before it takes an ID.
+func TestCancelledReserveTakesNoID(t *testing.T) {
+	eng, err := New([]int{4, 4, 4, 4}, Config{Shards: 2, Algorithm: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.SubmitReserve(dead, []int{0, 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitReserve under a cancelled context: %v, want context.Canceled", err)
+	}
+	d, err := eng.SubmitReserve(context.Background(), []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Stats().Requests; d.ID != 0 || n != 1 {
+		t.Fatalf("next SubmitReserve got ID %d with %d requests counted, want ID 0 and 1", d.ID, n)
+	}
+}
+
 // assertDecided checks, at a quiescent point, that the engine counted n
 // requests and that the shards decided exactly the single-shard ones among
 // them.

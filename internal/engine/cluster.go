@@ -29,13 +29,17 @@ import (
 // is granted (Decision.Accepted true), or nothing is held. A granted
 // reservation is finalized by SubmitCommit or returned by SubmitRelease.
 // An empty edge list is a deterministic refused no-op, so protocol-level
-// rejections still consume their place in the decision stream.
+// rejections still consume their place in the decision stream. ctx is
+// checked once, before the reservation takes its ID.
 func (e *Engine) SubmitReserve(ctx context.Context, edges []int) (Decision, error) {
 	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
 	defer e.rt.Exit()
 	if err := e.ValidateClusterEdges(edges); err != nil {
+		return Decision{}, err
+	}
+	if err := ctx.Err(); err != nil {
 		return Decision{}, err
 	}
 	id := int(e.nextID.Add(1) - 1)

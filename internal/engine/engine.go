@@ -338,7 +338,7 @@ func (e *Engine) unlock(sp []span) {
 // Validation is atomic: every request is checked before any is dispatched,
 // and a validation failure returns an error with no decisions made. The
 // returned error reports such whole-batch failures (validation, ErrClosed,
-// a ctx cancelled mid-dispatch); rare per-request engine failures are
+// a ctx already done); rare per-request engine failures are
 // attributed to the failing request via Decision.Err instead of poisoning
 // the rest of the batch. SubmitBatch is safe for concurrent use alongside
 // Submit.
@@ -358,10 +358,9 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []problem.Request) ([]Dec
 // otherwise pay the same scan twice per request on the hot path.
 // Submitting an unvalidated request through it is undefined behaviour.
 //
-// Cancellation: ctx is checked before each cross-shard request and before
-// the final runs are sent, and a run is enqueued whole or not at all. What
-// was decided before ctx fired stays decided and accounted; runs already
-// enqueued are accounted by a background drainer once decided.
+// Cancellation: ctx is checked once, before the batch takes its IDs. A
+// batch that has started is decided whole and returned, so the engine
+// counts no decision its caller does not get.
 func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Request) ([]Decision, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -370,6 +369,9 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 		return nil, ErrClosed
 	}
 	defer e.rt.Exit()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	out := make([]Decision, len(reqs))
 	base := int(e.nextID.Add(int64(len(reqs)))) - len(reqs)
@@ -396,12 +398,6 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 			*b.Add(s) = item{d: &out[i], edges: b.edges[lo:len(b.edges):len(b.edges)], cost: r.Cost}
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			// Nothing of the batch is queued yet: account what was decided
-			// inline and fail the batch.
-			e.finish(b)
-			return nil, err
-		}
 		// The involved shards decide their pending items first; the others
 		// keep accumulating.
 		b.spans = e.spans(b.spans, r.Edges)
@@ -415,24 +411,9 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 		}
 		out[i] = d
 	}
-	n, err := b.Finish(ctx)
-	e.requests.Add(int64(n))
-	if err != nil {
-		// Cancelled mid-send: a drainer accounts the runs already queued
-		// once they are decided.
-		e.rt.Go(func() {
-			b.Wait()
-			e.finish(b)
-		})
-		return nil, err
-	}
-	e.finish(b)
-	return out, nil
-}
-
-// finish folds a batch's decided runs into the engine's counters and
-// recycles the batch.
-func (e *Engine) finish(b *batch) {
+	e.requests.Add(int64(b.Finish()))
+	// Fold the runs' outcomes into the counters (decideCross counted the
+	// cross-shard requests) and recycle the batch.
 	var accepted, errs int64
 	for _, run := range b.Runs() {
 		for _, it := range run {
@@ -448,6 +429,7 @@ func (e *Engine) finish(b *batch) {
 	e.errs.Add(errs)
 	b.Release()
 	batchPool.Put(b)
+	return out, nil
 }
 
 // ShardStat is a per-shard snapshot of load and accounting, the data
@@ -552,10 +534,9 @@ func (e *Engine) snapshots() []shardSnapshot {
 	return out
 }
 
-// Drain blocks until no submissions are in flight — including the
-// background accounting of cancellation-abandoned operations — or ctx is
-// done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes).
+// Drain blocks until no submissions are in flight or ctx is done. It does
+// not stop new submissions — callers quiesce traffic first (the serving
+// layer refuses new work, then drains, then closes).
 func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,

@@ -118,8 +118,7 @@ type Engine struct {
 
 	front frontier
 
-	closed   atomic.Bool
-	inflight atomic.Int64
+	gate service.Gate
 
 	requests  atomic.Int64
 	accepted  atomic.Int64
@@ -205,20 +204,6 @@ func (e *Engine) Validate(q Query) error {
 	return nil
 }
 
-// enter registers a caller on the query path; false once closed. The
-// counter-then-flag order pairs with Close's flag-then-drain order.
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
 // account folds one computed answer into the engine's statistics.
 func (e *Engine) account(a *Answer) {
 	e.requests.Add(1)
@@ -245,10 +230,10 @@ func (e *Engine) compute(q Query) Answer {
 // per-query replay failure is returned as the error (mirroring the
 // streaming engines' Submit).
 func (e *Engine) Submit(ctx context.Context, q Query) (Answer, error) {
-	if !e.enter() {
+	if !e.gate.Enter() {
 		return Answer{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.gate.Exit()
 	if err := e.Validate(q); err != nil {
 		return Answer{}, err
 	}
@@ -280,10 +265,10 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Ans
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.gate.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.gate.Exit()
 	out := make([]Answer, len(qs))
 	var (
 		next      atomic.Int64
@@ -336,19 +321,14 @@ func (e *Engine) Stats() service.Stats {
 func (e *Engine) Simulated() int64 { return e.simulated.Load() }
 
 // Drain blocks until no queries are in flight or ctx is done.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool { return e.inflight.Load() == 0 })
-}
+func (e *Engine) Drain(ctx context.Context) error { return e.gate.Wait(ctx) }
 
 // Close shuts the engine down: subsequent submissions fail with ErrClosed,
 // in-flight queries finish, and statistics remain readable (and exact)
 // afterwards. Close is idempotent.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
+	if e.gate.Close() {
+		return e.gate.Wait(context.Background())
 	}
 	return nil
 }

@@ -315,7 +315,7 @@ type EdgeOccupancyJSON struct {
 func (s *Server) handleAdminOccupancy(w http.ResponseWriter, r *http.Request) {
 	out := OccupancyJSON{
 		PausedJSON: PausedJSON{Paused: s.paused.Load()},
-		Draining:   s.draining.Load(),
+		Draining:   s.gate.Closed(),
 		Workloads:  s.Workloads(),
 	}
 	if s.adminEng != nil {

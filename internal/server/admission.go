@@ -119,14 +119,8 @@ func AdmissionClientWire() ClientWire[problem.Request, DecisionJSON] {
 			return wire.AppendAdmissionRequest(buf, r.Edges, r.Cost)
 		},
 		DecodeDecision: func(payload []byte) (DecisionJSON, error) {
-			if tag, err := wire.Tag(payload); err != nil {
-				return DecisionJSON{}, err
-			} else if tag == wire.TagStreamError {
-				msg, err := wire.DecodeStreamError(payload)
-				if err != nil {
-					return DecisionJSON{}, err
-				}
-				return DecisionJSON{Error: msg}, nil
+			if msg, ok, err := streamError(payload); ok || err != nil {
+				return DecisionJSON{Error: msg}, err
 			}
 			var wd wire.AdmissionDecision
 			if err := wire.DecodeAdmissionDecision(payload, &wd); err != nil {

@@ -47,6 +47,17 @@ type ClientWire[Req any, Dec any] struct {
 	DecodeDecision func(payload []byte) (Dec, error)
 }
 
+// streamError reports whether payload is a whole-batch
+// wire.TagStreamError frame and, if it is, decodes its message.
+func streamError(payload []byte) (msg string, ok bool, err error) {
+	tag, err := wire.Tag(payload)
+	if err != nil || tag != wire.TagStreamError {
+		return "", false, err
+	}
+	msg, err = wire.DecodeStreamError(payload)
+	return msg, true, err
+}
+
 // NewClient creates a client for the named workload of the server at
 // baseURL (e.g. "http://127.0.0.1:8080"). maxConns bounds the connection
 // pool (0 means the stdlib default of 2 idle connections per host).

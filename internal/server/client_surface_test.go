@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"admission/internal/wire"
 )
 
 // TestClientWaitHealthy covers the client's startup helper: WaitHealthy
@@ -66,5 +69,48 @@ func TestServerDraining(t *testing.T) {
 	}
 	if !s.Draining() {
 		t.Fatal("drained server does not report draining")
+	}
+}
+
+// TestClientWireDecodesStreamError decodes a whole-batch stream error
+// frame and a decision frame through each workload's client hooks: the
+// error frame becomes a line carrying only its message, the decision
+// frame the same line the NDJSON client yields.
+func TestClientWireDecodesStreamError(t *testing.T) {
+	payload := func(frame []byte) []byte {
+		p, _, err := wire.NextFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const msg = "wal append failed"
+	errFrame := payload(wire.AppendStreamError(nil, msg))
+	check := func(name string, got any, err error, want any) {
+		t.Helper()
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %+v, err %v; want %+v", name, got, err, want)
+		}
+	}
+	a := AdmissionClientWire().DecodeDecision
+	d, err := a(errFrame)
+	check("admission stream error", d, err, DecisionJSON{Error: msg})
+	d, err = a(payload(wire.AppendAdmissionDecision(nil, &wire.AdmissionDecision{ID: 3, Accepted: true, Preempted: []int{1}})))
+	check("admission decision", d, err, DecisionJSON{ID: 3, Accepted: true, Preempted: []int{1}})
+
+	c := CoverClientWire().DecodeDecision
+	cd, err := c(errFrame)
+	check("cover stream error", cd, err, CoverDecisionJSON{Error: msg})
+	cd, err = c(payload(wire.AppendCoverDecision(nil, &wire.CoverDecision{Seq: 2, Element: 5, Arrival: 1, NewSets: []int{4}, AddedCost: 1.5})))
+	check("cover decision", cd, err, CoverDecisionJSON{Seq: 2, Element: 5, Arrival: 1, NewSets: []int{4}, AddedCost: 1.5})
+
+	q := QueryClientWire().DecodeDecision
+	qd, err := q(errFrame)
+	check("query stream error", qd, err, QueryDecisionJSON{Error: msg})
+	qd, err = q(payload(wire.AppendQueryDecision(nil, &wire.QueryDecision{Pos: 7, Accepted: true, Preempted: []int{2}, Replayed: 8})))
+	check("query decision", qd, err, QueryDecisionJSON{Pos: 7, Accepted: true, Preempted: []int{2}, Replayed: 8})
+
+	if _, err := a([]byte{}); err == nil {
+		t.Error("admission client decoded an empty frame")
 	}
 }

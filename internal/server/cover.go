@@ -69,14 +69,8 @@ func CoverClientWire() ClientWire[int, CoverDecisionJSON] {
 	return ClientWire[int, CoverDecisionJSON]{
 		AppendRequest: wire.AppendCoverRequest,
 		DecodeDecision: func(payload []byte) (CoverDecisionJSON, error) {
-			if tag, err := wire.Tag(payload); err != nil {
-				return CoverDecisionJSON{}, err
-			} else if tag == wire.TagStreamError {
-				msg, err := wire.DecodeStreamError(payload)
-				if err != nil {
-					return CoverDecisionJSON{}, err
-				}
-				return CoverDecisionJSON{Error: msg}, nil
+			if msg, ok, err := streamError(payload); ok || err != nil {
+				return CoverDecisionJSON{Error: msg}, err
 			}
 			var wd wire.CoverDecision
 			if err := wire.DecodeCoverDecision(payload, &wd); err != nil {

@@ -426,15 +426,15 @@ func (p *pipe[Req, Dec]) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.enter() {
+	if !s.gate.Enter() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	// The handler holds its enter slot until its decisions are made and
+	// The handler stays inside the gate until its decisions are made and
 	// synced, so Drain waits for them, and the services may be closed as
 	// soon as Drain returns.
 	out, err := p.decide(reqs)
-	s.exit()
+	s.gate.Exit()
 
 	flusher, _ := w.(http.Flusher)
 	var sink decisionSink[Dec]
@@ -489,7 +489,7 @@ func (p *pipe[Req, Dec]) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !p.srv.authorize(w, r) {
 		return
 	}
-	body := p.codec.Stats(QueueState{Depth: int(p.waiting.Load()), Draining: p.srv.draining.Load()})
+	body := p.codec.Stats(QueueState{Depth: int(p.waiting.Load()), Draining: p.srv.gate.Closed()})
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(body)
 }

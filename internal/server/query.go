@@ -86,14 +86,8 @@ func QueryClientWire() ClientWire[lca.Query, QueryDecisionJSON] {
 			return wire.AppendQueryRequest(buf, &wq)
 		},
 		DecodeDecision: func(payload []byte) (QueryDecisionJSON, error) {
-			if tag, err := wire.Tag(payload); err != nil {
-				return QueryDecisionJSON{}, err
-			} else if tag == wire.TagStreamError {
-				msg, err := wire.DecodeStreamError(payload)
-				if err != nil {
-					return QueryDecisionJSON{}, err
-				}
-				return QueryDecisionJSON{Error: msg}, nil
+			if msg, ok, err := streamError(payload); ok || err != nil {
+				return QueryDecisionJSON{Error: msg}, err
 			}
 			var wd wire.QueryDecision
 			if err := wire.DecodeQueryDecision(payload, &wd); err != nil {

@@ -272,9 +272,11 @@ type Server struct {
 	workloads map[string]workloadPipe
 	names     []string
 
-	draining   atomic.Bool
-	paused     atomic.Bool  // admin pause: submissions answer 503 until resumed
-	submitters atomic.Int64 // handlers deciding; see enter/exit
+	// gate admits the handlers about to decide a submission; Drain closes
+	// it. A handler holds its place until its decisions are made and, on
+	// a durable pipeline, synced.
+	gate   service.Gate
+	paused atomic.Bool // admin pause: submissions answer 503 until resumed
 
 	// adminEng is the capacity-resize target recorded by the admission
 	// registrations (nil when no admission workload is mounted);
@@ -381,22 +383,6 @@ func (s *Server) Workloads() []string {
 	return append([]string(nil), s.names...)
 }
 
-// enter registers a handler about to decide a submission; false once
-// draining (the same counter-then-flag pattern as the engines' admission
-// paths). The handler holds the slot until its decisions are made and, on
-// a durable pipeline, synced.
-func (s *Server) enter() bool {
-	s.submitters.Add(1)
-	if s.draining.Load() {
-		s.submitters.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (s *Server) exit() { s.submitters.Add(-1) }
-
 // Drain gracefully shuts every workload pipeline down: new submissions are
 // refused with 503, and every submission already admitted is decided and,
 // on a durable pipeline, synced before Drain returns. Drain is idempotent
@@ -404,12 +390,12 @@ func (s *Server) exit() { s.submitters.Add(-1) }
 // returned a context error can be called again with a fresh context to
 // resume waiting. The services stay open — close them after Drain returns.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	return service.PollIdle(ctx, func() bool { return s.submitters.Load() == 0 })
+	s.gate.Close()
+	return s.gate.Wait(ctx)
 }
 
 // Draining reports whether Drain has been initiated.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.gate.Closed() }
 
 // Handler returns the server's HTTP routes:
 //
@@ -580,7 +566,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // just refusing intake.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
+	if s.gate.Closed() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
 		return

@@ -14,11 +14,14 @@
 // cancellation, observability) is the same for all of them.
 //
 // Concurrency contract: a Service's Submit, SubmitBatch, Validate and
-// Stats are safe for concurrent use by any number of goroutines. Context
-// cancellation is honoured at blocking boundaries (enqueueing into a full
-// shard queue); once an operation has been enqueued its decision is still
-// made and accounted — cancellation bounds the caller's wait, never the
-// engine's bookkeeping.
+// Stats are safe for concurrent use by any number of goroutines. A
+// streaming engine checks ctx once, before an operation takes its IDs: a
+// cancelled operation decides nothing, and one that has started is
+// decided whole and returned, so the engine never counts a decision its
+// caller did not get. The query engine, whose answers take no IDs, checks
+// ctx before each query. The engines and the HTTP server guard their
+// lifecycles with a Gate: Drain waits for the callers inside, Close turns
+// new ones away.
 package service
 
 import "context"
@@ -56,9 +59,8 @@ type Stats struct {
 // problem.Request for admission, an element id for set cover); Dec is its
 // decision type.
 type Service[Req any, Dec Decision] interface {
-	// Submit serves one request and blocks until it is decided or ctx is
-	// done. A ctx error means the caller stopped waiting; the request may
-	// still be decided and accounted if it had already been enqueued.
+	// Submit serves one request and blocks until it is decided. A ctx
+	// already done fails it with nothing decided.
 	Submit(ctx context.Context, req Req) (Dec, error)
 	// SubmitBatch serves a slice of requests in order, pipelined through
 	// the service's shards, and returns one decision per request in the

@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"context"
 	"slices"
 	"sync"
-
-	"admission/internal/service"
 )
 
 // Batch is one batch submission's working memory. Shard s's items fill
@@ -15,9 +12,7 @@ import (
 //
 // Use: Layout, then per item Add and fill the slot, calling Decide on a
 // shard before any work that must be decided after the items added to it
-// so far; then Finish. After a failed Finish, Wait for the runs already
-// sent on a drainer (Runtime.Go) instead. Release the batch before
-// returning it to a pool.
+// so far; then Finish. Release the batch before returning it to a pool.
 //
 // Finish is the only place a batch sends, so no shard decides an item of
 // the batch inline after a run of the same batch went to its loop: each
@@ -28,7 +23,7 @@ type Batch[T any] struct {
 	owner []int32 // per batch position: owning shard, or -1
 	next  []int   // per shard: next free slot of its region
 	done  []int   // per shard: first slot not yet decided or sent
-	runs  [][]T   // the runs decided or sent, in order
+	runs  [][]T   // the runs decided, in order
 	sent  sync.WaitGroup
 }
 
@@ -84,14 +79,11 @@ func (b *Batch[T]) Decide(s int) int {
 	return len(run)
 }
 
-// Finish ends the batch and returns how many items it decided or sent.
-// When only one shard has items pending, Finish decides them inline. When
-// two or more have, each shard's go to its loop as one run, in shard
-// order, and Finish waits for them: the shards decide them in parallel.
-// ctx is checked before the first send, and a run is enqueued whole or
-// not at all (service.TrySend): on a ctx error Finish returns at once and
-// the runs sent before it stay pending.
-func (b *Batch[T]) Finish(ctx context.Context) (int, error) {
+// Finish ends the batch and returns how many items it decided. When only
+// one shard has items pending, Finish decides them inline. When two or
+// more have, each shard's go to its loop as one run, in shard order, and
+// Finish waits for them: the shards decide them in parallel.
+func (b *Batch[T]) Finish() int {
 	pending, last := 0, -1
 	for s := range b.next {
 		if b.done[s] != b.next[s] {
@@ -100,12 +92,9 @@ func (b *Batch[T]) Finish(ctx context.Context) (int, error) {
 	}
 	switch pending {
 	case 0:
-		return 0, nil
+		return 0
 	case 1:
-		return b.Decide(last), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
+		return b.Decide(last)
 	}
 	n := 0
 	for s := range b.next {
@@ -114,23 +103,17 @@ func (b *Batch[T]) Finish(ctx context.Context) (int, error) {
 			continue
 		}
 		b.sent.Add(1)
-		if err := service.TrySend(ctx, b.rt.queues[s], msg[T]{run: run, done: &b.sent}); err != nil {
-			b.sent.Done()
-			return n, err
-		}
+		b.rt.queues[s] <- msg[T]{run: run, done: &b.sent}
 		b.runs = append(b.runs, run)
 		b.done[s] = b.next[s]
 		n += len(run)
 	}
-	b.Wait()
-	return n, nil
+	b.sent.Wait()
+	return n
 }
 
-// Wait blocks until every sent run is decided.
-func (b *Batch[T]) Wait() { b.sent.Wait() }
-
-// Runs returns the runs decided or sent so far; once decided their items
-// hold the outcomes.
+// Runs returns the runs decided so far, in order; their items hold the
+// outcomes.
 func (b *Batch[T]) Runs() [][]T { return b.runs }
 
 // Release drops b's runtime. The runtime holds the shards' handlers, so a

@@ -1,8 +1,8 @@
 // Package shard is the shard runtime both streaming engines run on
 // (DESIGN.md §5 and §9): one mutex and one event-loop goroutine per shard,
-// each shard owning one partition's state, plus everything around them —
-// caller registration, the cancellation boundary, background drainers,
-// and the drain and close ordering.
+// each shard owning one partition's state, plus the lifecycle around
+// them: caller registration (a service.Gate) and the drain and close
+// ordering.
 //
 // A shard's state is touched only under its lock. Most work is decided
 // on the submitting goroutine under that lock: a batch's items for one
@@ -11,7 +11,8 @@
 // more shards, and each such shard's items — a run — travel to its loop
 // as one message, so the shards decide them in parallel (see Batch).
 // Locks are taken in ascending shard order, and no goroutine holds one
-// while it sends on a queue or waits for a run. The runtime is generic
+// while it sends on a queue or waits for a run. A batch that has started
+// is decided whole: nothing here watches a context. The runtime is generic
 // over the engine's item type and never branches on which engine it
 // serves.
 package shard
@@ -20,9 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"admission/internal/graph"
 	"admission/internal/service"
@@ -53,13 +52,8 @@ type Runtime[T any] struct {
 	locks  []sync.Mutex
 	queues []chan msg[T]
 
-	closed   atomic.Bool
-	inflight atomic.Int64 // callers between Enter and Exit
-	// drainers wait out the runs whose caller stopped waiting after a
-	// cancellation; Drain and Close wait for them so statistics stay
-	// exact.
-	drainers service.DrainTracker
-	loops    sync.WaitGroup
+	gate  service.Gate // callers between Enter and Exit
+	loops sync.WaitGroup
 }
 
 // Start runs one event loop per handler.
@@ -98,52 +92,26 @@ func (rt *Runtime[T]) Lock(s int) { rt.locks[s].Lock() }
 func (rt *Runtime[T]) Unlock(s int) { rt.locks[s].Unlock() }
 
 // Enter registers a caller on the submission path. It returns false once
-// the runtime is closed. The counter-then-flag order pairs with Close's
-// flag-then-drain order: a caller that incremented before Close set the
-// flag is drained; one that incremented after observes the flag and backs
-// out. (A plain WaitGroup would panic here: Add may not race with Wait.)
-func (rt *Runtime[T]) Enter() bool {
-	rt.inflight.Add(1)
-	if rt.closed.Load() {
-		rt.inflight.Add(-1)
-		return false
-	}
-	return true
-}
+// the runtime is closed.
+func (rt *Runtime[T]) Enter() bool { return rt.gate.Enter() }
 
 // Exit balances Enter.
-func (rt *Runtime[T]) Exit() { rt.inflight.Add(-1) }
+func (rt *Runtime[T]) Exit() { rt.gate.Exit() }
 
-// Go runs fn on a tracked drainer goroutine: Drain and Close wait for it.
-// Engines hand it the runs already enqueued when a caller's context fired.
-func (rt *Runtime[T]) Go(fn func()) { rt.drainers.Go(fn) }
+// Drain blocks until no caller is between Enter and Exit, or ctx is done.
+// It does not stop new submissions; callers quiesce traffic first.
+func (rt *Runtime[T]) Drain(ctx context.Context) error { return rt.gate.Wait(ctx) }
 
-// Drain blocks until no caller is between Enter and Exit and no drainer
-// is running, or ctx is done. It does not stop new submissions; callers
-// quiesce traffic first. The wait parks between polls.
-func (rt *Runtime[T]) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool {
-		return rt.inflight.Load() == 0 && rt.drainers.Idle()
-	})
-}
-
-// Close shuts the runtime down: later Enters fail, callers already inside
-// finish, drainers finish, then the queues close and every loop exits.
-// The shards' state stays readable under their locks. Close is
-// idempotent; every call returns once the loops have exited.
+// Close shuts the runtime down: it closes the gate, waits for the callers
+// inside, closes the queues and waits for every loop to exit. The shards'
+// state stays readable under their locks. Close is idempotent; every call
+// returns once the loops have exited.
 func (rt *Runtime[T]) Close() {
-	if rt.closed.Swap(true) {
-		rt.loops.Wait()
-		rt.drainers.Wait()
-		return
-	}
-	// Close is rare and callers leave quickly, so polling is fine.
-	for rt.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-	rt.drainers.Wait()
-	for _, q := range rt.queues {
-		close(q)
+	if rt.gate.Close() {
+		_ = rt.gate.Wait(context.Background()) // no deadline: cannot fail
+		for _, q := range rt.queues {
+			close(q)
+		}
 	}
 	rt.loops.Wait()
 }

@@ -2,9 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -81,11 +81,7 @@ func TestBatchRunsKeepArrivalOrder(t *testing.T) {
 			}
 		}
 	}
-	n, err := b.Finish(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
+	if n := b.Finish(); n != 4 {
 		t.Fatalf("Finish decided %d items, want 4", n)
 	}
 
@@ -112,9 +108,9 @@ func TestBatchRunsKeepArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestLifecycle covers a batch sent to the loops under a cancelled
-// context, Drain waiting for a drainer, Close's idempotence, Enter after
-// Close, and a one-shard batch finishing inline with no loop left.
+// TestLifecycle covers a batch decided by two shards' loops, Drain
+// waiting for a caller inside, Close's idempotence, Enter after Close, and
+// a one-shard batch finishing inline with no loop left.
 func TestLifecycle(t *testing.T) {
 	rt, shards := startToy(2)
 	if !rt.Enter() {
@@ -125,25 +121,17 @@ func TestLifecycle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		*b.Add(i % 2) = toyItem{pos: i}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	if n := b.Finish(); n != 3 {
+		t.Fatalf("Finish decided %d items, want 3", n)
+	}
+	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if n, err := b.Finish(ctx); err == nil || n != 0 {
-		t.Fatalf("Finish under a cancelled context sent %d items, err %v", n, err)
+	if err := rt.Drain(dead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain with a caller inside: %v, want context.Canceled", err)
 	}
-	if n, err := b.Finish(context.Background()); err != nil || n != 3 {
-		t.Fatalf("Finish sent %d items, err %v; want 3", n, err)
-	}
-	var drained atomic.Bool
-	rt.Go(func() {
-		b.Wait()
-		drained.Store(true)
-	})
 	rt.Exit()
 	if err := rt.Drain(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	if !drained.Load() {
-		t.Fatal("Drain returned before the drainer finished")
 	}
 	rt.Close()
 	rt.Close()
@@ -155,8 +143,8 @@ func TestLifecycle(t *testing.T) {
 	b.Layout(rt, 2, func(int) int { return 1 })
 	*b.Add(1) = toyItem{pos: 3}
 	*b.Add(1) = toyItem{pos: 4}
-	if n, err := b.Finish(context.Background()); err != nil || n != 2 {
-		t.Fatalf("one-shard Finish decided %d items, err %v; want 2", n, err)
+	if n := b.Finish(); n != 2 {
+		t.Fatalf("one-shard Finish decided %d items, want 2", n)
 	}
 	if got := []int{decided(rt, shards, 0), decided(rt, shards, 1)}; !slices.Equal(got, []int{2, 3}) {
 		t.Fatalf("shards decided %v items, want [2 3]", got)

@@ -1,19 +1,27 @@
-// Command doccheck is the CI documentation gate: it fails when an exported
-// top-level identifier (type, function, method, var or const) in the given
-// package directories lacks a doc comment, and when a package lacks a
-// package-level doc comment. CI runs it over the serving-layer packages;
-// run it locally with:
+// Command doccheck is the CI documentation gate. It fails when an
+// exported top-level identifier (type, function, method, var or const) in
+// the given package directories lacks a doc comment, and when a package
+// lacks a package-level doc comment. Run from the repository root, it
+// also holds DESIGN.md to the tree: §2's package map must name every
+// directory under internal/ and cmd/ that holds Go files, and every
+// "DESIGN.md §N" cited in Go code must have a "## N." section. CI runs it
+// over the serving-layer packages; run it locally with:
 //
 //	go run ./scripts/doccheck internal/server internal/metrics
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -23,6 +31,15 @@ func main() {
 		os.Exit(2)
 	}
 	bad := 0
+	problems, err := checkDesign()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: DESIGN.md: %v\n", err)
+		os.Exit(2)
+	}
+	for _, p := range problems {
+		fmt.Println(p)
+		bad++
+	}
 	for _, dir := range os.Args[1:] {
 		problems, err := checkDir(dir)
 		if err != nil {
@@ -35,7 +52,7 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) missing doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d documentation problem(s)\n", bad)
 		os.Exit(1)
 	}
 }
@@ -140,4 +157,68 @@ func checkGenDecl(d *ast.GenDecl, report func(pos token.Pos, what, name string))
 			}
 		}
 	}
+}
+
+var (
+	// sectionRE matches a DESIGN.md section heading, "## N. Title".
+	sectionRE = regexp.MustCompile(`(?m)^## (\d+)\.`)
+	// citeRE matches a DESIGN citation with the section numbers after it,
+	// which may wrap onto the next comment line ("DESIGN.md §5 and §9",
+	// "DESIGN.md\n// §14").
+	citeRE       = regexp.MustCompile(`DESIGN(?:\.md)?(?:[\s,/–-]|and|or|§|\d)*`)
+	sectionNumRE = regexp.MustCompile(`§+(\d+)`)
+)
+
+// checkDesign holds DESIGN.md to the tree under the working directory:
+// §2's package map must name every directory under internal/ and cmd/
+// that holds Go files (as "`internal/x`"), and every DESIGN section cited
+// in a Go file must exist.
+func checkDesign() ([]string, error) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		return nil, err
+	}
+	_, packageMap, ok := bytes.Cut(doc, []byte("\n## 2. "))
+	if !ok {
+		return nil, errors.New(`no "## 2." package map section`)
+	}
+	packageMap, _, _ = bytes.Cut(packageMap, []byte("\n## "))
+	sections := map[string]bool{}
+	for _, m := range sectionRE.FindAllSubmatch(doc, -1) {
+		sections[string(m[1])] = true
+	}
+	var out []string
+	mapped := map[string]bool{}
+	fsys := os.DirFS(".")
+	err = fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		if dir := path.Dir(p); (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && !mapped[dir] {
+			mapped[dir] = true
+			if !bytes.Contains(packageMap, []byte("`"+dir+"`")) {
+				out = append(out, fmt.Sprintf("DESIGN.md §2: the package map has no line for `%s`", dir))
+			}
+		}
+		src, err := fs.ReadFile(fsys, p)
+		if err != nil {
+			return err
+		}
+		for _, loc := range citeRE.FindAllIndex(src, -1) {
+			for _, n := range sectionNumRE.FindAllSubmatch(src[loc[0]:loc[1]], -1) {
+				if !sections[string(n[1])] {
+					line := bytes.Count(src[:loc[0]], []byte("\n")) + 1
+					out = append(out, fmt.Sprintf("%s:%d: cites DESIGN.md §%s, which has no section", p, line, n[1]))
+				}
+			}
+		}
+		return nil
+	})
+	return out, err
 }
