@@ -66,17 +66,18 @@ func main() {
 		fail(err)
 	}
 
+	cfg := core.SeededConfig(ins.Unweighted(), *seed)
 	if *engMode {
-		runEngine(ins, *shards, *workers, *seed, !*noCheck)
+		runEngine(ins, *shards, *workers, cfg, !*noCheck)
 		return
 	}
 
 	if *algName == "fractional" {
-		runFractional(ins)
+		runFractional(ins, cfg)
 		return
 	}
 
-	alg, err := buildAlgorithm(*algName, ins, *seed)
+	alg, err := buildAlgorithm(*algName, ins, cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -151,17 +152,10 @@ func loadInstance(inFile, wl, costs string, capacity, n int, seed uint64) (*prob
 	return workload.BuildNamed(wl, model, capacity, n, seed)
 }
 
-func buildAlgorithm(name string, ins *problem.Instance, seed uint64) (problem.Algorithm, error) {
-	caps := ins.Capacities
+func buildAlgorithm(name string, ins *problem.Instance, cfg core.Config) (problem.Algorithm, error) {
+	caps, seed := ins.Capacities, cfg.Seed
 	switch name {
 	case "randomized":
-		var cfg core.Config
-		if ins.Unweighted() {
-			cfg = core.UnweightedConfig()
-		} else {
-			cfg = core.DefaultConfig()
-		}
-		cfg.Seed = seed
 		return core.NewRandomized(caps, cfg)
 	case "greedy":
 		return baseline.NewGreedy(caps)
@@ -174,10 +168,6 @@ func buildAlgorithm(name string, ins *problem.Instance, seed uint64) (problem.Al
 	case "preempt-random":
 		return baseline.NewPreemptive(caps, baseline.VictimRandom, seed)
 	case "det-threshold":
-		cfg := core.DefaultConfig()
-		if ins.Unweighted() {
-			cfg = core.UnweightedConfig()
-		}
 		return baseline.NewDetThreshold(caps, cfg, 0.5)
 	default:
 		return nil, fmt.Errorf("acsim: unknown algorithm %q", name)
@@ -188,16 +178,11 @@ func buildAlgorithm(name string, ins *problem.Instance, seed uint64) (problem.Al
 // number of concurrent submitters and prints summary, engine counters, and
 // throughput. With workers=1 the submission order (and, at shards=1, every
 // decision) matches the sequential -alg randomized run for the same seed.
-func runEngine(ins *problem.Instance, shards, workers int, seed uint64, check bool) {
+func runEngine(ins *problem.Instance, shards, workers int, cfg core.Config, check bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	acfg := core.DefaultConfig()
-	if ins.Unweighted() {
-		acfg = core.UnweightedConfig()
-	}
-	acfg.Seed = seed
-	eng, err := engine.New(ins.Capacities, engine.Config{Shards: shards, Algorithm: acfg})
+	eng, err := engine.New(ins.Capacities, engine.Config{Shards: shards, Algorithm: cfg})
 	if err != nil {
 		fail(err)
 	}
@@ -278,13 +263,7 @@ func runEngine(ins *problem.Instance, shards, workers int, seed uint64, check bo
 	}
 }
 
-func runFractional(ins *problem.Instance) {
-	var cfg core.Config
-	if ins.Unweighted() {
-		cfg = core.UnweightedConfig()
-	} else {
-		cfg = core.DefaultConfig()
-	}
+func runFractional(ins *problem.Instance, cfg core.Config) {
 	frac, err := core.NewFractional(ins.Capacities, cfg)
 	if err != nil {
 		fail(err)

@@ -29,6 +29,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+
+	"admission/internal/wire"
 )
 
 // Sentinel errors of the cluster tier's client and router. Callers match
@@ -64,26 +66,26 @@ var (
 	ErrPartitionDown = errors.New("cluster: partition down")
 )
 
-// OpKind enumerates backend operations.
+// OpKind enumerates backend operations. The kinds are the wire codec's
+// cluster operation codes, so a kind and a cluster WAL record's op byte
+// convert by a cast.
 type OpKind uint8
 
 const (
 	// OpOffer submits one admission request local to the backend's
 	// partition; the backend's engine decides it exactly as a direct
 	// submission.
-	OpOffer OpKind = iota
+	OpOffer = OpKind(wire.ClusterOpOffer)
 	// OpReserve tentatively consumes one capacity unit per listed edge
 	// under a router-assigned transaction (phase 1). Granted atomically or
 	// not at all.
-	OpReserve
+	OpReserve = OpKind(wire.ClusterOpReserve)
 	// OpCommit makes a granted reservation permanent (phase 2 keep).
 	// Settling an unknown transaction is a deterministic no-op.
-	OpCommit
+	OpCommit = OpKind(wire.ClusterOpCommit)
 	// OpAbort returns a granted reservation (phase 2 undo). Settling an
 	// unknown transaction is a deterministic no-op.
-	OpAbort
-
-	numOpKinds
+	OpAbort = OpKind(wire.ClusterOpAbort)
 )
 
 // String returns the CLI/JSON spelling of the kind.
@@ -103,7 +105,7 @@ func (k OpKind) String() string {
 }
 
 // Valid reports whether k names a known operation kind.
-func (k OpKind) Valid() bool { return k < numOpKinds }
+func (k OpKind) Valid() bool { return k <= OpAbort }
 
 // MarshalJSON renders the kind as its string spelling.
 func (k OpKind) MarshalJSON() ([]byte, error) {
@@ -113,24 +115,19 @@ func (k OpKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// UnmarshalJSON parses the string spelling.
+// UnmarshalJSON parses the string spelling, looking it up through String.
 func (k *OpKind) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
 		return fmt.Errorf("cluster: op kind must be a JSON string, got %s", b)
 	}
-	switch s := string(b[1 : len(b)-1]); s {
-	case "offer":
-		*k = OpOffer
-	case "reserve":
-		*k = OpReserve
-	case "commit":
-		*k = OpCommit
-	case "abort":
-		*k = OpAbort
-	default:
-		return fmt.Errorf("cluster: unknown op kind %q", s)
+	s := string(b[1 : len(b)-1])
+	for c := OpOffer; c.Valid(); c++ {
+		if c.String() == s {
+			*k = c
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("cluster: unknown op kind %q", s)
 }
 
 // Op is one backend operation — the request type a Backend serves. Edges

@@ -1,60 +1,19 @@
 package cluster
 
-import (
-	"fmt"
-
-	"admission/internal/wire"
-)
+import "admission/internal/wire"
 
 // AppendOp appends one operation's wire frame to buf and returns the
-// extended buffer. Offers reuse the admission request frame
-// (wire.TagAdmissionRequest); reserves and settles use the cluster tags.
-// The encoding is canonical: DecodeOp of the produced frame re-encodes to
-// the identical bytes.
+// extended buffer: the cluster-operation codec of internal/wire, which the
+// cluster WAL records share. The encoding is canonical: DecodeOp of the
+// produced frame re-encodes to the identical bytes.
 func AppendOp(buf []byte, op Op) ([]byte, error) {
-	switch op.Kind {
-	case OpOffer:
-		return wire.AppendAdmissionRequest(buf, op.Edges, op.Cost), nil
-	case OpReserve:
-		return wire.AppendClusterReserve(buf, op.Tx, op.Edges), nil
-	case OpCommit:
-		return wire.AppendClusterCommit(buf, op.Tx), nil
-	case OpAbort:
-		return wire.AppendClusterAbort(buf, op.Tx), nil
-	default:
-		return nil, fmt.Errorf("cluster: cannot encode op kind %d", op.Kind)
-	}
+	return wire.AppendClusterOp(buf, byte(op.Kind), op.Tx, op.Edges, op.Cost)
 }
 
-// DecodeOp parses one submitted frame payload into an operation,
-// dispatching on the frame tag. The returned operation owns its edge
-// slice (nothing aliases payload), so it is safe against pooled read
-// buffers.
+// DecodeOp parses one submitted frame payload into an operation. The
+// returned operation owns its edge slice (nothing aliases payload), so it
+// is safe against pooled read buffers.
 func DecodeOp(payload []byte) (Op, error) {
-	tag, err := wire.Tag(payload)
-	if err != nil {
-		return Op{}, err
-	}
-	switch tag {
-	case wire.TagAdmissionRequest:
-		var wr wire.AdmissionRequest
-		if err := wire.DecodeAdmissionRequest(payload, &wr); err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpOffer, Edges: wr.Edges, Cost: wr.Cost}, nil
-	case wire.TagClusterReserve:
-		var rv wire.ClusterReserve
-		if err := wire.DecodeClusterReserve(payload, &rv); err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpReserve, Tx: rv.Tx, Edges: rv.Edges}, nil
-	case wire.TagClusterCommit:
-		tx, err := wire.DecodeClusterTx(payload, wire.TagClusterCommit)
-		return Op{Kind: OpCommit, Tx: tx}, err
-	case wire.TagClusterAbort:
-		tx, err := wire.DecodeClusterTx(payload, wire.TagClusterAbort)
-		return Op{Kind: OpAbort, Tx: tx}, err
-	default:
-		return Op{}, fmt.Errorf("cluster: unexpected op frame tag 0x%02x", tag)
-	}
+	kind, tx, req, err := wire.DecodeClusterOp(payload)
+	return Op{Kind: OpKind(kind), Tx: tx, Edges: req.Edges, Cost: req.Cost}, err
 }

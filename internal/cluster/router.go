@@ -11,6 +11,7 @@ import (
 	"admission/internal/engine"
 	"admission/internal/problem"
 	"admission/internal/service"
+	"admission/internal/wire"
 )
 
 // RouterConfig configures a Router over its backends.
@@ -156,8 +157,8 @@ type Router struct {
 	ring *Ring
 	cfg  RouterConfig
 
+	gate     service.Gate
 	mu       sync.Mutex
-	closed   bool
 	nextID   int
 	nextTx   uint64
 	backends []*backendState
@@ -179,7 +180,6 @@ type Router struct {
 	shedRefusals atomic.Int64
 	crossBackend atomic.Int64
 	rejectedCost float64 // guarded by mu
-	inflight     atomic.Int64
 }
 
 // plan is one request's routing plan within a batch.
@@ -302,7 +302,7 @@ type send struct {
 	ops  []Op
 	meta []journalOp
 	// decisions and err are filled by the fan-out.
-	decisions []wireDecision
+	decisions []wire.AdmissionDecision
 	err       error
 }
 
@@ -317,16 +317,6 @@ func (w *send) reset() *send {
 	return w
 }
 
-// wireDecision is the client-side decision shape (aliased to keep router
-// signatures readable).
-type wireDecision = struct {
-	ID         int
-	Accepted   bool
-	CrossShard bool
-	Preempted  []int
-	Error      string
-}
-
 // SubmitBatchPrevalidated is SubmitBatch without the validation pass. The
 // whole batch holds the router lock: wave 1 (offers and reserves) fans out
 // to every touched backend concurrently, wave 2 settles the cross-backend
@@ -335,13 +325,12 @@ func (r *Router) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	r.inflight.Add(1)
-	defer r.inflight.Add(-1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if !r.gate.Enter() {
 		return nil, ErrClosed
 	}
+	defer r.gate.Exit()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.maybeResyncLocked(ctx)
 
 	out := make([]engine.Decision, len(reqs))
@@ -554,13 +543,7 @@ func (r *Router) fanOut(ctx context.Context, wave []*send) {
 						break
 					}
 					s.idMap = append(s.idMap, w.meta[di].routerID)
-					w.decisions = append(w.decisions, wireDecision{
-						ID:         ds[di].ID,
-						Accepted:   ds[di].Accepted,
-						CrossShard: ds[di].CrossShard,
-						Preempted:  ds[di].Preempted,
-						Error:      ds[di].Error,
-					})
+					w.decisions = append(w.decisions, ds[di])
 				}
 				if err == nil {
 					s.acked += int64(len(w.ops))
@@ -605,11 +588,11 @@ func (r *Router) maybeResyncLocked(ctx context.Context) {
 // Resync forces a re-admission attempt for every shed backend and returns
 // the first failure (nil when every backend is routable).
 func (r *Router) Resync(ctx context.Context) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if r.gate.Closed() {
 		return ErrClosed
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var firstErr error
 	for b := range r.backends {
 		if r.backends[b].down == nil {
@@ -754,22 +737,16 @@ func (r *Router) Ledger() Ledger {
 }
 
 // Drain blocks until no submissions are in flight or ctx is done.
-func (r *Router) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool { return r.inflight.Load() == 0 })
-}
+func (r *Router) Drain(ctx context.Context) error { return r.gate.Wait(ctx) }
 
 // Close shuts the router down: subsequent submissions fail with ErrClosed
 // and pooled backend connections are released. The backends stay up — the
 // router does not own them. Close is idempotent.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	for _, s := range r.backends {
-		s.client.CloseIdle()
+	if r.gate.Close() {
+		for _, s := range r.backends {
+			s.client.CloseIdle()
+		}
 	}
 	return nil
 }

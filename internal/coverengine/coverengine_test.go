@@ -460,12 +460,13 @@ func sortedCopy(ids []int) []int {
 	return out
 }
 
-// TestCoverStreamCancellation cancels batches mid-flight: many goroutines
-// submit arrivals in batches under contexts that are cancelled while they
-// run (or before), enough of them to fill the shard queues so the
-// cancellation boundary is reached (run under -race). After Drain the
-// counters reconcile exactly with what the shards served, and the ledger
-// with the sets it holds.
+// TestCoverStreamCancellation races cancellation against many concurrent
+// submitters (run under -race): goroutines submit arrivals in batches
+// under contexts cancelled before they start or while they run. A batch
+// that finds its context cancelled returns the context error before
+// taking sequence numbers; one that started is served whole. After Drain
+// the counters reconcile exactly with what the shards served, and the
+// ledger with the sets it holds.
 func TestCoverStreamCancellation(t *testing.T) {
 	ins, arr := genInstance(t, 29, 40, 60, true, 400)
 	eng, err := New(ins, Config{Shards: 2, Seed: 5})

@@ -35,12 +35,10 @@ func clusterBackendDurable(b *cluster.Backend, log *wal.Log, opts DurableOptions
 	codec := logged(clusterCodec(b), log, opts, b.StateDigest, func(op cluster.Op, d engine.Decision, rec *wal.Record) {
 		*rec = wal.Record{
 			Kind:         wal.KindCluster,
-			ClusterOp:    clusterOpCode(op.Kind),
+			ClusterOp:    byte(op.Kind),
 			ClusterTx:    op.Tx,
+			AdmissionReq: wire.AdmissionRequest{Edges: op.Edges, Cost: op.Cost},
 			AdmissionDec: admissionLine(d),
-		}
-		if op.Kind == cluster.OpOffer || op.Kind == cluster.OpReserve {
-			rec.AdmissionReq = wire.AdmissionRequest{Edges: op.Edges, Cost: op.Cost}
 		}
 	})
 	return Register(cluster.Workload, b, codec)
@@ -73,35 +71,6 @@ func clusterCodec(b *cluster.Backend) Codec[cluster.Op, engine.Decision] {
 	}
 }
 
-// clusterOpCode maps an operation kind onto its WAL code (the spellings
-// agree by construction; the switch keeps the mapping explicit).
-func clusterOpCode(k cluster.OpKind) byte {
-	switch k {
-	case cluster.OpOffer:
-		return wal.ClusterOpOffer
-	case cluster.OpReserve:
-		return wal.ClusterOpReserve
-	case cluster.OpCommit:
-		return wal.ClusterOpCommit
-	default:
-		return wal.ClusterOpAbort
-	}
-}
-
-// clusterOpKind is clusterOpCode's inverse, for recovery.
-func clusterOpKind(code byte) cluster.OpKind {
-	switch code {
-	case wal.ClusterOpOffer:
-		return cluster.OpOffer
-	case wal.ClusterOpReserve:
-		return cluster.OpReserve
-	case wal.ClusterOpCommit:
-		return cluster.OpCommit
-	default:
-		return cluster.OpAbort
-	}
-}
-
 // recoverCluster is RecoverAdmission for a cluster decision log. On
 // success the backend holds exactly the pre-crash state — engine and
 // transaction table both, the table being a pure function of the replayed
@@ -109,9 +78,10 @@ func clusterOpKind(code byte) cluster.OpKind {
 func recoverCluster(log *wal.Log, b *cluster.Backend) (RecoveryInfo, error) {
 	ctx := context.Background()
 	w := &walReplay[cluster.Op, engine.Decision]{
-		log:         log,
-		fromRequest: func(q wal.Request) cluster.Op { return loggedOp(q.ClusterOp, q.ClusterTx, q.Admission) },
-		fromRecord:  func(rec *wal.Record) cluster.Op { return loggedOp(rec.ClusterOp, rec.ClusterTx, rec.AdmissionReq) },
+		log: log,
+		fromRecord: func(rec *wal.Record) cluster.Op {
+			return cluster.Op{Kind: cluster.OpKind(rec.ClusterOp), Tx: rec.ClusterTx, Edges: rec.AdmissionReq.Edges, Cost: rec.AdmissionReq.Cost}
+		},
 		submit: func(ops []cluster.Op) ([]engine.Decision, error) {
 			return b.SubmitBatch(ctx, ops)
 		},
@@ -119,16 +89,6 @@ func recoverCluster(log *wal.Log, b *cluster.Backend) (RecoveryInfo, error) {
 		digest: b.StateDigest,
 	}
 	return w.run()
-}
-
-// loggedOp rebuilds a cluster operation from its logged fields.
-func loggedOp(code byte, tx uint64, req wire.AdmissionRequest) cluster.Op {
-	return cluster.Op{
-		Kind:  clusterOpKind(code),
-		Tx:    tx,
-		Edges: req.Edges,
-		Cost:  req.Cost,
-	}
 }
 
 // clusterMetrics registers the cluster-specific collectors and returns the

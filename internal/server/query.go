@@ -26,7 +26,7 @@ func Query(eng *lca.Engine) Registration {
 // decision rendered as a client renders a decoded frame. It is the one
 // mapping behind the served JSON lines and binary frames, the clients'
 // decoded lines and acquery's local answers, so none of them can drift.
-func QueryLine(a lca.Answer) QueryDecisionJSON { return queryJSON(queryDecision(a)) }
+func QueryLine(a lca.Answer) QueryDecisionJSON { return QueryDecisionJSON(queryDecision(a)) }
 
 // queryDecision maps a query engine answer onto its wire decision.
 func queryDecision(a lca.Answer) wire.QueryDecision {
@@ -40,17 +40,6 @@ func queryDecision(a lca.Answer) wire.QueryDecision {
 		wd.Error = a.Err.Error()
 	}
 	return wd
-}
-
-// queryJSON renders a wire query decision as its NDJSON line.
-func queryJSON(wd wire.QueryDecision) QueryDecisionJSON {
-	return QueryDecisionJSON{
-		Pos:       wd.Pos,
-		Accepted:  wd.Accepted,
-		Preempted: wd.Preempted,
-		Replayed:  wd.Replayed,
-		Error:     wd.Error,
-	}
 }
 
 // queryCodec is the query workload's codec.
@@ -93,7 +82,7 @@ func QueryClientWire() ClientWire[lca.Query, QueryDecisionJSON] {
 			if err := wire.DecodeQueryDecision(payload, &wd); err != nil {
 				return QueryDecisionJSON{}, err
 			}
-			return queryJSON(wd), nil
+			return QueryDecisionJSON(wd), nil
 		},
 	}
 }

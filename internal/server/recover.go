@@ -47,17 +47,18 @@ type DurableOptions struct {
 // identical to a sequential Submit loop, so chunking only buys speed).
 const replayChunk = 1024
 
-// walReplay is the generic recovery loop shared by both workloads: replay
+// walReplay is the generic recovery loop shared by every workload: replay
 // the snapshot's request prefix, check the engine digest against the one
 // stamped into the snapshot, then replay the segment tail verifying that
-// every regenerated decision matches the logged one.
+// every regenerated decision matches the logged one. Snapshot entries and
+// tail records both arrive as records, so fromRecord is the one mapping
+// from a logged record back to a request.
 type walReplay[Req any, Dec any] struct {
-	log         *wal.Log
-	fromRequest func(q wal.Request) Req
-	fromRecord  func(rec *wal.Record) Req
-	submit      func(reqs []Req) ([]Dec, error)
-	match       func(rec *wal.Record, got Dec) error
-	digest      func() uint64
+	log        *wal.Log
+	fromRecord func(rec *wal.Record) Req
+	submit     func(reqs []Req) ([]Dec, error)
+	match      func(rec *wal.Record, got Dec) error
+	digest     func() uint64
 }
 
 func (w *walReplay[Req, Dec]) run() (RecoveryInfo, error) {
@@ -82,8 +83,8 @@ func (w *walReplay[Req, Dec]) run() (RecoveryInfo, error) {
 		reqs = reqs[:0]
 		return nil
 	}
-	if err := w.log.ReplaySnapshot(func(q wal.Request) error {
-		reqs = append(reqs, w.fromRequest(q))
+	if err := w.log.ReplaySnapshot(func(r *wal.Record) error {
+		reqs = append(reqs, w.fromRecord(r))
 		if len(reqs) == replayChunk {
 			return flush()
 		}
@@ -153,9 +154,6 @@ func RecoverAdmission(log *wal.Log, eng *engine.Engine) (RecoveryInfo, error) {
 	ctx := context.Background()
 	w := &walReplay[problem.Request, engine.Decision]{
 		log: log,
-		fromRequest: func(q wal.Request) problem.Request {
-			return problem.Request{Edges: q.Admission.Edges, Cost: q.Admission.Cost}
-		},
 		fromRecord: func(rec *wal.Record) problem.Request {
 			return problem.Request{Edges: rec.AdmissionReq.Edges, Cost: rec.AdmissionReq.Cost}
 		},
@@ -172,9 +170,8 @@ func RecoverAdmission(log *wal.Log, eng *engine.Engine) (RecoveryInfo, error) {
 func recoverCover(log *wal.Log, cov *coverengine.Engine) (RecoveryInfo, error) {
 	ctx := context.Background()
 	w := &walReplay[int, coverengine.Decision]{
-		log:         log,
-		fromRequest: func(q wal.Request) int { return q.Element },
-		fromRecord:  func(rec *wal.Record) int { return rec.Element },
+		log:        log,
+		fromRecord: func(rec *wal.Record) int { return rec.Element },
 		submit: func(elements []int) ([]coverengine.Decision, error) {
 			return cov.SubmitBatch(ctx, elements)
 		},

@@ -9,7 +9,8 @@ import (
 // Gate is the lifecycle gate of a served component: callers Enter before
 // an operation and Exit after it, Close refuses later Enters, and Wait
 // blocks until every caller inside has left. The shard runtime, the query
-// engine and the HTTP server each keep one. The zero Gate is open.
+// engine, the HTTP server and the cluster router each keep one. The zero
+// Gate is open.
 type Gate struct {
 	inside atomic.Int64
 	closed atomic.Bool
@@ -39,16 +40,11 @@ func (g *Gate) Close() bool { return !g.closed.Swap(true) }
 // Closed reports whether Close has been called.
 func (g *Gate) Closed() bool { return g.closed.Load() }
 
-// Wait blocks until no caller is inside or ctx is done. It does not
-// close the gate.
+// Wait blocks until no caller is inside or ctx is done, parking briefly
+// between polls so a long drain does not burn a core. It does not close
+// the gate.
 func (g *Gate) Wait(ctx context.Context) error {
-	return PollIdle(ctx, func() bool { return g.inside.Load() == 0 })
-}
-
-// PollIdle blocks until idle() reports true or ctx is done, parking
-// briefly between polls so a long drain does not burn a core.
-func PollIdle(ctx context.Context, idle func() bool) error {
-	for !idle() {
+	for g.inside.Load() != 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -29,8 +29,4 @@ func TestGate(t *testing.T) {
 	if err := g.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// PollIdle gives up when the context dies before idleness.
-	if err := PollIdle(dead, func() bool { return false }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PollIdle on a dead context: %v, want context.Canceled", err)
-	}
 }

@@ -19,9 +19,9 @@
 // cancelled operation decides nothing, and one that has started is
 // decided whole and returned, so the engine never counts a decision its
 // caller did not get. The query engine, whose answers take no IDs, checks
-// ctx before each query. The engines and the HTTP server guard their
-// lifecycles with a Gate: Drain waits for the callers inside, Close turns
-// new ones away.
+// ctx before each query. The engines, the HTTP server and the cluster
+// router guard their lifecycles with a Gate: Drain waits for the callers
+// inside, Close turns new ones away.
 package service
 
 import "context"

@@ -269,7 +269,7 @@ func TestSnapshotBodyDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	err = l2.ReplaySnapshot(func(Request) error { return nil })
+	err = l2.ReplaySnapshot(func(*Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("damaged snapshot body: %v", err)
 	}

@@ -8,9 +8,19 @@ import (
 	"testing"
 )
 
-// fuzzLog is the fixed identity both snapshot fuzz ends agree on.
-func fuzzLog() *Log {
-	return &Log{opts: Options{Kind: KindAdmission, Fingerprint: "fuzz"}}
+// fuzzLog is the fixed identity of a kind both snapshot fuzz ends agree
+// on.
+func fuzzLog(kind Kind) *Log {
+	return &Log{opts: Options{Kind: kind, Fingerprint: "fuzz"}}
+}
+
+// records returns mk(0), …, mk(n-1) by value.
+func records(n int, mk func(seq int) *Record) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = *mk(i)
+	}
+	return recs
 }
 
 // recordPayload strips the framing off an encoded record.
@@ -23,13 +33,14 @@ func recordPayload(t interface{ Fatal(...any) }, rec *Record) []byte {
 	return framed[n : n+int(v)]
 }
 
-// snapshotImage builds a complete valid snapshot file image for seeding.
-func snapshotImage(l *Log, digest uint64, reqs []Request) []byte {
+// snapshotImage builds a complete valid snapshot file image, one entry per
+// record's request half, for seeding.
+func snapshotImage(l *Log, digest uint64, recs []Record) []byte {
 	buf := append([]byte(nil), snapMagic...)
-	buf = append(buf, l.snapHeaderBlob(int64(len(reqs)), digest)...)
+	buf = append(buf, l.snapHeaderBlob(int64(len(recs)), digest)...)
 	bodyStart := len(buf)
-	for _, req := range reqs {
-		buf, _ = appendRequestFrame(buf, req)
+	for i := range recs {
+		buf, _ = appendRequest(buf, &recs[i])
 	}
 	crc := crc32Of(buf[bodyStart:])
 	return append(buf, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
@@ -40,7 +51,10 @@ func snapshotImage(l *Log, digest uint64, reqs []Request) []byte {
 // same bytes — there is one encoding per record, so a CRC-valid record can
 // never be ambiguous.
 func FuzzWALDecode(f *testing.F) {
-	for _, rec := range []*Record{mkAdm(0), mkAdm(4), mkAdm(12), mkCover(0), mkCover(9)} {
+	for _, rec := range []*Record{
+		mkAdm(0), mkAdm(4), mkAdm(12), mkCover(0), mkCover(9),
+		mkCluster(0), mkCluster(1), mkCluster(2), mkCluster(3),
+	} {
 		f.Add(recordPayload(f, rec))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -59,27 +73,27 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDecode asserts the same canonical round-trip for whole
-// snapshot images through the exact decode path recovery uses.
+// snapshot images through the exact decode path recovery uses, for a log
+// of every kind (a header names its kind, so at most one accepts).
 func FuzzSnapshotDecode(f *testing.F) {
-	l := fuzzLog()
-	var reqs []Request
-	for i := 0; i < 5; i++ {
-		reqs = append(reqs, mkAdm(i).request())
-	}
-	f.Add(snapshotImage(l, 0, nil))
-	f.Add(snapshotImage(l, 0xDEAD, reqs))
+	adm := fuzzLog(KindAdmission)
+	f.Add(snapshotImage(adm, 0, nil))
+	f.Add(snapshotImage(adm, 0xDEAD, records(5, mkAdm)))
+	f.Add(snapshotImage(fuzzLog(KindCluster), 0xC1D5, records(8, mkCluster)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got []Request
-		hdr, err := l.decodeSnapshot(data, "fuzz", func(req Request) error {
-			got = append(got, req)
-			return nil
-		})
-		if err != nil {
-			return
-		}
-		re := snapshotImage(l, hdr.digest, got)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("snapshot decode/encode not canonical:\nin  % x\nout % x", data, re)
+		for _, kind := range []Kind{KindAdmission, KindCover, KindCluster} {
+			l := fuzzLog(kind)
+			var got []Record
+			hdr, err := l.decodeSnapshot(data, "fuzz", func(rec *Record) error {
+				got = append(got, *rec)
+				return nil
+			})
+			if err != nil {
+				continue
+			}
+			if re := snapshotImage(l, hdr.digest, got); !bytes.Equal(re, data) {
+				t.Fatalf("snapshot decode/encode not canonical:\nin  % x\nout % x", data, re)
+			}
 		}
 	})
 }
@@ -107,19 +121,16 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	cov := recordPayload(t, mkCover(9))
 	write("FuzzWALDecode", "valid-admission", adm)
 	write("FuzzWALDecode", "valid-cover", cov)
+	write("FuzzWALDecode", "valid-cluster", recordPayload(t, mkCluster(1)))
 	write("FuzzWALDecode", "torn-tail", adm[:len(adm)/2])
 	bitflip := append([]byte(nil), adm...)
 	bitflip[len(bitflip)/2] ^= 0x40
 	write("FuzzWALDecode", "bit-flip", bitflip)
 	write("FuzzWALDecode", "empty", nil)
 
-	l := fuzzLog()
-	var reqs []Request
-	for i := 0; i < 4; i++ {
-		reqs = append(reqs, mkAdm(i).request())
-	}
-	img := snapshotImage(l, 0xFEED, reqs)
+	img := snapshotImage(fuzzLog(KindAdmission), 0xFEED, records(4, mkAdm))
 	write("FuzzSnapshotDecode", "valid", img)
+	write("FuzzSnapshotDecode", "valid-cluster", snapshotImage(fuzzLog(KindCluster), 0xFEED, records(4, mkCluster)))
 	write("FuzzSnapshotDecode", "torn-tail", img[:len(img)-6])
 	snapFlip := append([]byte(nil), img...)
 	snapFlip[len(snapFlip)/3] ^= 0x40

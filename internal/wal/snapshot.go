@@ -120,11 +120,13 @@ func parseFramed(b []byte) (payload, rest []byte, err error) {
 }
 
 // ReplaySnapshot streams the compacted request prefix — the inputs behind
-// the first Recovery().SnapshotSeq decisions — in submission order. The
-// caller replays them through a fresh engine, then checks the engine's
-// state digest against Recovery().SnapshotDigest before moving on to
-// ReplayTail. No snapshot means nothing to do.
-func (l *Log) ReplaySnapshot(fn func(req Request) error) error {
+// the first Recovery().SnapshotSeq decisions — in submission order, each
+// entry as a record whose request half alone is set. As in ReplayTail,
+// the record is reused from one call to the next, though the slices it
+// holds are not. The caller replays the requests through a fresh engine,
+// then checks the engine's state digest against Recovery().SnapshotDigest
+// before moving on to ReplayTail. No snapshot means nothing to do.
+func (l *Log) ReplaySnapshot(fn func(rec *Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.sticky(); err != nil {
@@ -133,7 +135,7 @@ func (l *Log) ReplaySnapshot(fn func(req Request) error) error {
 	return l.replaySnapshotLocked(fn)
 }
 
-func (l *Log) replaySnapshotLocked(fn func(req Request) error) error {
+func (l *Log) replaySnapshotLocked(fn func(rec *Record) error) error {
 	if l.snapSeq == 0 {
 		return nil
 	}
@@ -156,7 +158,7 @@ func (l *Log) replaySnapshotLocked(fn func(req Request) error) error {
 // identity, body CRC, every entry frame, entry count — and streams its
 // entries through fn. It is the single decode path shared by recovery and
 // FuzzSnapshotDecode.
-func (l *Log) decodeSnapshot(data []byte, name string, fn func(req Request) error) (snapHeader, error) {
+func (l *Log) decodeSnapshot(data []byte, name string, fn func(rec *Record) error) (snapHeader, error) {
 	var zero snapHeader
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
 		return zero, corruptf("snapshot %s has a bad magic", name)
@@ -178,18 +180,20 @@ func (l *Log) decodeSnapshot(data []byte, name string, fn func(req Request) erro
 	if crc32Of(body) != crc {
 		return zero, corruptf("snapshot %s body CRC mismatch", name)
 	}
-	var count int64
+	var (
+		count int64
+		rec   Record
+	)
 	for len(body) > 0 {
 		frame, rest, err := wire.NextFrame(body)
-		if err != nil {
-			return zero, fmt.Errorf("%w: snapshot %s entry %d: %v", ErrCorrupt, name, count, err)
+		if err == nil {
+			err = decodeRequest(l.opts.Kind, frame, &rec)
 		}
-		req, err := decodeRequestFrame(l.opts.Kind, frame)
 		if err != nil {
 			return zero, fmt.Errorf("%w: snapshot %s entry %d: %v", ErrCorrupt, name, count, err)
 		}
 		count++
-		if err := fn(req); err != nil {
+		if err := fn(&rec); err != nil {
 			return zero, err
 		}
 		body = rest
@@ -242,17 +246,14 @@ func (l *Log) WriteSnapshot(digest uint64) error {
 	buf := append([]byte(nil), snapMagic...)
 	buf = append(buf, l.snapHeaderBlob(seq, digest)...)
 	bodyStart := len(buf)
-	var encErr error
-	if err := l.replaySnapshotLocked(func(req Request) error {
-		buf, encErr = appendRequestFrame(buf, req)
-		return encErr
-	}); err != nil {
+	entry := func(rec *Record) (err error) {
+		buf, err = appendRequest(buf, rec)
 		return err
 	}
-	if err := l.replayTailLocked(func(rec *Record) error {
-		buf, encErr = appendRequestFrame(buf, rec.request())
-		return encErr
-	}); err != nil {
+	if err := l.replaySnapshotLocked(entry); err != nil {
+		return err
+	}
+	if err := l.replayTailLocked(entry); err != nil {
 		return err
 	}
 	crc := crc32Of(buf[bodyStart:])

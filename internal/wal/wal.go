@@ -12,8 +12,8 @@
 // order, rather than dumping engine state: recovery replays the logged
 // requests through a freshly built engine and verifies that every replayed
 // decision matches the logged one. A snapshot is the same idea compacted —
-// the request prefix only, with the decisions dropped and the engine's
-// state digest kept for verification — which keeps persisted state
+// the records' request halves only, with the decisions dropped and the
+// engine's state digest kept for verification — which keeps persisted state
 // proportional to the inputs, in the spirit of the space-efficient local
 // computation algorithms line of work (PAPERS.md).
 //
@@ -27,10 +27,14 @@
 // Every record is uvarint(len) | payload | crc32c(payload); the payload is
 // a kind byte followed by the request frame and the decision frame in the
 // binary wire codec (internal/wire) — the same canonical length-prefixed
-// framing the serving hot path speaks, reused rather than reinvented.
-// Segment and snapshot headers use the same record framing; snapshots
-// additionally carry a whole-body CRC and are written via
-// internal/atomicfile (write-temp → fsync → rename → fsync-dir).
+// framing the serving hot path speaks, reused rather than reinvented. A
+// snapshot entry is a record's request half in the same request frame:
+// one encoder and one decoder per kind (appendRequest, decodeRequest)
+// serve both, and a cluster record's request frame is the wire package's
+// cluster-operation codec. Segment and snapshot headers use the same
+// record framing; snapshots additionally carry a whole-body CRC and are
+// written via internal/atomicfile (write-temp → fsync → rename →
+// fsync-dir). TestGoldenBytes pins every byte of each kind's files.
 //
 // # Recovery invariants
 //
@@ -76,20 +80,6 @@ const (
 	KindCluster Kind = 3
 )
 
-// Cluster operation codes carried by a KindCluster record (Record.ClusterOp).
-// They mirror the cluster wire tags: an offer is framed as an admission
-// request, the protocol ops as the dedicated cluster frames.
-const (
-	// ClusterOpOffer is a backend-local admission offer.
-	ClusterOpOffer byte = 0
-	// ClusterOpReserve is phase 1 of a cross-backend admission.
-	ClusterOpReserve byte = 1
-	// ClusterOpCommit finalizes a granted reservation.
-	ClusterOpCommit byte = 2
-	// ClusterOpAbort releases a granted reservation.
-	ClusterOpAbort byte = 3
-)
-
 // String names the kind for errors and headers.
 func (k Kind) String() string {
 	switch k {
@@ -131,7 +121,9 @@ const MaxRecord = wire.MaxFrame
 
 // Record is one logged decision: the submitted request paired with the
 // engine's reaction, in the engine's global submission order. Exactly the
-// fields of the matching kind are meaningful.
+// fields of the matching kind are meaningful. A snapshot entry is a
+// record's request half (AdmissionReq, Element, ClusterOp and ClusterTx)
+// with the decision fields zero.
 type Record struct {
 	// Kind selects which workload's fields are set.
 	Kind Kind
@@ -142,7 +134,7 @@ type Record struct {
 	Element  int
 	CoverDec wire.CoverDecision
 	// ClusterOp and ClusterTx extend a KindCluster record: the operation
-	// code (ClusterOp* constants) and, for protocol ops, the router's
+	// code (the wire.ClusterOp* codes) and, for protocol ops, the router's
 	// transaction id. A cluster record reuses AdmissionReq for the
 	// operation's edges (and an offer's cost) and AdmissionDec for its
 	// decision.
@@ -157,21 +149,6 @@ func (r *Record) Seq() int64 {
 		return int64(r.CoverDec.Seq)
 	}
 	return int64(r.AdmissionDec.ID)
-}
-
-// Request is one compacted snapshot entry: the input half of a Record,
-// which is all replay needs (the engine regenerates the decision).
-type Request struct {
-	// Kind selects which field is set.
-	Kind Kind
-	// Admission is the request of a KindAdmission entry (also the edge
-	// list, and for offers the cost, of a KindCluster entry).
-	Admission wire.AdmissionRequest
-	// Element is the arrival of a KindCover entry.
-	Element int
-	// ClusterOp and ClusterTx extend a KindCluster entry.
-	ClusterOp byte
-	ClusterTx uint64
 }
 
 // AppendRecord appends rec's on-disk encoding — uvarint length, payload,
@@ -193,70 +170,51 @@ func AppendRecord(buf []byte, rec *Record) ([]byte, error) {
 // appendPayload encodes the record payload: kind byte, request frame,
 // decision frame.
 func appendPayload(p []byte, rec *Record) ([]byte, error) {
-	p = append(p, byte(rec.Kind))
+	p, err := appendRequest(append(p, byte(rec.Kind)), rec)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Kind == KindCover {
+		return wire.AppendCoverDecision(p, &rec.CoverDec), nil
+	}
+	return wire.AppendAdmissionDecision(p, &rec.AdmissionDec), nil
+}
+
+// appendRequest appends rec's request half as its wire request frame: the
+// one request encoder, shared by record payloads and snapshot entries.
+func appendRequest(p []byte, rec *Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindAdmission:
-		p = wire.AppendAdmissionRequest(p, rec.AdmissionReq.Edges, rec.AdmissionReq.Cost)
-		p = wire.AppendAdmissionDecision(p, &rec.AdmissionDec)
+		return wire.AppendAdmissionRequest(p, rec.AdmissionReq.Edges, rec.AdmissionReq.Cost), nil
 	case KindCover:
-		p = wire.AppendCoverRequest(p, rec.Element)
-		p = wire.AppendCoverDecision(p, &rec.CoverDec)
+		return wire.AppendCoverRequest(p, rec.Element), nil
 	case KindCluster:
-		var err error
-		if p, err = appendClusterOpFrame(p, rec.ClusterOp, rec.ClusterTx, &rec.AdmissionReq); err != nil {
-			return nil, err
-		}
-		p = wire.AppendAdmissionDecision(p, &rec.AdmissionDec)
-	default:
-		return nil, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
+		return wire.AppendClusterOp(p, rec.ClusterOp, rec.ClusterTx, rec.AdmissionReq.Edges, rec.AdmissionReq.Cost)
 	}
-	return p, nil
+	return p, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 }
 
-// appendClusterOpFrame appends one cluster operation as its wire request
-// frame: offers as admission requests, protocol ops as the cluster tags.
-func appendClusterOpFrame(p []byte, op byte, tx uint64, req *wire.AdmissionRequest) ([]byte, error) {
-	switch op {
-	case ClusterOpOffer:
-		return wire.AppendAdmissionRequest(p, req.Edges, req.Cost), nil
-	case ClusterOpReserve:
-		return wire.AppendClusterReserve(p, tx, req.Edges), nil
-	case ClusterOpCommit:
-		return wire.AppendClusterCommit(p, tx), nil
-	case ClusterOpAbort:
-		return wire.AppendClusterAbort(p, tx), nil
+// decodeRequest resets rec to a record of the given kind and parses the
+// request frame payload into its request half: appendRequest's inverse,
+// shared by record payloads and snapshot entries. The decoded slices are
+// freshly allocated, so a reused rec never aliases an earlier entry.
+func decodeRequest(kind Kind, payload []byte, rec *Record) error {
+	*rec = Record{Kind: kind}
+	var err error
+	switch kind {
+	case KindAdmission:
+		err = wire.DecodeAdmissionRequest(payload, &rec.AdmissionReq)
+	case KindCover:
+		rec.Element, err = wire.DecodeCoverRequest(payload)
+	case KindCluster:
+		rec.ClusterOp, rec.ClusterTx, rec.AdmissionReq, err = wire.DecodeClusterOp(payload)
 	default:
-		return nil, fmt.Errorf("wal: unknown cluster op %d", op)
+		return fmt.Errorf("wal: unknown record kind %d", kind)
 	}
-}
-
-// decodeClusterOpFrame parses one cluster operation request frame,
-// dispatching on its wire tag.
-func decodeClusterOpFrame(payload []byte) (op byte, tx uint64, req wire.AdmissionRequest, err error) {
-	tag, err := wire.Tag(payload)
 	if err != nil {
-		return 0, 0, req, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
-	switch tag {
-	case wire.TagAdmissionRequest:
-		err = wire.DecodeAdmissionRequest(payload, &req)
-		return ClusterOpOffer, 0, req, err
-	case wire.TagClusterReserve:
-		var r wire.ClusterReserve
-		if err = wire.DecodeClusterReserve(payload, &r); err != nil {
-			return 0, 0, req, fmt.Errorf("wal: %w", err)
-		}
-		req.Edges = r.Edges
-		return ClusterOpReserve, r.Tx, req, nil
-	case wire.TagClusterCommit:
-		tx, err = wire.DecodeClusterTx(payload, wire.TagClusterCommit)
-		return ClusterOpCommit, tx, req, err
-	case wire.TagClusterAbort:
-		tx, err = wire.DecodeClusterTx(payload, wire.TagClusterAbort)
-		return ClusterOpAbort, tx, req, err
-	default:
-		return 0, 0, req, fmt.Errorf("wal: unexpected cluster op tag 0x%02x", tag)
-	}
+	return nil
 }
 
 // appendFramed appends one length-prefixed CRC-protected blob (the framing
@@ -277,9 +235,7 @@ func DecodeRecord(payload []byte, rec *Record) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty record payload")
 	}
-	*rec = Record{Kind: Kind(payload[0])}
-	body := payload[1:]
-	reqFrame, rest, err := wire.NextFrame(body)
+	reqFrame, rest, err := wire.NextFrame(payload[1:])
 	if err != nil {
 		return fmt.Errorf("wal: record request frame: %w", err)
 	}
@@ -290,77 +246,18 @@ func DecodeRecord(payload []byte, rec *Record) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("wal: %d trailing bytes in record payload", len(rest))
 	}
-	switch rec.Kind {
-	case KindAdmission:
-		if err := wire.DecodeAdmissionRequest(reqFrame, &rec.AdmissionReq); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if err := wire.DecodeAdmissionDecision(decFrame, &rec.AdmissionDec); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	case KindCover:
-		if rec.Element, err = wire.DecodeCoverRequest(reqFrame); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if err := wire.DecodeCoverDecision(decFrame, &rec.CoverDec); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	case KindCluster:
-		if rec.ClusterOp, rec.ClusterTx, rec.AdmissionReq, err = decodeClusterOpFrame(reqFrame); err != nil {
-			return err
-		}
-		if err := wire.DecodeAdmissionDecision(decFrame, &rec.AdmissionDec); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	default:
-		return fmt.Errorf("wal: unknown record kind %d", rec.Kind)
+	if err := decodeRequest(Kind(payload[0]), reqFrame, rec); err != nil {
+		return err
+	}
+	if rec.Kind == KindCover {
+		err = wire.DecodeCoverDecision(decFrame, &rec.CoverDec)
+	} else {
+		err = wire.DecodeAdmissionDecision(decFrame, &rec.AdmissionDec)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
-}
-
-// request extracts the input half of a record for snapshot compaction.
-func (r *Record) request() Request {
-	return Request{Kind: r.Kind, Admission: r.AdmissionReq, Element: r.Element,
-		ClusterOp: r.ClusterOp, ClusterTx: r.ClusterTx}
-}
-
-// appendRequestFrame appends one snapshot entry as its wire request frame.
-func appendRequestFrame(buf []byte, req Request) ([]byte, error) {
-	switch req.Kind {
-	case KindAdmission:
-		return wire.AppendAdmissionRequest(buf, req.Admission.Edges, req.Admission.Cost), nil
-	case KindCover:
-		return wire.AppendCoverRequest(buf, req.Element), nil
-	case KindCluster:
-		return appendClusterOpFrame(buf, req.ClusterOp, req.ClusterTx, &req.Admission)
-	default:
-		return buf, fmt.Errorf("wal: unknown request kind %d", req.Kind)
-	}
-}
-
-// decodeRequestFrame parses one snapshot entry from its wire request frame
-// payload.
-func decodeRequestFrame(kind Kind, payload []byte) (Request, error) {
-	req := Request{Kind: kind}
-	switch kind {
-	case KindAdmission:
-		if err := wire.DecodeAdmissionRequest(payload, &req.Admission); err != nil {
-			return req, fmt.Errorf("wal: %w", err)
-		}
-	case KindCover:
-		var err error
-		if req.Element, err = wire.DecodeCoverRequest(payload); err != nil {
-			return req, fmt.Errorf("wal: %w", err)
-		}
-	case KindCluster:
-		var err error
-		if req.ClusterOp, req.ClusterTx, req.Admission, err = decodeClusterOpFrame(payload); err != nil {
-			return req, err
-		}
-	default:
-		return req, fmt.Errorf("wal: unknown request kind %d", kind)
-	}
-	return req, nil
 }
 
 // appendUvarint appends v as a minimal LEB128 uvarint (the wire codec's

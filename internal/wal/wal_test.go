@@ -52,9 +52,9 @@ func mkCluster(seq int) *Record {
 		AdmissionDec: wire.AdmissionDecision{ID: seq, Accepted: seq%3 != 0, CrossShard: seq%4 != 0},
 	}
 	switch rec.ClusterOp {
-	case ClusterOpOffer:
+	case wire.ClusterOpOffer:
 		rec.AdmissionReq = wire.AdmissionRequest{Edges: []int{seq % 5, seq%5 + 3}, Cost: 1 + float64(seq%3)}
-	case ClusterOpReserve:
+	case wire.ClusterOpReserve:
 		rec.ClusterTx = uint64(100 + seq)
 		rec.AdmissionReq = wire.AdmissionRequest{Edges: []int{seq % 7}}
 	default: // commit, abort: tx only
@@ -317,9 +317,9 @@ func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	if got := l2.Recovery(); got != want {
 		t.Fatalf("recovery = %+v, want %+v", got, want)
 	}
-	var reqs []Request
-	if err := l2.ReplaySnapshot(func(req Request) error {
-		reqs = append(reqs, req)
+	var reqs []Record
+	if err := l2.ReplaySnapshot(func(rec *Record) error {
+		reqs = append(reqs, *rec)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	}
 	for i, req := range reqs {
 		orig := mkAdm(i)
-		if req.Kind != KindAdmission || !reflect.DeepEqual(req.Admission.Edges, orig.AdmissionReq.Edges) || req.Admission.Cost != orig.AdmissionReq.Cost {
+		if req.Kind != KindAdmission || !reflect.DeepEqual(req.AdmissionReq, orig.AdmissionReq) {
 			t.Fatalf("snapshot entry %d = %+v", i, req)
 		}
 	}
@@ -460,7 +460,7 @@ func TestReadOnly(t *testing.T) {
 		t.Fatalf("WriteSnapshot = %v", err)
 	}
 	count := 0
-	if err := ro.ReplaySnapshot(func(Request) error { count++; return nil }); err != nil {
+	if err := ro.ReplaySnapshot(func(*Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tail := collectTail(t, ro); count != 6 || len(tail) != 2 {
@@ -551,9 +551,9 @@ func TestClusterKindEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	var reqs []Request
-	if err := l2.ReplaySnapshot(func(req Request) error {
-		reqs = append(reqs, req)
+	var reqs []Record
+	if err := l2.ReplaySnapshot(func(rec *Record) error {
+		reqs = append(reqs, *rec)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -564,7 +564,7 @@ func TestClusterKindEndToEnd(t *testing.T) {
 	for i, req := range reqs {
 		orig := mkCluster(i)
 		if req.Kind != KindCluster || req.ClusterOp != orig.ClusterOp || req.ClusterTx != orig.ClusterTx ||
-			!reflect.DeepEqual(req.Admission.Edges, orig.AdmissionReq.Edges) || req.Admission.Cost != orig.AdmissionReq.Cost {
+			!reflect.DeepEqual(req.AdmissionReq, orig.AdmissionReq) {
 			t.Fatalf("snapshot entry %d = %+v, want op %d tx %d req %+v",
 				i, req, orig.ClusterOp, orig.ClusterTx, orig.AdmissionReq)
 		}
@@ -608,9 +608,9 @@ func TestCoverKindEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	var reqs []Request
-	if err := l2.ReplaySnapshot(func(req Request) error {
-		reqs = append(reqs, req)
+	var reqs []Record
+	if err := l2.ReplaySnapshot(func(rec *Record) error {
+		reqs = append(reqs, *rec)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

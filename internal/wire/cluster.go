@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Cluster protocol tags (DESIGN.md §14). The cluster tier lifts the
 // engine's two-phase cross-shard path onto the wire: a router submits a
@@ -21,6 +24,69 @@ const (
 	// reservations are returned.
 	TagClusterAbort byte = 0x0A
 )
+
+// Cluster operation codes, one per operation a router submits to a
+// backend. The cluster tier's OpKind and a cluster WAL record's op byte
+// are these codes; on the wire and on disk an operation is named by its
+// frame's tag instead.
+const (
+	// ClusterOpOffer is a backend-local admission offer, framed as an
+	// admission request.
+	ClusterOpOffer byte = 0
+	// ClusterOpReserve is phase 1 of a cross-backend admission.
+	ClusterOpReserve byte = 1
+	// ClusterOpCommit finalizes a granted reservation.
+	ClusterOpCommit byte = 2
+	// ClusterOpAbort releases a granted reservation.
+	ClusterOpAbort byte = 3
+)
+
+// AppendClusterOp appends one cluster operation as its request frame —
+// an offer as an admission request, a protocol message under its cluster
+// tag — and returns the extended buffer. Only the fields the operation
+// carries are encoded: tx for reserves, commits and aborts, edges for
+// offers and reserves, cost for offers. DecodeClusterOp of the frame
+// re-encodes to the identical bytes.
+func AppendClusterOp(buf []byte, op byte, tx uint64, edges []int, cost float64) ([]byte, error) {
+	switch op {
+	case ClusterOpOffer:
+		return AppendAdmissionRequest(buf, edges, cost), nil
+	case ClusterOpReserve:
+		return AppendClusterReserve(buf, tx, edges), nil
+	case ClusterOpCommit:
+		return AppendClusterCommit(buf, tx), nil
+	case ClusterOpAbort:
+		return AppendClusterAbort(buf, tx), nil
+	}
+	return buf, fmt.Errorf("wire: unknown cluster op %d", op)
+}
+
+// DecodeClusterOp decodes one cluster operation frame payload, dispatching
+// on its tag, into the fields AppendClusterOp takes; an offer's or a
+// reserve's edges come back in req, and an offer's cost. The edge slice is
+// freshly allocated, so nothing aliases payload.
+func DecodeClusterOp(payload []byte) (op byte, tx uint64, req AdmissionRequest, err error) {
+	tag, err := Tag(payload)
+	if err != nil {
+		return 0, 0, req, err
+	}
+	switch tag {
+	case TagAdmissionRequest:
+		err = DecodeAdmissionRequest(payload, &req)
+		return ClusterOpOffer, 0, req, err
+	case TagClusterReserve:
+		var r ClusterReserve
+		err = DecodeClusterReserve(payload, &r)
+		return ClusterOpReserve, r.Tx, AdmissionRequest{Edges: r.Edges}, err
+	case TagClusterCommit:
+		tx, err = DecodeClusterTx(payload, TagClusterCommit)
+		return ClusterOpCommit, tx, req, err
+	case TagClusterAbort:
+		tx, err = DecodeClusterTx(payload, TagClusterAbort)
+		return ClusterOpAbort, tx, req, err
+	}
+	return 0, 0, req, fmt.Errorf("%w: 0x%02x is not a cluster operation", ErrBadTag, tag)
+}
 
 // ClusterReserve is the wire form of one cross-backend reservation
 // request.
